@@ -15,6 +15,7 @@ from importlib import resources
 
 from .census_io import CensusBundle, load_document
 from .errors import (
+    AmbientObstructionMismatch,
     InsufficientData,
     MissingLinkEntry,
     MissingPolarData,
@@ -156,6 +157,16 @@ def _run_one(
         report = check_identity(census, identity, **kwargs)
     except SKIPPABLE_ERRORS as exc:
         return CheckLine.skip(identity, detail, str(exc))
+    except AmbientObstructionMismatch as exc:
+        # a declared slot contradicts the census: a failed row naming the
+        # slot, declared value against implied value
+        return CheckLine(
+            name=identity,
+            status="FAIL",
+            detail=f"{detail}, critical_points.{exc.point}.eu_space_at_q",
+            lhs=exc.declared,
+            rhs=exc.implied,
+        )
     line = CheckLine.from_report(report)
     return CheckLine(
         name=line.name,

@@ -278,11 +278,18 @@ def load_file(path: str | Path) -> CensusBundle:
         text = p.read_text()
     except OSError as exc:
         raise SchemaError("$", f"cannot read {p}: {exc}") from exc
+    return load_document(parse_json(text))
+
+
+def parse_json(text: str):
+    """``json.loads``, with malformed and too deeply nested text both
+    reported as a SchemaError at the document root."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    return load_document(obj)
+    except RecursionError:
+        raise SchemaError("$", "not valid JSON: nested too deeply") from None
 
 
 def apply_field_to_raw(raw: dict, fieldpath: str, value: int) -> dict:

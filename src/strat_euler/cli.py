@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as catalog_mod
-from .census_io import CensusBundle, apply_field_to_raw, load_file
+from .census_io import CensusBundle, apply_field_to_raw, load_file, parse_json
 from .errors import CensusError, SchemaError
 from .euler_calculus import (
     SimplicialConstructibleFunction,
@@ -167,11 +167,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_fubini(args) -> int:
     try:
-        obj = json.loads(Path(args.bundle).read_text())
+        text = Path(args.bundle).read_text()
     except OSError as exc:
         raise SchemaError("$", f"cannot read {args.bundle}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    obj = parse_json(text)
     if not isinstance(obj, dict):
         raise SchemaError("$", "expected an object")
     for key in ("complex_src", "complex_dst", "vertex_map", "weights"):

@@ -95,6 +95,20 @@ class InsufficientData(CensusError):
         super().__init__("missing census data: " + ", ".join(self.fields))
 
 
+class AmbientObstructionMismatch(CensusError, ValueError):
+    """A critical point declares an ambient obstruction ``eu_space_at_q``
+    that differs from the one the census implies at its stratum."""
+
+    def __init__(self, point: str, declared: int, implied: int):
+        self.point = point
+        self.declared = declared
+        self.implied = implied
+        super().__init__(
+            f"critical point {point!r} declares ambient obstruction "
+            f"{declared}, census implies {implied}"
+        )
+
+
 class NotSolvable(CensusError):
     """solve_unknown cannot determine the requested field from the identity."""
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .errors import (
+    AmbientObstructionMismatch,
     InsufficientData,
     NotSolvable,
     PointNotInClosure,
@@ -408,19 +409,18 @@ def _milnor_totals(census: FiberedCensus) -> dict[str, int]:
     return out
 
 
-def _restricted_brasselet(census: FiberedCensus, sid: str, at: str) -> int:
-    sub = restrict_fibered(census, sid)
-    table = solve_bdk(sub.base)
-    return brasselet(sub, at, eu_weight(sub, table))
+def _closure_brasselet(census: FiberedCensus, sid: str, at: str) -> int:
+    # Brasselet number of the closure of sid: its own obstruction column
+    # integrated over the fiber.  Fiber data is local to its stratum, so this
+    # is the number the census of the closure alone gives.
+    return brasselet(census, at, census.base.solved.eu_function(sid))
 
 
-def _restricted_infinity(census: FiberedCensus, sid: str, at: str | None) -> int:
-    sub = restrict_fibered(census, sid)
-    table = solve_bdk(sub.base)
-    w = eu_weight(sub, table)
+def _closure_infinity(census: FiberedCensus, sid: str, at: str | None) -> int:
+    w = census.base.solved.eu_function(sid)
     if at is None:
-        return total_brasselet_infinity(sub, w)
-    return brasselet_infinity(sub, at, w)
+        return total_brasselet_infinity(census, w)
+    return brasselet_infinity(census, at, w)
 
 
 def check_identity(
@@ -481,10 +481,7 @@ def check_identity(
         for q in census.points_at(a):
             ambient = table.eu_at(q.stratum)
             if q.eu_space_at_q is not None and q.eu_space_at_q != ambient:
-                raise ValueError(
-                    f"critical point {q.id!r} declares ambient obstruction "
-                    f"{q.eu_space_at_q}, census implies {ambient}"
-                )
+                raise AmbientObstructionMismatch(q.id, q.eu_space_at_q, ambient)
             rhs += ambient - q.eu_fiber_at_q
         return report(lhs, rhs)
 
@@ -493,7 +490,7 @@ def check_identity(
         w = alpha if alpha is not None else one
         lhs = brasselet(census, a, w)
         rhs = sum(
-            _restricted_brasselet(census, sid, a) * eta(base, sid, w)
+            _closure_brasselet(census, sid, a) * eta(base, sid, w)
             for sid in base.poset.ids()
         )
         return report(lhs, rhs)
@@ -521,7 +518,7 @@ def check_identity(
         w = alpha if alpha is not None else one
         lhs = total_brasselet_infinity(census, w)
         rhs = sum(
-            _restricted_infinity(census, sid, None) * eta(base, sid, w)
+            _closure_infinity(census, sid, None) * eta(base, sid, w)
             for sid in base.poset.ids()
         )
         return report(lhs, rhs)
@@ -531,7 +528,7 @@ def check_identity(
         w = alpha if alpha is not None else one
         lhs = brasselet_infinity(census, a, w)
         rhs = sum(
-            _restricted_infinity(census, sid, a) * eta(base, sid, w)
+            _closure_infinity(census, sid, a) * eta(base, sid, w)
             for sid in base.poset.ids()
         )
         return report(lhs, rhs)

@@ -7,6 +7,12 @@ increase along the frontier order, so in any (dim, id) linear extension the
 system is upper unitriangular over the integers and back-substitution solves
 it exactly, with no rational arithmetic and no growth surprises.
 
+The system is solved once per census.  Restricted to the closure of one
+stratum it is a principal block, so each closure's column is solved on its
+own block by ``census.solved`` (see :class:`strata.SolvedCensus`), and the
+full table is those columns side by side, built on first request and then
+shared by every caller.
+
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
 1 at every stratum, so the check holds for any census and any stratum; a
@@ -16,16 +22,15 @@ failure can only mean a bug, never interesting geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import NotAPointStratum, NotEquidimensional
+from .errors import NotAPointStratum, NotEquidimensional, UnknownStratum
 from .reports import IdentityReport
 from .strata import (
     LabeledMatrix,
     StratifiedCensus,
     StratumConstructibleFunction,
     chi_global,
-    eta,
-    eta_closure_matrix,
     indicator_of_space,
 )
 
@@ -69,12 +74,14 @@ class EulerObstructionTable:
     coefficients: tuple[tuple[int, ...], ...]
     values: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.order)}
+
     def _idx(self, stratum_id: str) -> int:
         try:
-            return self.order.index(stratum_id)
-        except ValueError:
-            from .errors import UnknownStratum
-
+            return self._positions[stratum_id]
+        except KeyError:
             raise UnknownStratum(f"no stratum {stratum_id!r} in the table") from None
 
     def eu_closure(self, at: str, closure_of: str) -> int:
@@ -103,27 +110,29 @@ def solve_bdk(census: StratifiedCensus) -> EulerObstructionTable:
 
     Inverts the eta-against-closures matrix over the integers; column j of
     the inverse gives the obstruction function of closure j in the closure
-    basis.  Values on open strata follow by summing coefficients down the
-    closure order, since a closure indicator is 1 on its whole down-set.
+    basis.  Values on open strata follow by summing coefficients over the
+    up-set, since a closure indicator is 1 on its whole down-set.  The
+    table is solved once per census and shared; any absent link of the
+    matrix raises MissingLinkEntry, the first one in row-major order.
     """
-    matrix = eta_closure_matrix(census)
-    order = matrix.labels
-    coeff = invert_unitriangular([list(r) for r in matrix.rows])
-    poset = census.poset
-    n = len(order)
-    values = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            values[k][j] = sum(
-                coeff[i][j]
-                for i in range(n)
-                if order[k] == order[i] or poset.lt(order[k], order[i])
-            )
-    return EulerObstructionTable(
-        order=tuple(order),
-        coefficients=tuple(tuple(r) for r in coeff),
-        values=tuple(tuple(r) for r in values),
-    )
+    solved = census.solved
+    if solved.table is None:
+        solved.require_links()
+        n = len(solved.order)
+        coeff = [[0] * n for _ in range(n)]
+        values = [[0] * n for _ in range(n)]
+        for j in range(n):
+            col_coeffs, col_values = solved.column(j)
+            for i, c in col_coeffs.items():
+                coeff[i][j] = c
+            for k, v in col_values.items():
+                values[k][j] = v
+        solved.table = EulerObstructionTable(
+            order=solved.order,
+            coefficients=tuple(tuple(r) for r in coeff),
+            values=tuple(tuple(r) for r in values),
+        )
+    return solved.table
 
 
 def eu_function_of_space(
@@ -158,9 +167,8 @@ def check_bdk_point_formula(
     s = census.poset.stratum(point_stratum)
     if s.dim != 0:
         raise NotAPointStratum(f"{point_stratum!r} has dimension {s.dim}")
-    one = indicator_of_space(census)
+    one = census.solved.weight(indicator_of_space(census))
     rhs = sum(
-        table.eu_closure(point_stratum, j) * eta(census, j, one)
-        for j in census.poset.ids()
+        table.eu_closure(point_stratum, j) * one.eta(j) for j in census.poset.ids()
     )
     return IdentityReport(name="bdk_point_formula", lhs=1, rhs=rhs, detail=f"at={point_stratum}")

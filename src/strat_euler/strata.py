@@ -20,11 +20,20 @@ Conventions
 * Linear extensions are chosen by (dim, id) lexicographic order everywhere a
   matrix needs its rows and columns ordered.  Dimensions strictly increase
   along the frontier order, so this is always a valid linear extension.
+
+Each census is solved once.  ``census.solved`` is a :class:`SolvedCensus`:
+the eta-against-closures matrix is upper unitriangular, and its restriction
+to the closure of a stratum is a principal block, so the obstruction column
+of every closure is read from that closure's own block of the one system,
+never from a re-solved sub-census.  :func:`restrict_to_closure` builds the
+sub-census explicitly and stays as the independent route the tests compare
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -82,25 +91,37 @@ class StratumPoset:
     def __post_init__(self):
         object.__setattr__(self, "strata", tuple(self.strata))
         ids = [s.id for s in self.strata]
-        if len(set(ids)) != len(ids):
+        by_id = {s.id: s for s in self.strata}
+        if len(by_id) != len(ids):
             raise ValueError("duplicate stratum ids")
         for a, b in self.relations:
             for x in (a, b):
-                if x not in ids:
+                if x not in by_id:
                     raise UnknownStratum(f"order pair mentions unknown stratum {x!r}")
         closed = _transitive_closure(ids, set(self.relations))
         for a, b in closed:
             if a == b:
                 raise ValueError(f"order relation has a cycle through {a!r}")
-        by_id = {s.id: s for s in self.strata}
+        # the (dim, id) linear extension, and strict down-sets and up-sets as
+        # ascending index tuples into it
+        order = tuple(s.id for s in sorted(self.strata, key=lambda s: (s.dim, s.id)))
+        index = {sid: i for i, sid in enumerate(order)}
+        below: list[list[int]] = [[] for _ in order]
+        above: list[list[int]] = [[] for _ in order]
         for a, b in closed:
             if by_id[a].dim >= by_id[b].dim:
                 raise ValueError(
                     f"frontier order must raise dimension: {a!r} (dim {by_id[a].dim}) "
                     f"< {b!r} (dim {by_id[b].dim})"
                 )
+            below[index[b]].append(index[a])
+            above[index[a]].append(index[b])
         object.__setattr__(self, "relations", frozenset(closed))
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_below", tuple(tuple(sorted(x)) for x in below))
+        object.__setattr__(self, "_above", tuple(tuple(sorted(x)) for x in above))
 
     def ids(self) -> list[str]:
         return [s.id for s in self.strata]
@@ -124,10 +145,10 @@ class StratumPoset:
         return [i for i in self.ids() if i == stratum_id or self.lt(i, stratum_id)]
 
     def maximal_ids(self) -> list[str]:
-        return [i for i in self.ids() if not any(self.lt(i, j) for j in self.ids())]
+        return [i for i in self.ids() if not self._above[self._index[i]]]
 
     def linear_extension(self) -> list[str]:
-        return [s.id for s in sorted(self.strata, key=lambda s: (s.dim, s.id))]
+        return list(self._order)
 
 
 @dataclass(frozen=True)
@@ -205,6 +226,12 @@ class StratifiedCensus:
     def top_dim(self) -> int:
         return max(s.dim for s in self.poset.strata)
 
+    @cached_property
+    def solved(self) -> "SolvedCensus":
+        """This census solved once.  A census changed with ``replace`` is a
+        new object and gets a new view, so nothing solved survives a change."""
+        return SolvedCensus(self)
+
 
 @dataclass(frozen=True)
 class StratumConstructibleFunction:
@@ -272,6 +299,134 @@ def _eta_entry(census: StratifiedCensus, at: str, closure_of: str) -> int:
     return 0
 
 
+class SolvedWeight:
+    """One weight alpha on a solved census: its closure-basis coefficients,
+    and eta of alpha at each stratum, each computed on first use."""
+
+    def __init__(self, solved: "SolvedCensus", alpha: StratumConstructibleFunction):
+        self._solved = solved
+        order, above = solved.order, solved.above
+        coeffs = [0] * len(order)
+        # Moebius inversion, from the top of the (dim, id) order down
+        for j in reversed(range(len(order))):
+            coeffs[j] = alpha.value(order[j]) - sum(coeffs[k] for k in above[j])
+        self._coeffs = coeffs
+        self._eta: dict[int, int] = {}
+
+    def closure_coefficients(self) -> dict[str, int]:
+        order = self._solved.order
+        return {order[j]: self._coeffs[j] for j in reversed(range(len(order)))}
+
+    def eta(self, at: str) -> int:
+        """eta of alpha at a stratum.  Reads the links from ``at`` to the
+        closures with a nonzero coefficient, in decreasing (dim, id) order,
+        so an absent link raises the same MissingLinkEntry whenever it is
+        needed; only values are remembered."""
+        solved = self._solved
+        i = solved.index[at]
+        value = self._eta.get(i)
+        if value is None:
+            order, links, coeffs = solved.order, solved.census.links, self._coeffs
+            value = coeffs[i]
+            for k in reversed(solved.above[i]):
+                if coeffs[k]:
+                    value += coeffs[k] * (1 - links.get(at, order[k]))
+            self._eta[i] = value
+        return value
+
+
+class SolvedCensus:
+    """A census solved once, read through ``StratifiedCensus.solved``.
+
+    Rows and columns follow the (dim, id) linear extension ``order``.  The
+    closure column of stratum j, the obstruction of the closure of j, solves
+    the principal block of the eta-against-closures matrix on the down-set
+    of j by back-substitution; it equals column j of the full inverse, and
+    it is what re-solving the census of that closure would give.  Everything
+    is computed on first use and remembered only on success: a column first
+    scans its block in row-major order and raises the MissingLinkEntry that
+    solving the restricted census would raise, and the full table needs
+    every block.
+    """
+
+    def __init__(self, census: StratifiedCensus):
+        poset = census.poset
+        self.census = census
+        self.order: tuple[str, ...] = poset._order
+        self.index: dict[str, int] = poset._index
+        self.below: tuple[tuple[int, ...], ...] = poset._below
+        self.above: tuple[tuple[int, ...], ...] = poset._above
+        links = census.links.entries
+        order = self.order
+        # strict order pairs (i, k) without a link entry, in row-major order
+        self._missing = tuple(
+            (i, k)
+            for i in range(len(order))
+            for k in self.above[i]
+            if (order[i], order[k]) not in links
+        )
+        self._weights: dict[frozenset, SolvedWeight] = {}
+        self._last_weight: tuple[object, SolvedWeight | None] = (None, None)
+        self._columns: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+        # the EulerObstructionTable, filled in by obstruction.solve_bdk
+        self.table = None
+
+    def require_links(self, block: set[int] | None = None) -> None:
+        """Raise for the first absent link, in row-major (dim, id) order, of
+        the given closure block (a down-set of indices), or of the whole
+        matrix."""
+        for i, k in self._missing:
+            if block is None or k in block:
+                raise MissingLinkEntry(self.order[i], self.order[k])
+
+    def weight(self, alpha: StratumConstructibleFunction) -> SolvedWeight:
+        """The solved weight of alpha, shared by every equal function."""
+        # an identity row passes one weight object once per stratum
+        last, w = self._last_weight
+        if alpha is last:
+            return w
+        for k in alpha.coeffs:
+            if k not in self.index:
+                raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
+        key = frozenset((k, v) for k, v in alpha.coeffs.items() if v)
+        w = self._weights.get(key)
+        if w is None:
+            w = self._weights[key] = SolvedWeight(self, alpha)
+        self._last_weight = (alpha, w)
+        return w
+
+    def column(self, j: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Closure-basis coefficients and values on open strata of the
+        obstruction of the closure of ``order[j]``, keyed by index over its
+        down-set in ascending order; zero off it."""
+        col = self._columns.get(j)
+        if col is None:
+            down = self.below[j] + (j,)
+            block = set(down)
+            self.require_links(block)
+            order, links = self.order, self.census.links.entries
+            x = {j: 1}
+            for i in reversed(self.below[j]):
+                x[i] = -sum(
+                    (1 - links[(order[i], order[k])]) * x[k]
+                    for k in self.above[i]
+                    if k in x
+                )
+            coeffs = {i: x[i] for i in down}
+            values = {
+                m: x[m] + sum(x[i] for i in self.above[m] if i in block) for m in down
+            }
+            col = self._columns[j] = (coeffs, values)
+        return col
+
+    def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
+        """The obstruction of the closure of one stratum, as a function."""
+        _coeffs, values = self.column(self.index[closure_of])
+        return StratumConstructibleFunction(
+            {self.order[m]: v for m, v in values.items() if v}
+        )
+
+
 @dataclass(frozen=True)
 class LabeledMatrix:
     """A square integer matrix with stratum ids labeling rows and columns."""
@@ -317,13 +472,7 @@ def closure_coefficients(
     Inverts ``1_{cl(V_k)} = sum of 1_{V_j} over j <= k`` by running through
     strata in decreasing (dim, id) order, a Moebius inversion on the poset.
     """
-    _check_alpha(census, alpha)
-    poset = census.poset
-    coeffs: dict[str, int] = {}
-    for j in reversed(poset.linear_extension()):
-        above = sum(coeffs[k] for k in coeffs if poset.lt(j, k))
-        coeffs[j] = alpha.value(j) - above
-    return coeffs
+    return census.solved.weight(alpha).closure_coefficients()
 
 
 def function_from_closure_coefficients(
@@ -346,8 +495,7 @@ def eta(census: StratifiedCensus, at: str, alpha: StratumConstructibleFunction) 
     closure columns; linear in alpha by construction.
     """
     census.poset.stratum(at)
-    coeffs = closure_coefficients(census, alpha)
-    return sum(c * _eta_entry(census, at, k) for k, c in coeffs.items() if c)
+    return census.solved.weight(alpha).eta(at)
 
 
 def restrict_to_closure(census: StratifiedCensus, stratum_id: str) -> StratifiedCensus:
@@ -357,7 +505,9 @@ def restrict_to_closure(census: StratifiedCensus, stratum_id: str) -> Stratified
     and restricts the link table, whose entries depend only on their pair of
     strata.  The closure of a connected stratum is irreducible and the
     closure of the regular part has pure top dimension, so the result is
-    declared equidimensional.
+    declared equidimensional.  The package reads closures from
+    ``census.solved`` instead; this explicit sub-census is the independent
+    route the tests hold it against.
     """
     poset = census.poset
     keep = poset.down_set(stratum_id)

@@ -192,3 +192,13 @@ def test_console_process_has_no_color_when_disabled():
 def test_module_invocation_reports_usage_errors():
     proc = run_cli("compute", fixture_path("zk-2"))
     assert proc.returncode != 0
+
+
+@pytest.mark.parametrize("command", ["check", "fubini"])
+def test_deeply_nested_json_is_bad_input(tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    proc = run_cli(command, str(deep))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: $: not valid JSON: nested too deeply\n"
