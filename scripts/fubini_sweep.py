@@ -13,34 +13,7 @@ import sys
 import time
 import random
 
-from strat_euler import (
-    Simplex,
-    SimplicialComplex,
-    SimplicialConstructibleFunction,
-    SimplicialMap,
-    check_fubini,
-)
-
-
-def random_weighted_map(rng, max_vertices, max_generators, target_pool):
-    n_vertices = rng.randint(2, max_vertices)
-    generators = []
-    for _ in range(rng.randint(1, max_generators)):
-        size = rng.randint(1, min(4, n_vertices))
-        generators.append(Simplex.of(*rng.sample(range(n_vertices), size)))
-    src = SimplicialComplex.closed(generators)
-    # keep sources small; drop generators until under the size cap
-    while len(src.simplices) > 30:
-        generators.pop()
-        src = SimplicialComplex.closed(generators)
-    mapping = {v: rng.randint(0, target_pool - 1) for v in sorted(src.vertices)}
-    dst = SimplicialComplex.closed(
-        Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
-    )
-    weights = SimplicialConstructibleFunction(
-        src, {s: rng.randint(-5, 5) for s in src.simplices}
-    )
-    return SimplicialMap(src, dst, mapping), weights
+from strat_euler import check_fubini, random_weighted_map
 
 
 def main(argv=None):

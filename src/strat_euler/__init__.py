@@ -8,214 +8,142 @@ solves for local and global Euler obstructions, fiberwise Brasselet numbers
 and their corrections at infinity, all in exact integer arithmetic.  A
 verification harness cross-checks the identities tying these invariants
 together, on shipped catalog censuses and on user-supplied ones.
-"""
 
-from .catalog import (
-    CatalogReport,
-    EntryReport,
-    ExpectedResult,
-    evaluate_expected_key,
-    list_entries,
-    load_entry,
-    run_all,
-    run_entry,
-    standard_check_lines,
-    validate_entry,
-)
-from .census_io import CensusBundle, apply_field_to_raw, load_document, load_file
-from .errors import (
-    AmbientObstructionMismatch,
-    CensusError,
-    FaceClosureViolation,
-    HostMismatch,
-    InsufficientData,
-    InvalidMap,
-    MemberNotInHost,
-    MissingLinkEntry,
-    MissingPolarData,
-    NotAPointStratum,
-    NotASubcomplex,
-    NotEquidimensional,
-    NotSolvable,
-    PointNotInClosure,
-    SchemaError,
-    UnknownCriticalPoint,
-    UnknownEntry,
-    UnknownStratum,
-    UnknownValueLabel,
-)
-from .euler_calculus import (
-    SimplicialConstructibleFunction,
-    SimplicialMap,
-    check_fubini,
-    integrate,
-    integrate_all,
-    pushforward,
-)
-from .fibered import (
-    GENERIC,
-    IDENTITY_NAMES,
-    STRUCTURAL_IDENTITIES,
-    CriticalPoint,
-    FiberedCensus,
-    SolveResult,
-    brasselet,
-    brasselet_infinity,
-    check_identity,
-    detect_irregular_values,
-    eu_of_f_at,
-    eu_of_function_local,
-    eu_weight,
-    lambda_infinity,
-    local_fiber_defect,
-    resolve_value_label,
-    restrict_fibered,
-    solve_unknown,
-    total_brasselet_infinity,
-    total_lambda_infinity,
-)
-from .obstruction import (
-    EulerObstructionTable,
-    check_bdk_point_formula,
-    eu_function_of_space,
-    global_euler_obstruction,
-    invert_unitriangular,
-    solve_bdk,
-)
-from .polar import (
-    PolarData,
-    brasselet_from_polar,
-    hyperplane_step,
-    infinity_from_polar,
-    stv_global_eu,
-)
-from .reports import CheckLine, IdentityReport
-from .simplicial import (
-    DIMENSION_CAP,
-    Simplex,
-    SimplicialComplex,
-    SimplexSubset,
-    chi,
-    chi_c,
-    chi_rel,
-    complex_from_json,
-    complex_to_json,
-    ordered_product,
-    whole,
-)
-from .strata import (
-    LabeledMatrix,
-    LinkTable,
-    StratifiedCensus,
-    Stratum,
-    StratumConstructibleFunction,
-    StratumPoset,
-    chi_global,
-    closure_coefficients,
-    eta,
-    eta_closure_matrix,
-    function_from_closure_coefficients,
-    indicator_of_space,
-    restrict_to_closure,
-)
+The public names below are re-exported flat, and each is imported from its
+module on first access, so ``import strat_euler`` (and a command that needs
+only the census layer) compiles no module it does not use.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientObstructionMismatch",
-    "CatalogReport",
-    "CensusBundle",
-    "CensusError",
-    "CheckLine",
-    "CriticalPoint",
-    "DIMENSION_CAP",
-    "EntryReport",
-    "EulerObstructionTable",
-    "ExpectedResult",
-    "FaceClosureViolation",
-    "FiberedCensus",
-    "GENERIC",
-    "HostMismatch",
-    "IDENTITY_NAMES",
-    "IdentityReport",
-    "InsufficientData",
-    "InvalidMap",
-    "LabeledMatrix",
-    "LinkTable",
-    "MemberNotInHost",
-    "MissingLinkEntry",
-    "MissingPolarData",
-    "NotAPointStratum",
-    "NotASubcomplex",
-    "NotEquidimensional",
-    "NotSolvable",
-    "PointNotInClosure",
-    "PolarData",
-    "STRUCTURAL_IDENTITIES",
-    "SchemaError",
-    "Simplex",
-    "SimplexSubset",
-    "SimplicialComplex",
-    "SimplicialConstructibleFunction",
-    "SimplicialMap",
-    "SolveResult",
-    "StratifiedCensus",
-    "Stratum",
-    "StratumConstructibleFunction",
-    "StratumPoset",
-    "UnknownCriticalPoint",
-    "UnknownEntry",
-    "UnknownStratum",
-    "UnknownValueLabel",
-    "apply_field_to_raw",
-    "brasselet",
-    "brasselet_from_polar",
-    "brasselet_infinity",
-    "check_bdk_point_formula",
-    "check_fubini",
-    "check_identity",
-    "chi",
-    "chi_c",
-    "chi_global",
-    "chi_rel",
-    "closure_coefficients",
-    "complex_from_json",
-    "complex_to_json",
-    "detect_irregular_values",
-    "eta",
-    "eta_closure_matrix",
-    "eu_function_of_space",
-    "eu_of_f_at",
-    "eu_of_function_local",
-    "eu_weight",
-    "evaluate_expected_key",
-    "function_from_closure_coefficients",
-    "global_euler_obstruction",
-    "hyperplane_step",
-    "indicator_of_space",
-    "infinity_from_polar",
-    "integrate",
-    "integrate_all",
-    "invert_unitriangular",
-    "lambda_infinity",
-    "list_entries",
-    "load_document",
-    "load_entry",
-    "load_file",
-    "local_fiber_defect",
-    "ordered_product",
-    "pushforward",
-    "resolve_value_label",
-    "restrict_fibered",
-    "restrict_to_closure",
-    "run_all",
-    "run_entry",
-    "solve_bdk",
-    "solve_unknown",
-    "standard_check_lines",
-    "stv_global_eu",
-    "total_brasselet_infinity",
-    "total_lambda_infinity",
-    "validate_entry",
-    "whole",
-]
+# module -> the public names it contributes
+_EXPORTS = {
+    "catalog": (
+        "CatalogReport",
+        "EntryReport",
+        "ExpectedResult",
+        "evaluate_expected_key",
+        "list_entries",
+        "load_entry",
+        "run_all",
+        "run_entry",
+        "standard_check_lines",
+        "validate_entry",
+    ),
+    "census_io": ("CensusBundle", "apply_field_to_raw", "load_document", "load_file"),
+    "errors": (
+        "AmbientObstructionMismatch",
+        "CensusError",
+        "FaceClosureViolation",
+        "HostMismatch",
+        "InsufficientData",
+        "InvalidMap",
+        "MemberNotInHost",
+        "MissingLinkEntry",
+        "MissingPolarData",
+        "NotAPointStratum",
+        "NotASubcomplex",
+        "NotEquidimensional",
+        "NotSolvable",
+        "PointNotInClosure",
+        "SchemaError",
+        "UnknownCriticalPoint",
+        "UnknownEntry",
+        "UnknownStratum",
+        "UnknownValueLabel",
+    ),
+    "euler_calculus": (
+        "SimplicialConstructibleFunction",
+        "SimplicialMap",
+        "check_fubini",
+        "integrate",
+        "integrate_all",
+        "pushforward",
+        "random_weighted_map",
+    ),
+    "fibered": (
+        "GENERIC",
+        "IDENTITY_NAMES",
+        "STRUCTURAL_IDENTITIES",
+        "CriticalPoint",
+        "FiberedCensus",
+        "SolveResult",
+        "brasselet",
+        "brasselet_infinity",
+        "check_identity",
+        "detect_irregular_values",
+        "eu_of_f_at",
+        "eu_of_function_local",
+        "eu_weight",
+        "lambda_infinity",
+        "local_fiber_defect",
+        "resolve_value_label",
+        "restrict_fibered",
+        "solve_unknown",
+        "total_brasselet_infinity",
+        "total_lambda_infinity",
+    ),
+    "obstruction": (
+        "EulerObstructionTable",
+        "check_bdk_point_formula",
+        "eu_function_of_space",
+        "global_euler_obstruction",
+        "invert_unitriangular",
+        "solve_bdk",
+    ),
+    "polar": (
+        "PolarData",
+        "brasselet_from_polar",
+        "hyperplane_step",
+        "infinity_from_polar",
+        "stv_global_eu",
+    ),
+    "reports": ("CheckLine", "IdentityReport"),
+    "simplicial": (
+        "DIMENSION_CAP",
+        "Simplex",
+        "SimplicialComplex",
+        "SimplexSubset",
+        "chi",
+        "chi_c",
+        "chi_rel",
+        "complex_from_json",
+        "complex_to_json",
+        "ordered_product",
+        "whole",
+    ),
+    "strata": (
+        "LabeledMatrix",
+        "LinkTable",
+        "StratifiedCensus",
+        "Stratum",
+        "StratumConstructibleFunction",
+        "StratumPoset",
+        "chi_global",
+        "closure_coefficients",
+        "eta",
+        "eta_closure_matrix",
+        "function_from_closure_coefficients",
+        "indicator_of_space",
+        "restrict_to_closure",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -173,7 +173,8 @@ def _fibration_from_json(
             critical_points=tuple(points),
             f_general=f_general,
         )
-        census.validate()
+        # the base was validated by _census_from_json
+        census.validate_fibration()
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
     return census

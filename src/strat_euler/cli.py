@@ -16,14 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog as catalog_mod
 from .census_io import CensusBundle, apply_field_to_raw, load_file, parse_json
 from .errors import CensusError, SchemaError
-from .euler_calculus import (
-    SimplicialConstructibleFunction,
-    SimplicialMap,
-    check_fubini,
-)
 from .fibered import (
     brasselet,
     brasselet_infinity,
@@ -34,9 +28,10 @@ from .fibered import (
     solve_unknown,
 )
 from .obstruction import global_euler_obstruction, solve_bdk
-from .polar import hyperplane_step
 from .reports import CheckLine
-from .simplicial import complex_from_json, validate
+
+# catalog, euler_calculus, simplicial and the hyperplane step are imported by
+# the subcommands that run them, so compute and solve never compile them
 
 
 def _use_color(stream) -> bool:
@@ -63,8 +58,10 @@ def _status_of(lines: list[CheckLine]) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .catalog import standard_check_lines
+
     bundle = load_file(args.census)
-    lines = catalog_mod.standard_check_lines(bundle)
+    lines = standard_check_lines(bundle)
     if args.hyperplane is not None:
         lines.extend(_hyperplane_lines(bundle, load_file(args.hyperplane)))
     for line in lines:
@@ -76,6 +73,9 @@ def _cmd_check(args) -> int:
 
 
 def _hyperplane_lines(bundle: CensusBundle, slice_bundle: CensusBundle) -> list[CheckLine]:
+    from .catalog import SKIPPABLE_ERRORS
+    from .polar import hyperplane_step
+
     lines = []
     for a in bundle.census.special_values:
         if bundle.polar is None:
@@ -87,7 +87,7 @@ def _hyperplane_lines(bundle: CensusBundle, slice_bundle: CensusBundle) -> list[
             report = hyperplane_step(
                 bundle.census, bundle.polar, slice_bundle.census, a
             )
-        except catalog_mod.SKIPPABLE_ERRORS as exc:
+        except SKIPPABLE_ERRORS as exc:
             lines.append(CheckLine.skip("hyperplane_step", f"a={a}", str(exc)))
             continue
         lines.append(CheckLine.from_report(report))
@@ -166,6 +166,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fubini(args) -> int:
+    from .euler_calculus import (
+        SimplicialConstructibleFunction,
+        SimplicialMap,
+        check_fubini,
+    )
+    from .simplicial import complex_from_json, validate
+
     try:
         text = Path(args.bundle).read_text()
     except OSError as exc:
@@ -229,12 +236,14 @@ def _cmd_fubini(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.action == "list":
-        for name in catalog_mod.list_entries():
+        for name in catalog.list_entries():
             print(name)
         return 0
     names = args.names or None
-    report = catalog_mod.run_all(names)
+    report = catalog.run_all(names)
     for entry in report.entries:
         print(f"== {entry.name} ==")
         for res in entry.expected:

@@ -41,7 +41,6 @@ from .reports import IdentityReport
 from .strata import (
     StratifiedCensus,
     StratumConstructibleFunction,
-    StratumPoset,
     chi_global,
     eta,
     indicator_of_space,
@@ -105,8 +104,13 @@ class FiberedCensus:
     # --- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Structural checks beyond what the base census enforces."""
+        """Structural checks of the base census and of the function data."""
         self.base.validate()
+        self.validate_fibration()
+
+    def validate_fibration(self) -> None:
+        """Structural checks beyond what the base census enforces, for a
+        base that has been validated already."""
         poset = self.base.poset
         values = self.special_values
         if len(set(values)) != len(values):
@@ -583,15 +587,7 @@ def _with_field(census: FiberedCensus, fieldpath: str, x: int) -> FiberedCensus:
     parts = fieldpath.split(".")
     kind = parts[0]
     if kind == "chi" and len(parts) == 2:
-        sid = parts[1]
-        poset = census.base.poset
-        poset.stratum(sid)
-        strata = tuple(
-            replace(s, chi=x) if s.id == sid else s for s in poset.strata
-        )
-        new_base = replace(
-            census.base, poset=StratumPoset(strata, poset.relations)
-        )
+        new_base = replace(census.base, poset=census.base.poset.with_chi(parts[1], x))
         return replace(census, base=new_base)
     if kind == "fiber_chi" and len(parts) == 3:
         sid, label = parts[1], parts[2]

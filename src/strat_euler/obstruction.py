@@ -7,11 +7,13 @@ increase along the frontier order, so in any (dim, id) linear extension the
 system is upper unitriangular over the integers and back-substitution solves
 it exactly, with no rational arithmetic and no growth surprises.
 
-The system is solved once per census.  Restricted to the closure of one
-stratum it is a principal block, so each closure's column is solved on its
-own block by ``census.solved`` (see :class:`strata.SolvedCensus`), and the
-full table is those columns side by side, built on first request and then
-shared by every caller.
+The system is solved once per census, row by row: ``census.solved`` (see
+:class:`strata.SolvedCensus`) back-substitutes every coefficient row over
+its stratum's up-set and sums those rows into value rows.  Restricted to
+the closure of one stratum the system is a principal block, so each
+closure's column is read from the same rows, and the full table is those
+rows laid out densely, built on first request and then shared by every
+caller.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -118,21 +120,24 @@ def solve_bdk(census: StratifiedCensus) -> EulerObstructionTable:
     solved = census.solved
     if solved.table is None:
         solved.require_links()
+        coeffs, values = solved.rows
         n = len(solved.order)
-        coeff = [[0] * n for _ in range(n)]
-        values = [[0] * n for _ in range(n)]
-        for j in range(n):
-            col_coeffs, col_values = solved.column(j)
-            for i, c in col_coeffs.items():
-                coeff[i][j] = c
-            for k, v in col_values.items():
-                values[k][j] = v
         solved.table = EulerObstructionTable(
             order=solved.order,
-            coefficients=tuple(tuple(r) for r in coeff),
-            values=tuple(tuple(r) for r in values),
+            coefficients=_dense(coeffs, n),
+            values=_dense(values, n),
         )
     return solved.table
+
+
+def _dense(rows: list[dict[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
+    out = []
+    for sparse in rows:
+        row = [0] * n
+        for j, v in sparse.items():
+            row[j] = v
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def eu_function_of_space(

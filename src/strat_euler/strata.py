@@ -22,16 +22,18 @@ Conventions
   along the frontier order, so this is always a valid linear extension.
 
 Each census is solved once.  ``census.solved`` is a :class:`SolvedCensus`:
-the eta-against-closures matrix is upper unitriangular, and its restriction
-to the closure of a stratum is a principal block, so the obstruction column
-of every closure is read from that closure's own block of the one system,
-never from a re-solved sub-census.  :func:`restrict_to_closure` builds the
-sub-census explicitly and stays as the independent route the tests compare
-against.
+the eta-against-closures matrix is upper unitriangular, so one row-wise
+back-substitution from the top of the order solves it whole, each row
+sparse over its stratum's up-set.  Its restriction to the closure of a
+stratum is a principal block, so the obstruction column of every closure
+is read from those rows, never from a re-solved sub-census.
+:func:`restrict_to_closure` builds the sub-census explicitly and stays as
+the independent route the tests compare against.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -59,7 +61,8 @@ class Stratum:
     is_regular_part: bool = False
 
 
-def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
+def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> dict[str, set[str]]:
+    # each id -> the ids strictly below it, through any chain of pairs
     below: dict[str, set[str]] = {i: set() for i in ids}
     for a, b in pairs:
         below[b].add(a)
@@ -73,7 +76,7 @@ def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> set[tupl
             if not extra <= below[b]:
                 below[b] |= extra
                 changed = True
-    return {(a, b) for b in ids for a in below[b]}
+    return below
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,8 @@ class StratumPoset:
 
     The constructor accepts any generating set of order pairs and closes it.
     Cycles and order pairs that do not strictly increase dimension are
-    rejected, as are duplicate or unknown ids.
+    rejected, as are duplicate or unknown ids.  Each error names the first
+    offender in (dim, id) order, so its text never depends on set order.
     """
 
     strata: tuple[Stratum, ...]
@@ -90,38 +94,55 @@ class StratumPoset:
 
     def __post_init__(self):
         object.__setattr__(self, "strata", tuple(self.strata))
-        ids = [s.id for s in self.strata]
         by_id = {s.id: s for s in self.strata}
-        if len(by_id) != len(ids):
+        if len(by_id) != len(self.strata):
             raise ValueError("duplicate stratum ids")
-        for a, b in self.relations:
-            for x in (a, b):
-                if x not in by_id:
-                    raise UnknownStratum(f"order pair mentions unknown stratum {x!r}")
-        closed = _transitive_closure(ids, set(self.relations))
-        for a, b in closed:
-            if a == b:
-                raise ValueError(f"order relation has a cycle through {a!r}")
+        unknown = {x for pair in self.relations for x in pair} - by_id.keys()
+        if unknown:
+            raise UnknownStratum(f"order pair mentions unknown stratum {min(unknown)!r}")
         # the (dim, id) linear extension, and strict down-sets and up-sets as
         # ascending index tuples into it
         order = tuple(s.id for s in sorted(self.strata, key=lambda s: (s.dim, s.id)))
         index = {sid: i for i, sid in enumerate(order)}
-        below: list[list[int]] = [[] for _ in order]
+        closed = _transitive_closure(list(order), set(self.relations))
+        for sid in order:
+            if sid in closed[sid]:
+                raise ValueError(f"order relation has a cycle through {sid!r}")
+        below = tuple(tuple(sorted(index[a] for a in closed[b])) for b in order)
         above: list[list[int]] = [[] for _ in order]
-        for a, b in closed:
-            if by_id[a].dim >= by_id[b].dim:
-                raise ValueError(
-                    f"frontier order must raise dimension: {a!r} (dim {by_id[a].dim}) "
-                    f"< {b!r} (dim {by_id[b].dim})"
-                )
-            below[index[b]].append(index[a])
-            above[index[a]].append(index[b])
-        object.__setattr__(self, "relations", frozenset(closed))
+        for k, down in enumerate(below):
+            for i in down:
+                above[i].append(k)
+        dims = [by_id[sid].dim for sid in order]
+        for i, up in enumerate(above):
+            for k in up:
+                if dims[i] >= dims[k]:
+                    a, b = order[i], order[k]
+                    raise ValueError(
+                        f"frontier order must raise dimension: {a!r} (dim {dims[i]}) "
+                        f"< {b!r} (dim {dims[k]})"
+                    )
+        object.__setattr__(
+            self, "relations", frozenset((a, b) for b in order for a in closed[b])
+        )
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_below", tuple(tuple(sorted(x)) for x in below))
-        object.__setattr__(self, "_above", tuple(tuple(sorted(x)) for x in above))
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_above", tuple(tuple(x) for x in above))
+
+    def with_chi(self, stratum_id: str, chi: int | None) -> "StratumPoset":
+        """The same poset with one stratum's Euler characteristic replaced.
+
+        chi enters neither the order nor its checks, so the closure and the
+        index data are shared instead of rebuilt."""
+        s = replace(self.stratum(stratum_id), chi=chi)
+        new = copy.copy(self)
+        object.__setattr__(
+            new, "strata", tuple(s if t.id == stratum_id else t for t in self.strata)
+        )
+        object.__setattr__(new, "_by_id", {**self._by_id, stratum_id: s})
+        return new
 
     def ids(self) -> list[str]:
         return [s.id for s in self.strata]
@@ -339,14 +360,19 @@ class SolvedCensus:
     """A census solved once, read through ``StratifiedCensus.solved``.
 
     Rows and columns follow the (dim, id) linear extension ``order``.  The
-    closure column of stratum j, the obstruction of the closure of j, solves
-    the principal block of the eta-against-closures matrix on the down-set
-    of j by back-substitution; it equals column j of the full inverse, and
-    it is what re-solving the census of that closure would give.  Everything
-    is computed on first use and remembered only on success: a column first
-    scans its block in row-major order and raises the MissingLinkEntry that
-    solving the restricted census would raise, and the full table needs
-    every block.
+    obstruction system M C = I, with M the eta-against-closures matrix, is
+    back-substituted row by row from the top of the order: row i of C is
+    e_i plus (link - 1) times row k for each k strictly above i, so it is
+    sparse over the up-set of i.  An absent link is skipped, not raised:
+    the term it would contribute reaches only the columns whose closure
+    block contains that pair, and those columns are exactly the ones
+    :meth:`column` refuses.  The closure column of stratum j, the
+    obstruction of the closure of j, is column j of C on the down-set of j;
+    the block is a principal one, so it is what re-solving the census of
+    that closure would give.  Everything is computed on first use: a column
+    first scans its block in row-major order and raises the MissingLinkEntry
+    that solving the restricted census would raise, and the full table
+    needs every block.
     """
 
     def __init__(self, census: StratifiedCensus):
@@ -356,20 +382,56 @@ class SolvedCensus:
         self.index: dict[str, int] = poset._index
         self.below: tuple[tuple[int, ...], ...] = poset._below
         self.above: tuple[tuple[int, ...], ...] = poset._above
-        links = census.links.entries
-        order = self.order
+        self._weights: dict[frozenset, SolvedWeight] = {}
+        self._last_weight: tuple[object, SolvedWeight | None] = (None, None)
+        self._eu_functions: dict[int, StratumConstructibleFunction] = {}
+        # the EulerObstructionTable, filled in by obstruction.solve_bdk
+        self.table = None
+
+    @cached_property
+    def _missing(self) -> tuple[tuple[int, int], ...]:
         # strict order pairs (i, k) without a link entry, in row-major order
-        self._missing = tuple(
+        order, links = self.order, self.census.links.entries
+        return tuple(
             (i, k)
             for i in range(len(order))
             for k in self.above[i]
             if (order[i], order[k]) not in links
         )
-        self._weights: dict[frozenset, SolvedWeight] = {}
-        self._last_weight: tuple[object, SolvedWeight | None] = (None, None)
-        self._columns: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-        # the EulerObstructionTable, filled in by obstruction.solve_bdk
-        self.table = None
+
+    @cached_property
+    def rows(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """Coefficient rows and value rows of the whole table, row m keyed
+        by index over m and its up-set.  Coefficient entry [i][j] is the
+        closure-basis coefficient of closure i in the obstruction of the
+        closure of j; value entry [m][j] is that obstruction at points of m,
+        the sum of the coefficient rows of m and of every stratum above m.
+        Only columns whose closure block has every link are meaningful."""
+        order, above = self.order, self.above
+        links = self.census.links.entries
+        coeffs: list[dict[int, int]] = [{}] * len(order)
+        for i in reversed(range(len(order))):
+            row = dict.fromkeys(above[i], 0)
+            row[i] = 1
+            at = order[i]
+            for k in above[i]:
+                chi = links.get((at, order[k]))
+                # absent links are skipped (see the class docstring), and a
+                # link of chi 1 puts 0 into the eta matrix
+                if chi is None or chi == 1:
+                    continue
+                a = chi - 1
+                for j, c in coeffs[k].items():
+                    row[j] += a * c
+            coeffs[i] = row
+        values = []
+        for m in range(len(order)):
+            row = dict(coeffs[m])
+            for i in above[m]:
+                for j, c in coeffs[i].items():
+                    row[j] += c
+            values.append(row)
+        return coeffs, values
 
     def require_links(self, block: set[int] | None = None) -> None:
         """Raise for the first absent link, in row-major (dim, id) order, of
@@ -395,36 +457,27 @@ class SolvedCensus:
         self._last_weight = (alpha, w)
         return w
 
-    def column(self, j: int) -> tuple[dict[int, int], dict[int, int]]:
-        """Closure-basis coefficients and values on open strata of the
-        obstruction of the closure of ``order[j]``, keyed by index over its
-        down-set in ascending order; zero off it."""
-        col = self._columns.get(j)
-        if col is None:
-            down = self.below[j] + (j,)
-            block = set(down)
-            self.require_links(block)
-            order, links = self.order, self.census.links.entries
-            x = {j: 1}
-            for i in reversed(self.below[j]):
-                x[i] = -sum(
-                    (1 - links[(order[i], order[k])]) * x[k]
-                    for k in self.above[i]
-                    if k in x
-                )
-            coeffs = {i: x[i] for i in down}
-            values = {
-                m: x[m] + sum(x[i] for i in self.above[m] if i in block) for m in down
-            }
-            col = self._columns[j] = (coeffs, values)
-        return col
+    def column(self, j: int) -> dict[int, int]:
+        """Values on open strata of the obstruction of the closure of
+        ``order[j]``, keyed by index over its down-set in ascending order;
+        zero off it."""
+        down = self.below[j] + (j,)
+        self.require_links(set(down))
+        values = self.rows[1]
+        return {m: values[m][j] for m in down}
 
     def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
-        """The obstruction of the closure of one stratum, as a function."""
-        _coeffs, values = self.column(self.index[closure_of])
-        return StratumConstructibleFunction(
-            {self.order[m]: v for m, v in values.items() if v}
-        )
+        """The obstruction of the closure of one stratum, as a function.
+        Identity rows ask for every closure once per row, so each function
+        is built once and shared; a column that raises is not stored."""
+        j = self.index[closure_of]
+        f = self._eu_functions.get(j)
+        if f is None:
+            values = self.column(j)
+            f = self._eu_functions[j] = StratumConstructibleFunction(
+                {self.order[m]: v for m, v in values.items() if v}
+            )
+        return f
 
 
 @dataclass(frozen=True)

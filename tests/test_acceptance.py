@@ -16,10 +16,6 @@ from strat_euler import (
     IDENTITY_NAMES,
     NotSolvable,
     STRUCTURAL_IDENTITIES,
-    Simplex,
-    SimplicialComplex,
-    SimplicialConstructibleFunction,
-    SimplicialMap,
     StratumConstructibleFunction,
     check_fubini,
     check_identity,
@@ -35,6 +31,7 @@ from strat_euler import (
     lambda_infinity,
     list_entries,
     load_entry,
+    random_weighted_map,
     restrict_to_closure,
     solve_bdk,
     solve_unknown,
@@ -54,26 +51,6 @@ def report(tag, ok, detail=""):
 
 def all_bundles():
     return [load_entry(name) for name in list_entries()]
-
-
-def random_weighted_map(rng):
-    n_vertices = rng.randint(2, 8)
-    generators = []
-    for _ in range(rng.randint(1, 4)):
-        size = rng.randint(1, min(4, n_vertices))
-        generators.append(Simplex.of(*rng.sample(range(n_vertices), size)))
-    src = SimplicialComplex.closed(generators)
-    while len(src.simplices) > 30:
-        generators.pop()
-        src = SimplicialComplex.closed(generators)
-    mapping = {v: rng.randint(0, 3) for v in sorted(src.vertices)}
-    dst = SimplicialComplex.closed(
-        Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
-    )
-    weights = SimplicialConstructibleFunction(
-        src, {s: rng.randint(-5, 5) for s in src.simplices}
-    )
-    return SimplicialMap(src, dst, mapping), weights
 
 
 def test_criterion_01_fubini_sweep():

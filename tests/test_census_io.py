@@ -4,7 +4,12 @@ import json
 import pytest
 
 from strat_euler import (
+    FiberedCensus,
+    LinkTable,
     SchemaError,
+    StratifiedCensus,
+    Stratum,
+    StratumPoset,
     apply_field_to_raw,
     list_entries,
     load_document,
@@ -137,3 +142,32 @@ def test_apply_field_to_raw_rejects_unknown_targets():
         apply_field_to_raw(raw, "morse_counts.zz.V1", 1)
     with pytest.raises(SchemaError):
         apply_field_to_raw(raw, "weird.path", 1)
+
+
+def test_the_base_census_is_validated_once_per_load(monkeypatch):
+    checked = []
+    validate = StratifiedCensus.validate
+
+    def counting(self):
+        checked.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(StratifiedCensus, "validate", counting)
+    bundle = load_entry("broughton")
+    assert checked.count(bundle.census.base.name) == 1
+
+    # an invalid base is still reported at the root of the document
+    doc = copy.deepcopy(bundle.raw)
+    extra = {"id": "extra", "dim": 0, "chi": 1, "regular_part": True}
+    doc["strata"].append(extra)
+    with pytest.raises(SchemaError) as exc:
+        load_document(doc)
+    assert exc.value.path == "$"
+    assert "regular-part" in str(exc.value)
+
+    # and FiberedCensus.validate on its own still checks the base
+    poset = bundle.census.base.poset
+    strata = poset.strata + (Stratum("extra", 0, 1, is_regular_part=True),)
+    two_tops = StratifiedCensus("two tops", StratumPoset(strata, poset.relations), LinkTable({}))
+    with pytest.raises(ValueError, match="regular-part"):
+        FiberedCensus(base=two_tops).validate()

@@ -1,0 +1,87 @@
+"""The package imports its modules on first use, and each subcommand only
+the modules it runs."""
+
+import json
+import subprocess
+import sys
+
+import strat_euler
+from strat_euler import load_entry
+from strat_euler.catalog import _fixture_dir
+
+# runs `python -m strat_euler ARGS` in-process, then prints the exit code and
+# the strat_euler modules it imported
+RUN_MODULE = """
+import contextlib, io, runpy, sys
+sys.argv = ["strat_euler", *sys.argv[1:]]
+code = None
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("strat_euler", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("strat_euler")))
+"""
+
+
+def imported_by(*args):
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_MODULE, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, *modules = run.stdout.split()
+    return int(code), {m.removeprefix("strat_euler.") for m in modules}
+
+
+def fixture(name):
+    return str(_fixture_dir() / f"{name}.json")
+
+
+def test_every_public_name_resolves():
+    assert len(strat_euler.__all__) == len(set(strat_euler.__all__))
+    for name in strat_euler.__all__:
+        assert getattr(strat_euler, name) is not None, name
+    assert set(strat_euler.__all__) <= set(dir(strat_euler))
+    namespace = {}
+    exec("from strat_euler import *", namespace)
+    assert set(strat_euler.__all__) <= set(namespace)
+
+
+def test_importing_the_package_imports_no_module():
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, strat_euler; "
+            "print(*sorted(m for m in sys.modules if m.startswith('strat_euler')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.split() == ["strat_euler"]
+
+
+def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path):
+    doc = load_entry("zk-3").raw
+    del doc["fibration"]["fiber_chi"]["V1"]["generic"]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(doc))
+    for args in (
+        ("compute", fixture("cusp-linear"), "--what", "eu-table"),
+        ("compute", fixture("broughton"), "--what", "binf", "--at", "0"),
+        ("solve", str(gap), "--identity", "thm_generic_fiber",
+         "--unknown", "fiber_chi.V1.generic"),
+    ):
+        code, modules = imported_by(*args)
+        assert code == 0, args
+        assert not modules & {"catalog", "simplicial", "euler_calculus"}, args
+
+
+def test_check_leaves_the_simplicial_layer_out():
+    code, modules = imported_by("check", fixture("node-linear"))
+    assert code == 0
+    assert "catalog" in modules
+    assert not modules & {"simplicial", "euler_calculus"}

@@ -23,8 +23,10 @@ from hypothesis import given
 from strat_euler import (
     GENERIC,
     AmbientObstructionMismatch,
+    FiberedCensus,
     InsufficientData,
     LinkTable,
+    MissingLinkEntry,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
@@ -41,8 +43,10 @@ from strat_euler import (
     list_entries,
     load_document,
     load_entry,
+    load_file,
     restrict_fibered,
     solve_bdk,
+    solve_unknown,
     standard_check_lines,
     total_brasselet_infinity,
 )
@@ -176,6 +180,77 @@ def test_closure_columns_match_restriction_on_the_catalog():
 @given(fibered_censuses())
 def test_closure_columns_match_restriction_randomized(census):
     assert_columns_match_restriction(census)
+
+
+# --- the row-wise solve with absent links --------------------------------
+
+
+@pytest.mark.parametrize("seed, levels, width", [(11, 5, 6), (12, 6, 8), (13, 7, 8)])
+def test_columns_with_dropped_links_match_the_restricted_route(seed, levels, width):
+    """Deep censuses (n = 31, 49, 57) with random links dropped: a column
+    whose closure block keeps every link equals the closure's own census
+    solved afresh (and the column of the census with every link), and every
+    other column raises the MissingLinkEntry that route raises."""
+    full = layered_census(seed, levels, width)
+    rng = random.Random(seed)
+    drop = set(rng.sample(sorted(full.links.entries), 3))
+    base = replace(
+        full,
+        links=LinkTable({p: v for p, v in full.links.entries.items() if p not in drop}),
+    )
+    census = FiberedCensus(base=base)
+    clean = 0
+    for sid in base.poset.ids():
+        sub = restrict_fibered(census, sid)
+        try:
+            want = eu_weight(sub, solve_bdk(sub.base))
+        except MissingLinkEntry as exc:
+            with pytest.raises(MissingLinkEntry) as got:
+                base.solved.eu_function(sid)
+            assert got.value.pair == exc.pair
+        else:
+            assert base.solved.eu_function(sid) == want
+            assert want == full.solved.eu_function(sid)
+            clean += 1
+    assert 0 < clean < len(base.poset.ids())
+    with pytest.raises(MissingLinkEntry) as dense:
+        eta_closure_matrix(base)
+    with pytest.raises(MissingLinkEntry) as table:
+        solve_bdk(base)
+    assert table.value.pair == dense.value.pair
+
+
+# --- a chi edit keeps the order ------------------------------------------
+
+
+def test_a_chi_solve_builds_no_poset_beyond_the_loaded_one(tmp_path, monkeypatch, capsys):
+    doc = json.loads(json.dumps(load_entry("node-linear").raw))
+    (v1,) = [s for s in doc["strata"] if s["id"] == "V1"]
+    want = v1.pop("chi")
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc))
+    built = []
+    post_init = StratumPoset.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StratumPoset, "__post_init__", counting)
+    census = load_file(path).census
+    at_load = len(built)
+    result = solve_unknown(census, "thm_generic_fiber", "chi.V1")
+    assert len(built) == at_load
+    assert result.value == want
+    completed = result.completed.base.poset
+    assert completed.stratum("V1").chi == want
+    assert completed.relations is census.base.poset.relations
+    assert check_identity(result.completed, "thm_generic_fiber").ok
+
+    del built[:]
+    code = main(["solve", str(path), "--identity", "thm_generic_fiber", "--unknown", "chi.V1"])
+    assert (code, capsys.readouterr().out) == (0, f"chi.V1 = {want}\n")
+    assert len(built) == at_load
 
 
 # --- eta and the point formula from scratch ------------------------------

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -53,6 +58,52 @@ def test_poset_rejects_cycles_and_dim_violations():
         StratumPoset(strata, frozenset({("a", "z")}))
     with pytest.raises(ValueError):
         StratumPoset((Stratum("a", 0, 1), Stratum("a", 1, 0)), frozenset())
+
+
+LOAD_EACH = """
+import json, sys
+from strat_euler import SchemaError, load_document
+for doc in json.loads(sys.argv[1]):
+    try:
+        load_document(doc)
+    except SchemaError as exc:
+        print(exc)
+"""
+
+
+def test_poset_errors_do_not_depend_on_the_hash_seed():
+    """The closed order is a set; the error names the first offender in
+    (dim, id) order however that set happens to iterate."""
+    cyclic = {
+        "strata": [
+            {"id": "a", "dim": 0, "chi": 1},
+            {"id": "b", "dim": 1, "chi": 0},
+            {"id": "c", "dim": 2, "chi": 1, "regular_part": True},
+        ],
+        "order": [["a", "b"], ["b", "c"], ["c", "a"]],
+    }
+    flat = {
+        "strata": [
+            {"id": "x", "dim": 1, "chi": 1},
+            {"id": "y", "dim": 1, "chi": 0},
+            {"id": "z", "dim": 1, "chi": 1, "regular_part": True},
+        ],
+        "order": [["x", "y"], ["y", "z"]],
+    }
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        run = subprocess.run(
+            [sys.executable, "-c", LOAD_EACH, json.dumps([cyclic, flat])],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        outputs.add(run.stdout)
+    assert outputs == {
+        "$: order relation has a cycle through 'a'\n"
+        "$: frontier order must raise dimension: 'x' (dim 1) < 'y' (dim 1)\n"
+    }
 
 
 def test_down_set_and_extension_on_the_diamond():
