@@ -36,6 +36,7 @@ _EXPORTS = {
         "CensusError",
         "FaceClosureViolation",
         "HostMismatch",
+        "IdentityArgumentError",
         "InsufficientData",
         "InvalidMap",
         "MemberNotInHost",
@@ -63,10 +64,12 @@ _EXPORTS = {
     ),
     "fibered": (
         "GENERIC",
+        "IDENTITIES",
         "IDENTITY_NAMES",
         "STRUCTURAL_IDENTITIES",
         "CriticalPoint",
         "FiberedCensus",
+        "FieldPath",
         "SolveResult",
         "brasselet",
         "brasselet_infinity",
@@ -98,7 +101,7 @@ _EXPORTS = {
         "infinity_from_polar",
         "stv_global_eu",
     ),
-    "reports": ("CheckLine", "IdentityReport"),
+    "reports": ("CheckLine",),
     "simplicial": (
         "DIMENSION_CAP",
         "Simplex",

@@ -5,6 +5,12 @@ invariants were derived independently (by hand or by an elementary oracle
 noted next to each number) and frozen.  ``run_all`` recomputes every
 expected value and every applicable identity on every entry; the catalog
 passing is the package's end-to-end self-test.
+
+The battery of checks, :func:`standard_check_lines`, derives its identity
+rows from the registry in ``fibered`` (which values, which weights, which
+counts), and builds every row, identity, point formula or polar
+cross-check alike, through :func:`checked_row`: compare the two sides, or
+SKIP when the census lacks the data.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
+from typing import Callable
 
 from .census_io import CensusBundle, load_document
 from .errors import (
@@ -24,8 +32,7 @@ from .errors import (
 )
 from .fibered import (
     GENERIC,
-    FiberedCensus,
-    IDENTITY_NAMES,
+    IDENTITIES,
     brasselet,
     brasselet_infinity,
     check_identity,
@@ -39,7 +46,7 @@ from .fibered import (
 )
 from .obstruction import check_bdk_point_formula, global_euler_obstruction, solve_bdk
 from .polar import brasselet_from_polar, infinity_from_polar, stv_global_eu
-from .reports import CheckLine
+from .reports import CheckLine, row_detail
 from .strata import chi_global, indicator_of_space
 
 
@@ -147,44 +154,39 @@ SKIPPABLE_ERRORS = (
 )
 
 
-def _run_one(
-    census: FiberedCensus,
-    identity: str,
-    detail: str,
-    **kwargs,
+def checked_row(
+    name: str, detail: str, compute: Callable[[], tuple[int, int]]
 ) -> CheckLine:
+    """One row of the battery: the two sides ``compute`` returns, compared,
+    or a SKIP row when the census lacks the data they need."""
     try:
-        report = check_identity(census, identity, **kwargs)
+        lhs, rhs = compute()
     except SKIPPABLE_ERRORS as exc:
-        return CheckLine.skip(identity, detail, str(exc))
+        return CheckLine.skip(name, detail, str(exc))
     except AmbientObstructionMismatch as exc:
         # a declared slot contradicts the census: a failed row naming the
         # slot, declared value against implied value
         return CheckLine(
-            name=identity,
+            name=name,
             status="FAIL",
             detail=f"{detail}, critical_points.{exc.point}.eu_space_at_q",
             lhs=exc.declared,
             rhs=exc.implied,
         )
-    line = CheckLine.from_report(report)
-    return CheckLine(
-        name=line.name,
-        status=line.status,
-        detail=detail,
-        lhs=line.lhs,
-        rhs=line.rhs,
-    )
+    return CheckLine.compare(name, lhs, rhs, detail)
 
 
 def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
     """Every applicable check on one bundle, in a fixed deterministic order.
 
-    Identity checks run at each declared special value where the identity is
-    per-value, with the constant weight 1 and, on equidimensional censuses,
-    with the obstruction weight.  Identities whose data is absent produce
-    SKIP rows rather than failures.  Polar data, when declared, is
-    cross-checked against the census route to the same numbers.
+    The identity rows follow the registry (``fibered.IDENTITIES``): each
+    identity runs at each value it is stated at, with the constant weight 1
+    and, on equidimensional censuses, the obstruction weight where it takes
+    the caller's weight, and once more with Milnor counts where it takes
+    counts at weight 1 and the function is declared general.  Identities
+    whose data is absent produce SKIP rows rather than failures.  Polar
+    data, when declared, is cross-checked against the census route to the
+    same numbers.
     """
     census = bundle.census
     base = census.base
@@ -192,13 +194,13 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
 
     for sid in base.poset.linear_extension():
         if base.poset.stratum(sid).dim == 0:
-            try:
-                table = solve_bdk(base)
-                report = check_bdk_point_formula(base, table, sid)
-            except SKIPPABLE_ERRORS as exc:
-                lines.append(CheckLine.skip("bdk_point_formula", f"at={sid}", str(exc)))
-                continue
-            lines.append(CheckLine.from_report(report))
+            lines.append(
+                checked_row(
+                    "bdk_point_formula",
+                    f"at={sid}",
+                    lambda: check_bdk_point_formula(base, solve_bdk(base), sid).sides,
+                )
+            )
 
     alphas: list[tuple[str, object]] = [("1", None)]
     if base.equidimensional:
@@ -207,104 +209,58 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
         except SKIPPABLE_ERRORS:
             pass
     values = list(census.special_values)
+    swept = {None: [None], "special": values, "special+generic": values + [GENERIC]}
 
-    for identity in IDENTITY_NAMES:
-        if identity == "prop_brasselet_vs_fiber_eu":
-            for a in values:
-                fiber = bundle.fiber_censuses.get(a)
-                if fiber is None:
-                    lines.append(
-                        CheckLine.skip(identity, f"a={a}", f"missing: fiber_census.{a}")
-                    )
-                    continue
-                lines.append(
-                    _run_one(census, identity, f"a={a}", at=a, fiber_census=fiber)
+    for name, entry in IDENTITIES.items():
+        weights = alphas if entry.weight == "alpha" else [("", None)]
+        milnor = entry.counts and entry.weight == "1" and census.f_general
+        counts = (False, True) if milnor else (False,)
+        for a, (label, alpha), use_milnor in product(swept[entry.values], weights, counts):
+            detail = row_detail(a, label, use_milnor)
+            fiber = bundle.fiber_censuses.get(a)
+            if entry.fiber and fiber is None:
+                lines.append(CheckLine.skip(name, detail, f"missing: fiber_census.{a}"))
+                continue
+            lines.append(
+                checked_row(
+                    name,
+                    detail,
+                    lambda: check_identity(
+                        census, name, at=a, alpha=alpha, fiber_census=fiber, use_milnor=use_milnor
+                    ).sides,
                 )
-        elif identity in ("bdk_global_1",):
-            for a in values + [GENERIC]:
-                for label, alpha in alphas:
-                    lines.append(
-                        _run_one(
-                            census, identity, f"a={a}, alpha={label}", at=a, alpha=alpha
-                        )
-                    )
-        elif identity == "thm_generic_fiber":
-            lines.append(_run_one(census, identity, ""))
-            if census.f_general:
-                lines.append(
-                    _run_one(census, identity, "counts=milnor", use_milnor=True)
-                )
-        elif identity == "cor_constructible":
-            for label, alpha in alphas:
-                lines.append(_run_one(census, identity, f"alpha={label}", alpha=alpha))
-        elif identity == "cor_equi":
-            lines.append(_run_one(census, identity, ""))
-        elif identity == "bdk_global_2":
-            for label, alpha in alphas:
-                lines.append(_run_one(census, identity, f"alpha={label}", alpha=alpha))
-        elif identity == "bdk_global_3":
-            for a in values:
-                for label, alpha in alphas:
-                    lines.append(
-                        _run_one(
-                            census, identity, f"a={a}, alpha={label}", at=a, alpha=alpha
-                        )
-                    )
-        elif identity == "prop_any_value":
-            for a in values:
-                for label, alpha in alphas:
-                    lines.append(
-                        _run_one(
-                            census, identity, f"a={a}, alpha={label}", at=a, alpha=alpha
-                        )
-                    )
-        elif identity == "cor_generic_vs_any":
-            for a in values:
-                lines.append(_run_one(census, identity, f"a={a}", at=a))
-        elif identity == "value_consistency":
-            for a in values:
-                lines.append(_run_one(census, identity, f"a={a}", at=a))
+            )
 
     if bundle.polar is not None:
         polar = bundle.polar
         if polar.alpha is not None:
-            try:
-                report = stv_global_eu(census, solve_bdk(base), polar)
-                lines.append(CheckLine.from_report(report))
-            except SKIPPABLE_ERRORS as exc:
-                lines.append(CheckLine.skip("stv_global_eu", "", str(exc)))
+            lines.append(
+                checked_row(
+                    "stv_global_eu", "", lambda: stv_global_eu(census, solve_bdk(base), polar).sides
+                )
+            )
         for a in values + [GENERIC]:
-            try:
-                lhs = brasselet_from_polar(census, polar, a)
-                rhs = brasselet(census, a, eu_weight(census, solve_bdk(base)))
-            except SKIPPABLE_ERRORS as exc:
-                lines.append(CheckLine.skip("polar_vs_fiber", f"a={a}", str(exc)))
-            else:
-                lines.append(
-                    CheckLine(
-                        name="polar_vs_fiber",
-                        status="OK" if lhs == rhs else "FAIL",
-                        detail=f"a={a}",
-                        lhs=lhs,
-                        rhs=rhs,
-                    )
+            lines.append(
+                checked_row(
+                    "polar_vs_fiber",
+                    f"a={a}",
+                    lambda: (
+                        brasselet_from_polar(census, polar, a),
+                        brasselet(census, a, eu_weight(census, solve_bdk(base))),
+                    ),
                 )
+            )
         for a in values:
-            try:
-                lhs = infinity_from_polar(census, polar, a)
-                rhs = brasselet_infinity(census, a, eu_weight(census, solve_bdk(base)))
-            except SKIPPABLE_ERRORS as exc:
-                lines.append(CheckLine.skip("polar_vs_infinity", f"a={a}", str(exc)))
-            else:
-                lines.append(
-                    CheckLine(
-                        name="polar_vs_infinity",
-                        status="OK" if lhs == rhs else "FAIL",
-                        detail=f"a={a}",
-                        lhs=lhs,
-                        rhs=rhs,
-                    )
+            lines.append(
+                checked_row(
+                    "polar_vs_infinity",
+                    f"a={a}",
+                    lambda: (
+                        infinity_from_polar(census, polar, a),
+                        brasselet_infinity(census, a, eu_weight(census, solve_bdk(base))),
+                    ),
                 )
+            )
     return lines
 
 
@@ -321,9 +277,12 @@ class ExpectedResult:
     def ok(self) -> bool:
         return self.want == self.got
 
+    @property
+    def status(self) -> str:
+        return "OK" if self.ok else "FAIL"
+
     def line(self) -> str:
-        tag = "OK" if self.ok else "FAIL"
-        return f"expected {self.key}: want={self.want!r} got={self.got!r} {tag}"
+        return f"expected {self.key}: want={self.want!r} got={self.got!r} {self.status}"
 
 
 @dataclass(frozen=True)

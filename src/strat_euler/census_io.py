@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import SchemaError
-from .fibered import CriticalPoint, FiberedCensus
+from .errors import NotSolvable, SchemaError
+from .fibered import CriticalPoint, FiberedCensus, FieldPath
 from .polar import PolarData
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
@@ -299,25 +299,8 @@ def apply_field_to_raw(raw: dict, fieldpath: str, value: int) -> dict:
     Returns a deep-copied document with only that slot changed, so emitting
     a completed census never disturbs unrelated formatting or data.
     """
-    out = json.loads(json.dumps(raw))
-    parts = fieldpath.split(".")
-    kind = parts[0]
-    if kind == "chi" and len(parts) == 2:
-        for s in out.get("strata", []):
-            if isinstance(s, dict) and s.get("id") == parts[1]:
-                s["chi"] = value
-                return out
-        raise SchemaError("$.strata", f"no stratum {parts[1]!r} to complete")
-    if kind in ("fiber_chi", "infinity_chi") and len(parts) == 3:
-        fib = out.setdefault("fibration", {})
-        fib.setdefault(kind, {}).setdefault(parts[1], {})[parts[2]] = value
-        return out
-    if kind == "morse_counts" and len(parts) == 3:
-        for p in out.get("fibration", {}).get("critical_points", []):
-            if isinstance(p, dict) and p.get("id") == parts[1]:
-                p.setdefault("morse_counts", {})[parts[2]] = value
-                return out
-        raise SchemaError(
-            "$.fibration.critical_points", f"no critical point {parts[1]!r} to complete"
-        )
-    raise SchemaError("$", f"cannot write field path {fieldpath!r} back to JSON")
+    try:
+        path = FieldPath.parse(fieldpath)
+    except NotSolvable:
+        raise SchemaError("$", f"cannot write field path {fieldpath!r} back to JSON") from None
+    return path.set_raw(raw, value)

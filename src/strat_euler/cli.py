@@ -43,15 +43,12 @@ def _use_color(stream) -> bool:
 _COLORS = {"OK": "\x1b[32m", "FAIL": "\x1b[31m", "SKIP": "\x1b[33m"}
 
 
-def _emit(line: CheckLine, stream) -> None:
+def _emit(line, stream) -> None:
+    # a CheckLine, or an expected-value row of a catalog run
     text = line.line()
     if _use_color(stream):
         text = _COLORS.get(line.status, "") + text + "\x1b[0m"
     print(text, file=stream)
-
-
-def _status_of(lines: list[CheckLine]) -> int:
-    return 1 if any(l.status == "FAIL" for l in lines) else 0
 
 
 # --- subcommands --------------------------------------------------------
@@ -69,29 +66,24 @@ def _cmd_check(args) -> int:
     failed = sum(1 for l in lines if l.status == "FAIL")
     skipped = sum(1 for l in lines if l.status == "SKIP")
     print(f"{len(lines)} checks, {failed} failed, {skipped} skipped")
-    return _status_of(lines)
+    return 1 if failed else 0
 
 
 def _hyperplane_lines(bundle: CensusBundle, slice_bundle: CensusBundle) -> list[CheckLine]:
-    from .catalog import SKIPPABLE_ERRORS
+    from .catalog import checked_row
     from .polar import hyperplane_step
 
-    lines = []
-    for a in bundle.census.special_values:
-        if bundle.polar is None:
-            lines.append(
-                CheckLine.skip("hyperplane_step", f"a={a}", "missing: polar")
-            )
-            continue
-        try:
-            report = hyperplane_step(
-                bundle.census, bundle.polar, slice_bundle.census, a
-            )
-        except SKIPPABLE_ERRORS as exc:
-            lines.append(CheckLine.skip("hyperplane_step", f"a={a}", str(exc)))
-            continue
-        lines.append(CheckLine.from_report(report))
-    return lines
+    values = bundle.census.special_values
+    if bundle.polar is None:
+        return [CheckLine.skip("hyperplane_step", f"a={a}", "missing: polar") for a in values]
+    return [
+        checked_row(
+            "hyperplane_step",
+            f"a={a}",
+            lambda: hyperplane_step(bundle.census, bundle.polar, slice_bundle.census, a).sides,
+        )
+        for a in values
+    ]
 
 
 def _resolved_label(bundle: CensusBundle, label: str) -> str:
@@ -246,13 +238,7 @@ def _cmd_catalog(args) -> int:
     report = catalog.run_all(names)
     for entry in report.entries:
         print(f"== {entry.name} ==")
-        for res in entry.expected:
-            status = "OK" if res.ok else "FAIL"
-            text = res.line()
-            if _use_color(sys.stdout):
-                text = _COLORS.get(status, "") + text + "\x1b[0m"
-            print(text)
-        for line in entry.checks:
+        for line in entry.expected + entry.checks:
             _emit(line, sys.stdout)
     print(report.summary())
     return 0 if report.ok else 1

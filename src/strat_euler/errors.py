@@ -109,6 +109,11 @@ class AmbientObstructionMismatch(CensusError, ValueError):
         )
 
 
+class IdentityArgumentError(CensusError, ValueError):
+    """An identity name that does not exist, or a call that omits an
+    argument the identity needs or passes one it refuses."""
+
+
 class NotSolvable(CensusError):
     """solve_unknown cannot determine the requested field from the identity."""
 

@@ -13,20 +13,30 @@ that defaulting explicit for callers that need it (cross-census work, the
 command line).  The computational operations themselves insist on declared
 labels so that typos fail loudly.
 
-Everything here is exact integer arithmetic.  The check_* verifiers return
-both sides of an identity; nothing is ever compared with a tolerance.
+Each identity is defined once, as an entry of :data:`IDENTITIES`: the
+function giving its two sides and the arguments it takes (a target value,
+a weight, counts, the census of a special fiber).  :func:`check_identity`,
+the check battery and the slot solver all read that table.  A census slot
+is named by a dotted :class:`FieldPath`, the one parser of that grammar.
+
+Everything here is exact integer arithmetic.  :func:`check_identity`
+returns both sides of an identity as a ``CheckLine``; nothing is ever
+compared with a tolerance.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     AmbientObstructionMismatch,
+    IdentityArgumentError,
     InsufficientData,
     NotSolvable,
     PointNotInClosure,
+    SchemaError,
     UnknownCriticalPoint,
     UnknownStratum,
     UnknownValueLabel,
@@ -37,7 +47,7 @@ from .obstruction import (
     global_euler_obstruction,
     solve_bdk,
 )
-from .reports import IdentityReport
+from .reports import CheckLine, row_detail
 from .strata import (
     StratifiedCensus,
     StratumConstructibleFunction,
@@ -159,17 +169,6 @@ class FiberedCensus:
                 f"{list(self.special_values)!r})"
             )
 
-    def fiber_entry(self, sid: str, label: str) -> int | None:
-        self.base.poset.stratum(sid)
-        return self.fiber_chi.get(sid, {}).get(label)
-
-    def infinity_entry(self, sid: str, label: str) -> int:
-        # absent entries default to zero; this is the one documented default
-        self.base.poset.stratum(sid)
-        if label == GENERIC:
-            return 0
-        return self.infinity_chi.get(sid, {}).get(label, 0)
-
     def point(self, point_id: str) -> CriticalPoint:
         for q in self.critical_points:
             if q.id == point_id:
@@ -215,23 +214,26 @@ def brasselet(
     census.require_label(at)
     if alpha is None:
         alpha = indicator_of_space(census.base)
-    known = set(census.base.poset.ids())
+    known = census.base.solved.index
     for k in alpha.coeffs:
         if k not in known:
             raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
+    # only the support of alpha contributes
     total = 0
-    missing = []
-    for sid in census.base.poset.ids():
-        a = alpha.value(sid)
+    missing = set()
+    for sid, a in alpha.coeffs.items():
         if a == 0:
             continue
-        v = census.fiber_entry(sid, at)
+        v = census.fiber_chi.get(sid, {}).get(at)
         if v is None:
-            missing.append(f"fiber_chi.{sid}.{at}")
+            missing.add(sid)
             continue
         total += a * v
     if missing:
-        raise InsufficientData(missing)
+        # named in the order the census declares its strata
+        raise InsufficientData(
+            [f"fiber_chi.{sid}.{at}" for sid in census.base.poset.ids() if sid in missing]
+        )
     return total
 
 
@@ -255,9 +257,14 @@ def brasselet_infinity(
     census.require_label(at)
     if alpha is None:
         alpha = indicator_of_space(census.base)
+    if at == GENERIC:
+        return 0
+    # absent entries are zero (the one documented default), so only the
+    # support of alpha contributes, and a coefficient on an unknown stratum
+    # meets no entry
+    infinity = census.infinity_chi
     return sum(
-        alpha.value(sid) * census.infinity_entry(sid, at)
-        for sid in census.base.poset.ids()
+        a * infinity[sid].get(at, 0) for sid, a in alpha.coeffs.items() if sid in infinity
     )
 
 
@@ -286,7 +293,7 @@ def detect_irregular_values(census: FiberedCensus) -> list[str]:
     flagged = [
         a
         for a in census.special_values
-        if any(census.infinity_entry(sid, a) != 0 for sid in census.base.poset.ids())
+        if any(column.get(a, 0) != 0 for column in census.infinity_chi.values())
     ]
     return sorted(flagged)
 
@@ -355,24 +362,6 @@ def restrict_fibered(census: FiberedCensus, stratum_id: str) -> FiberedCensus:
 
 # --- identity verifiers ------------------------------------------------
 
-IDENTITY_NAMES = (
-    "prop_brasselet_vs_fiber_eu",
-    "bdk_global_1",
-    "thm_generic_fiber",
-    "cor_constructible",
-    "cor_equi",
-    "bdk_global_2",
-    "bdk_global_3",
-    "prop_any_value",
-    "cor_generic_vs_any",
-    "value_consistency",
-)
-
-# identities that are theorems of the census algebra itself: they hold for
-# arbitrary fiber and infinity data once the obstruction table is solved,
-# so no single census slot can be recovered from them
-STRUCTURAL_IDENTITIES = frozenset({"bdk_global_1", "bdk_global_2", "bdk_global_3"})
-
 
 def _signed_count_balance(
     census: FiberedCensus,
@@ -413,18 +402,139 @@ def _milnor_totals(census: FiberedCensus) -> dict[str, int]:
     return out
 
 
-def _closure_brasselet(census: FiberedCensus, sid: str, at: str) -> int:
-    # Brasselet number of the closure of sid: its own obstruction column
-    # integrated over the fiber.  Fiber data is local to its stratum, so this
-    # is the number the census of the closure alone gives.
-    return brasselet(census, at, census.base.solved.eu_function(sid))
+def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]]:
+    """The verifier of a bdk_global identity, for a fiber integral called as
+    integral(census, a, weight): the integral of w against the integrals of
+    each closure's own obstruction column weighted by eta of w.  Fiber and
+    infinity data are local to their stratum, so a closure's integral is the
+    number the census of that closure alone gives."""
+
+    def sides(census, a, w, counts, fiber) -> tuple[int, int]:
+        base = census.base
+        lhs = integral(census, a, w)
+        rhs = sum(
+            integral(census, a, base.solved.eu_function(sid)) * eta(base, sid, w)
+            for sid in base.poset.ids()
+        )
+        return lhs, rhs
+
+    return sides
 
 
-def _closure_infinity(census: FiberedCensus, sid: str, at: str | None) -> int:
-    w = census.base.solved.eu_function(sid)
-    if at is None:
-        return total_brasselet_infinity(census, w)
-    return brasselet_infinity(census, at, w)
+# Each verifier takes (census, a, w, counts, fiber census) as check_identity
+# resolves them from the registry entry, and returns (lhs, rhs).
+
+
+def _prop_brasselet_vs_fiber_eu(census, a, w, counts, fiber) -> tuple[int, int]:
+    lhs = brasselet(census, a, w)
+    missing = [
+        f"critical_points.{q.id}.eu_fiber_at_q"
+        for q in census.points_at(a)
+        if q.eu_fiber_at_q is None
+    ]
+    if missing:
+        raise InsufficientData(missing)
+    rhs = global_euler_obstruction(fiber, solve_bdk(fiber))
+    for q in census.points_at(a):
+        # w is the obstruction of the space
+        ambient = w.value(q.stratum)
+        if q.eu_space_at_q is not None and q.eu_space_at_q != ambient:
+            raise AmbientObstructionMismatch(q.id, q.eu_space_at_q, ambient)
+        rhs += ambient - q.eu_fiber_at_q
+    return lhs, rhs
+
+
+def _generic_fiber(census, a, w, counts, fiber) -> tuple[int, int]:
+    lhs = chi_global(census.base, w) - brasselet(census, GENERIC, w)
+    rhs = _signed_count_balance(census, w, counts) - total_brasselet_infinity(census, w)
+    return lhs, rhs
+
+
+def _cor_equi(census, a, w, counts, fiber) -> tuple[int, int]:
+    base = census.base
+    lhs = chi_global(base, w) - brasselet(census, GENERIC, w)
+    d = base.top_dim()
+    n_top = census.morse_total(base.regular_part().id)
+    rhs = (-1 if d % 2 else 1) * n_top - total_brasselet_infinity(census, w)
+    return lhs, rhs
+
+
+def _prop_any_value(census, a, w, counts, fiber) -> tuple[int, int]:
+    counts = _morse_totals(census, excluding_value=a)
+    lhs = chi_global(census.base, w) - brasselet(census, a, w)
+    rhs = (
+        _signed_count_balance(census, w, counts)
+        - total_brasselet_infinity(census, w)
+        + brasselet_infinity(census, a, w)
+    )
+    return lhs, rhs
+
+
+def _cor_generic_vs_any(census, a, w, counts, fiber) -> tuple[int, int]:
+    base = census.base
+    lhs = brasselet(census, a, w) - brasselet(census, GENERIC, w)
+    d = base.top_dim()
+    top = base.regular_part().id
+    dropped = census.morse_total(top) - census.morse_total(top, excluding_value=a)
+    rhs = (-1 if d % 2 else 1) * dropped - brasselet_infinity(census, a, w)
+    return lhs, rhs
+
+
+def _value_consistency(census, a, w, counts, fiber) -> tuple[int, int]:
+    lhs = brasselet(census, GENERIC, w)
+    rhs = (
+        brasselet(census, a, w)
+        - sum(local_fiber_defect(census, q.id) for q in census.points_at(a))
+        + lambda_infinity(census, a)
+    )
+    return lhs, rhs
+
+
+@dataclass(frozen=True)
+class Identity:
+    """How to evaluate one identity, and what it takes.
+
+    ``values`` is None for an identity without a target value, "special"
+    for one stated at a special value, and "special+generic" for one also
+    checked at the generic value.  ``weight`` is "1" (the constant
+    function), "alpha" (the caller's weight, 1 by default) or "Eu" (the
+    obstruction of the space).  ``counts`` marks the identities that take
+    Morse counts, or Milnor counts on a general function; ``fiber`` the one
+    that needs the census of the special fiber.  ``structural`` identities
+    are theorems of the census algebra itself: they hold for arbitrary
+    fiber and infinity data once the obstruction table is solved, so no
+    single census slot can be recovered from them.
+    """
+
+    sides: Callable[..., tuple[int, int]]
+    values: str | None = None
+    weight: str = "alpha"
+    counts: bool = False
+    fiber: bool = False
+    structural: bool = False
+
+
+# the registry, in the order the check battery runs it
+IDENTITIES: dict[str, Identity] = {
+    "prop_brasselet_vs_fiber_eu": Identity(
+        _prop_brasselet_vs_fiber_eu, values="special", weight="Eu", fiber=True
+    ),
+    "bdk_global_1": Identity(_closure_sums(brasselet), values="special+generic", structural=True),
+    "thm_generic_fiber": Identity(_generic_fiber, weight="1", counts=True),
+    "cor_constructible": Identity(_generic_fiber, counts=True),
+    "cor_equi": Identity(_cor_equi, weight="Eu"),
+    "bdk_global_2": Identity(
+        _closure_sums(lambda census, _a, w: total_brasselet_infinity(census, w)), structural=True
+    ),
+    "bdk_global_3": Identity(_closure_sums(brasselet_infinity), values="special", structural=True),
+    "prop_any_value": Identity(_prop_any_value, values="special"),
+    "cor_generic_vs_any": Identity(_cor_generic_vs_any, values="special", weight="Eu"),
+    "value_consistency": Identity(_value_consistency, values="special", weight="1"),
+}
+
+IDENTITY_NAMES = tuple(IDENTITIES)
+
+STRUCTURAL_IDENTITIES = frozenset(name for name, e in IDENTITIES.items() if e.structural)
 
 
 def check_identity(
@@ -435,7 +545,7 @@ def check_identity(
     alpha: StratumConstructibleFunction | None = None,
     fiber_census: StratifiedCensus | None = None,
     use_milnor: bool = False,
-) -> IdentityReport:
+) -> CheckLine:
     """Evaluate both sides of one named identity, exactly.
 
     ``at`` names a target value where the identity is per-value.  ``alpha``
@@ -443,137 +553,133 @@ def check_identity(
     fiber-obstruction comparison additionally needs the census of the fiber
     itself via ``fiber_census``.  ``use_milnor`` switches the generic-fiber
     balance to Milnor numbers, which requires the function to be declared
-    general.  Data deficiencies raise InsufficientData; a report with
+    general.  The arguments are checked in that order: value, fiber census,
+    counts, weight.  Data deficiencies raise InsufficientData; a row with
     differing sides is an honest verification failure, not an error.
     """
-    base = census.base
-    one = indicator_of_space(base)
-    detail_parts = []
-    if at is not None:
-        detail_parts.append(f"a={at}")
-    if use_milnor:
-        detail_parts.append("counts=milnor")
-    detail = ", ".join(detail_parts)
-
-    def report(lhs: int, rhs: int) -> IdentityReport:
-        return IdentityReport(name=identity, lhs=lhs, rhs=rhs, detail=detail)
-
-    def need_at() -> str:
+    entry = IDENTITIES.get(identity)
+    if entry is None:
+        raise IdentityArgumentError(f"unknown identity {identity!r}")
+    if entry.values is not None:
         if at is None:
-            raise ValueError(f"identity {identity!r} needs a target value")
+            raise IdentityArgumentError(f"identity {identity!r} needs a target value")
         census.require_label(at)
-        return at
-
-    if identity == "prop_brasselet_vs_fiber_eu":
-        a = need_at()
+    if entry.fiber:
+        # the fiber's own obstruction takes the place of any counts
         if use_milnor:
-            raise ValueError("milnor counts do not apply to this identity")
+            raise IdentityArgumentError("milnor counts do not apply to this identity")
         if fiber_census is None:
-            raise InsufficientData([f"fiber_census.{a}"])
-        table = solve_bdk(base)
-        w = eu_weight(census, table)
-        lhs = brasselet(census, a, w)
-        missing = [
-            f"critical_points.{q.id}.eu_fiber_at_q"
-            for q in census.points_at(a)
-            if q.eu_fiber_at_q is None
-        ]
-        if missing:
-            raise InsufficientData(missing)
-        fiber_table = solve_bdk(fiber_census)
-        rhs = global_euler_obstruction(fiber_census, fiber_table)
-        for q in census.points_at(a):
-            ambient = table.eu_at(q.stratum)
-            if q.eu_space_at_q is not None and q.eu_space_at_q != ambient:
-                raise AmbientObstructionMismatch(q.id, q.eu_space_at_q, ambient)
-            rhs += ambient - q.eu_fiber_at_q
-        return report(lhs, rhs)
-
-    if identity == "bdk_global_1":
-        a = need_at()
-        w = alpha if alpha is not None else one
-        lhs = brasselet(census, a, w)
-        rhs = sum(
-            _closure_brasselet(census, sid, a) * eta(base, sid, w)
-            for sid in base.poset.ids()
-        )
-        return report(lhs, rhs)
-
-    if identity in ("thm_generic_fiber", "cor_constructible"):
-        if identity == "thm_generic_fiber":
-            w = one
-        else:
-            w = alpha if alpha is not None else one
+            raise InsufficientData([f"fiber_census.{at}"])
+    counts = None
+    if entry.counts:
         counts = _milnor_totals(census) if use_milnor else _morse_totals(census)
-        lhs = chi_global(base, w) - brasselet(census, GENERIC, w)
-        rhs = _signed_count_balance(census, w, counts) - total_brasselet_infinity(census, w)
-        return report(lhs, rhs)
-
-    if identity == "cor_equi":
-        table = solve_bdk(base)
-        w = eu_weight(census, table)
-        lhs = chi_global(base, w) - brasselet(census, GENERIC, w)
-        d = base.top_dim()
-        n_top = census.morse_total(base.regular_part().id)
-        rhs = (-1 if d % 2 else 1) * n_top - total_brasselet_infinity(census, w)
-        return report(lhs, rhs)
-
-    if identity == "bdk_global_2":
-        w = alpha if alpha is not None else one
-        lhs = total_brasselet_infinity(census, w)
-        rhs = sum(
-            _closure_infinity(census, sid, None) * eta(base, sid, w)
-            for sid in base.poset.ids()
-        )
-        return report(lhs, rhs)
-
-    if identity == "bdk_global_3":
-        a = need_at()
-        w = alpha if alpha is not None else one
-        lhs = brasselet_infinity(census, a, w)
-        rhs = sum(
-            _closure_infinity(census, sid, a) * eta(base, sid, w)
-            for sid in base.poset.ids()
-        )
-        return report(lhs, rhs)
-
-    if identity == "prop_any_value":
-        a = need_at()
-        w = alpha if alpha is not None else one
-        counts = _morse_totals(census, excluding_value=a)
-        lhs = chi_global(base, w) - brasselet(census, a, w)
-        rhs = (
-            _signed_count_balance(census, w, counts)
-            - total_brasselet_infinity(census, w)
-            + brasselet_infinity(census, a, w)
-        )
-        return report(lhs, rhs)
-
-    if identity == "cor_generic_vs_any":
-        a = need_at()
-        table = solve_bdk(base)
-        w = eu_weight(census, table)
-        lhs = brasselet(census, a, w) - brasselet(census, GENERIC, w)
-        d = base.top_dim()
-        top = base.regular_part().id
-        dropped = census.morse_total(top) - census.morse_total(top, excluding_value=a)
-        rhs = (-1 if d % 2 else 1) * dropped - brasselet_infinity(census, a, w)
-        return report(lhs, rhs)
-
-    if identity == "value_consistency":
-        a = need_at()
-        lhs = brasselet(census, GENERIC, one)
-        rhs = (
-            brasselet(census, a, one)
-            - sum(local_fiber_defect(census, q.id) for q in census.points_at(a))
-            + lambda_infinity(census, a)
-        )
-        return report(lhs, rhs)
-
-    raise ValueError(f"unknown identity {identity!r}")
+    if entry.weight == "Eu":
+        w = eu_weight(census, solve_bdk(census.base))
+    elif entry.weight == "alpha" and alpha is not None:
+        w = alpha
+    else:
+        w = indicator_of_space(census.base)
+    lhs, rhs = entry.sides(census, at, w, counts, fiber_census)
+    return CheckLine.compare(identity, lhs, rhs, row_detail(at, use_milnor=use_milnor))
 
 
-# --- solving one unknown census slot -----------------------------------
+# --- census slots and solving one unknown slot -------------------------
+
+# the number of dotted parts after the slot kind
+_SLOT_ARITY = {"chi": 1, "fiber_chi": 2, "infinity_chi": 2, "morse_counts": 2}
+
+
+def _updated(entries: Mapping[str, int], key: str, x: int | None) -> dict[str, int]:
+    out = dict(entries)
+    if x is None:
+        out.pop(key, None)
+    else:
+        out[key] = x
+    return out
+
+
+@dataclass(frozen=True)
+class FieldPath:
+    """One census slot, named by a dotted path: ``chi.<stratum>``,
+    ``fiber_chi.<stratum>.<value>``, ``infinity_chi.<stratum>.<value>`` or
+    ``morse_counts.<point>.<stratum>``.
+
+    Ids and labels never contain dots, so a path splits unambiguously.  The
+    same path reads and writes the census model, and writes the raw JSON
+    document a census was loaded from.
+    """
+
+    kind: str
+    key: str
+    sub: str | None = None
+
+    @classmethod
+    def parse(cls, text: str) -> "FieldPath":
+        kind, *rest = text.split(".")
+        if len(rest) != _SLOT_ARITY.get(kind):
+            raise NotSolvable(
+                f"unsupported field path {text!r}; solvable slots are chi.<stratum>, "
+                "fiber_chi.<stratum>.<value>, infinity_chi.<stratum>.<value>, "
+                "morse_counts.<point>.<stratum>"
+            )
+        return cls(kind, *rest)
+
+    def get(self, census: FiberedCensus) -> int | None:
+        """The slot's value, or None where the census leaves it absent.
+        Unknown ids and labels raise, whether or not the slot is set."""
+        if self.kind == "morse_counts":
+            counts = census.point(self.key).morse_counts
+            census.base.poset.stratum(self.sub)
+            return counts.get(self.sub)
+        stratum = census.base.poset.stratum(self.key)
+        if self.kind == "chi":
+            return stratum.chi
+        if self.kind == "fiber_chi":
+            census.require_label(self.sub)
+        elif self.sub not in census.special_values:
+            raise UnknownValueLabel(
+                f"infinity data only exists at special values, not {self.sub!r}"
+            )
+        return getattr(census, self.kind).get(self.key, {}).get(self.sub)
+
+    def set(self, census: FiberedCensus, x: int | None) -> FiberedCensus:
+        """The census with the slot set to x; None blanks it."""
+        self.get(census)
+        if self.kind == "chi":
+            new_base = replace(census.base, poset=census.base.poset.with_chi(self.key, x))
+            return replace(census, base=new_base)
+        if self.kind == "morse_counts":
+            points = tuple(
+                replace(q, morse_counts=_updated(q.morse_counts, self.sub, x))
+                if q.id == self.key
+                else q
+                for q in census.critical_points
+            )
+            return replace(census, critical_points=points)
+        columns = dict(getattr(census, self.kind))
+        columns[self.key] = _updated(columns.get(self.key, {}), self.sub, x)
+        return replace(census, **{self.kind: columns})
+
+    def set_raw(self, raw: dict, x: int) -> dict:
+        """A deep copy of a raw census document with only the slot set to x."""
+        out = json.loads(json.dumps(raw))
+        if self.kind == "chi":
+            for s in out.get("strata", []):
+                if isinstance(s, dict) and s.get("id") == self.key:
+                    s["chi"] = x
+                    return out
+            raise SchemaError("$.strata", f"no stratum {self.key!r} to complete")
+        if self.kind == "morse_counts":
+            for p in out.get("fibration", {}).get("critical_points", []):
+                if isinstance(p, dict) and p.get("id") == self.key:
+                    p.setdefault("morse_counts", {})[self.sub] = x
+                    return out
+            raise SchemaError(
+                "$.fibration.critical_points", f"no critical point {self.key!r} to complete"
+            )
+        fib = out.setdefault("fibration", {})
+        fib.setdefault(self.kind, {}).setdefault(self.key, {})[self.sub] = x
+        return out
 
 
 @dataclass(frozen=True)
@@ -581,60 +687,6 @@ class SolveResult:
     field: str
     value: int
     completed: FiberedCensus
-
-
-def _with_field(census: FiberedCensus, fieldpath: str, x: int) -> FiberedCensus:
-    parts = fieldpath.split(".")
-    kind = parts[0]
-    if kind == "chi" and len(parts) == 2:
-        new_base = replace(census.base, poset=census.base.poset.with_chi(parts[1], x))
-        return replace(census, base=new_base)
-    if kind == "fiber_chi" and len(parts) == 3:
-        sid, label = parts[1], parts[2]
-        census.base.poset.stratum(sid)
-        census.require_label(label)
-        col = {k: dict(v) for k, v in census.fiber_chi.items()}
-        col.setdefault(sid, {})[label] = x
-        return replace(census, fiber_chi=col)
-    if kind == "infinity_chi" and len(parts) == 3:
-        sid, label = parts[1], parts[2]
-        census.base.poset.stratum(sid)
-        if label not in census.special_values:
-            raise UnknownValueLabel(
-                f"infinity data only exists at special values, not {label!r}"
-            )
-        col = {k: dict(v) for k, v in census.infinity_chi.items()}
-        col.setdefault(sid, {})[label] = x
-        return replace(census, infinity_chi=col)
-    if kind == "morse_counts" and len(parts) == 3:
-        qid, sid = parts[1], parts[2]
-        census.point(qid)
-        census.base.poset.stratum(sid)
-        points = tuple(
-            replace(q, morse_counts={**q.morse_counts, sid: x}) if q.id == qid else q
-            for q in census.critical_points
-        )
-        return replace(census, critical_points=points)
-    raise NotSolvable(
-        f"unsupported field path {fieldpath!r}; solvable slots are chi.<stratum>, "
-        "fiber_chi.<stratum>.<value>, infinity_chi.<stratum>.<value>, "
-        "morse_counts.<point>.<stratum>"
-    )
-
-
-def _field_is_present(census: FiberedCensus, fieldpath: str) -> bool:
-    parts = fieldpath.split(".")
-    kind = parts[0]
-    if kind == "chi" and len(parts) == 2:
-        return census.base.poset.stratum(parts[1]).chi is not None
-    if kind == "fiber_chi" and len(parts) == 3:
-        return census.fiber_entry(parts[1], parts[2]) is not None
-    if kind == "infinity_chi" and len(parts) == 3:
-        census.base.poset.stratum(parts[1])
-        return parts[2] in census.infinity_chi.get(parts[1], {})
-    if kind == "morse_counts" and len(parts) == 3:
-        return parts[2] in census.point(parts[1]).morse_counts
-    return False
 
 
 def solve_unknown(
@@ -657,13 +709,14 @@ def solve_unknown(
     cannot determine anything), a non-integer ratio, or a slot that is
     already present.
     """
-    # validate the field path first so typos surface as their own errors
-    _with_field(census, fieldpath, 0)
-    if _field_is_present(census, fieldpath):
+    path = FieldPath.parse(fieldpath)
+    # reading the slot checks its ids and label, so typos surface as their
+    # own errors
+    if path.get(census) is not None:
         raise NotSolvable(f"field {fieldpath!r} is already present in the census")
 
     def residual(x: int) -> int:
-        filled = _with_field(census, fieldpath, x)
+        filled = path.set(census, x)
         try:
             r = check_identity(
                 filled,
@@ -702,5 +755,4 @@ def solve_unknown(
             f"no integer value of {fieldpath!r} satisfies {identity!r}: "
             f"{-g0} is not divisible by {slope}"
         )
-    completed = _with_field(census, fieldpath, quo)
-    return SolveResult(field=fieldpath, value=quo, completed=completed)
+    return SolveResult(field=fieldpath, value=quo, completed=path.set(census, quo))

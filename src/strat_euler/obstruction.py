@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotAPointStratum, NotEquidimensional, UnknownStratum
-from .reports import IdentityReport
+from .reports import CheckLine
 from .strata import (
     LabeledMatrix,
     StratifiedCensus,
@@ -162,7 +162,7 @@ def global_euler_obstruction(census: StratifiedCensus, table: EulerObstructionTa
 
 def check_bdk_point_formula(
     census: StratifiedCensus, table: EulerObstructionTable, point_stratum: str
-) -> IdentityReport:
+) -> CheckLine:
     """At a point stratum: the obstructions of all incident closures, paired
     against eta of the constant function 1, must sum to 1.
 
@@ -176,4 +176,4 @@ def check_bdk_point_formula(
     rhs = sum(
         table.eu_closure(point_stratum, j) * one.eta(j) for j in census.poset.ids()
     )
-    return IdentityReport(name="bdk_point_formula", lhs=1, rhs=rhs, detail=f"at={point_stratum}")
+    return CheckLine.compare("bdk_point_formula", 1, rhs, f"at={point_stratum}")

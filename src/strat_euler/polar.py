@@ -29,7 +29,7 @@ from .fibered import (
     resolve_value_label,
 )
 from .obstruction import EulerObstructionTable, global_euler_obstruction, solve_bdk
-from .reports import IdentityReport
+from .reports import CheckLine
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def infinity_from_polar(census: FiberedCensus, polar: PolarData, at: str) -> int
 
 def stv_global_eu(
     census: FiberedCensus, table: EulerObstructionTable, polar: PolarData
-) -> IdentityReport:
+) -> CheckLine:
     """Alternating sum of generic-linear polar counts against the global
     obstruction of the space."""
     d = census.base.top_dim()
@@ -120,7 +120,7 @@ def stv_global_eu(
         raise MissingPolarData("no generic-linear polar counts (alpha) declared")
     lhs = sum((-1 if i % 2 else 1) * polar.alpha[i] for i in range(d + 1))
     rhs = global_euler_obstruction(census.base, table)
-    return IdentityReport(name="stv_global_eu", lhs=lhs, rhs=rhs)
+    return CheckLine.compare("stv_global_eu", lhs, rhs)
 
 
 def hyperplane_step(
@@ -128,7 +128,7 @@ def hyperplane_step(
     polar: PolarData,
     slice_census: FiberedCensus,
     at: str,
-) -> IdentityReport:
+) -> CheckLine:
     """One slicing step: the drop of the Brasselet number to a generic
     hyperplane slice equals the signed ambient polar intersection plus the
     local obstructions of the function over the value.
@@ -156,4 +156,4 @@ def hyperplane_step(
     top = census.base.regular_part().id
     for q in census.points_at(at):
         rhs += eu_of_function_local(census, q.id, top)
-    return IdentityReport(name="hyperplane_step", lhs=lhs, rhs=rhs, detail=f"a={at}")
+    return CheckLine.compare("hyperplane_step", lhs, rhs, f"a={at}")

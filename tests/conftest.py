@@ -5,13 +5,12 @@ away anything that exceeds the size caps.  All invariants under test are
 exact integer identities, so there is no tolerance knob anywhere.
 """
 
-from dataclasses import replace
-
 from hypothesis import assume, settings, strategies as st
 
 from strat_euler import (
     GENERIC,
     FiberedCensus,
+    FieldPath,
     LinkTable,
     SimplicialComplex,
     SimplicialConstructibleFunction,
@@ -33,39 +32,7 @@ def blank_field(census: FiberedCensus, path: str) -> FiberedCensus:
     Accepts the same field paths as the solver, so tests can blank a slot
     and ask the solver to recover it.
     """
-    parts = path.split(".")
-    kind = parts[0]
-    if kind == "chi" and len(parts) == 2:
-        sid = parts[1]
-        poset = census.base.poset
-        strata = tuple(
-            replace(s, chi=None) if s.id == sid else s for s in poset.strata
-        )
-        new_poset = StratumPoset(strata, poset.relations)
-        return replace(census, base=replace(census.base, poset=new_poset))
-    if kind == "fiber_chi" and len(parts) == 3:
-        sid, label = parts[1], parts[2]
-        fiber = {k: dict(v) for k, v in census.fiber_chi.items()}
-        del fiber[sid][label]
-        return replace(census, fiber_chi=fiber)
-    if kind == "infinity_chi" and len(parts) == 3:
-        sid, label = parts[1], parts[2]
-        infinity = {k: dict(v) for k, v in census.infinity_chi.items()}
-        del infinity[sid][label]
-        return replace(census, infinity_chi=infinity)
-    if kind == "morse_counts" and len(parts) == 3:
-        qid, sid = parts[1], parts[2]
-        points = tuple(
-            replace(
-                q,
-                morse_counts={k: v for k, v in q.morse_counts.items() if k != sid},
-            )
-            if q.id == qid
-            else q
-            for q in census.critical_points
-        )
-        return replace(census, critical_points=points)
-    raise ValueError(f"cannot blank {path!r}")
+    return FieldPath.parse(path).set(census, None)
 
 
 @st.composite

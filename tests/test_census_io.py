@@ -1,10 +1,13 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from strat_euler import (
+    GENERIC,
     FiberedCensus,
+    FieldPath,
     LinkTable,
     SchemaError,
     StratifiedCensus,
@@ -17,6 +20,8 @@ from strat_euler import (
     load_file,
 )
 from strat_euler.catalog import _fixture_dir
+
+DATA = Path(__file__).parent / "data"
 
 
 def minimal_doc(**over):
@@ -142,6 +147,62 @@ def test_apply_field_to_raw_rejects_unknown_targets():
         apply_field_to_raw(raw, "morse_counts.zz.V1", 1)
     with pytest.raises(SchemaError):
         apply_field_to_raw(raw, "weird.path", 1)
+
+
+def every_slot(census):
+    """The field path of every slot a census can hold."""
+    poset = census.base.poset
+    for sid in poset.ids():
+        yield f"chi.{sid}"
+        for label in census.special_values + (GENERIC,):
+            yield f"fiber_chi.{sid}.{label}"
+        for label in census.special_values:
+            yield f"infinity_chi.{sid}.{label}"
+    for q in census.critical_points:
+        for sid in poset.ids():
+            if poset.leq(q.stratum, sid):
+                yield f"morse_counts.{q.id}.{sid}"
+
+
+def blank_raw(raw, path):
+    """The raw document with one slot deleted, written out by hand as an
+    oracle for the model writer."""
+    doc = copy.deepcopy(raw)
+    kind, key, *sub = path.split(".")
+    if kind == "chi":
+        for s in doc["strata"]:
+            if s["id"] == key:
+                s.pop("chi", None)
+    elif kind == "morse_counts":
+        for q in doc["fibration"]["critical_points"]:
+            if q["id"] == key:
+                q.get("morse_counts", {}).pop(sub[0], None)
+    else:
+        doc.setdefault("fibration", {}).setdefault(kind, {}).setdefault(key, {}).pop(sub[0], None)
+    return doc
+
+
+@pytest.mark.parametrize("name", list_entries() + ["wide-n21.json"])
+def test_raw_and_model_writers_agree_on_every_slot(name):
+    """Writing a slot into the raw document and loading it gives the census
+    that writing the same slot into the loaded model gives; so does
+    blanking it."""
+    if name.endswith(".json"):
+        raw = json.loads((DATA / name).read_text())
+    else:
+        raw = load_entry(name).raw
+    census = load_document(raw).census
+    paths = list(every_slot(census))
+    assert paths
+    for path in paths:
+        slot = FieldPath.parse(path)
+        for value in (0, 7, -3):
+            written = slot.set(census, value)
+            assert load_document(apply_field_to_raw(raw, path, value)).census == written, path
+            assert slot.get(written) == value
+        blanked = slot.set(census, None)
+        assert slot.get(blanked) is None
+        assert load_document(blank_raw(raw, path)).census == blanked, path
 
 
 def test_the_base_census_is_validated_once_per_load(monkeypatch):

@@ -3,11 +3,15 @@ import os
 import subprocess
 import sys
 
+from pathlib import Path
+
 import pytest
 
-from strat_euler import load_entry
+from strat_euler import CensusError, load_entry
 from strat_euler.catalog import _fixture_dir
-from strat_euler.cli import main
+from strat_euler.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def fixture_path(name):
@@ -202,3 +206,60 @@ def test_deeply_nested_json_is_bad_input(tmp_path, command):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: $: not valid JSON: nested too deeply\n"
+
+
+# --- identity argument errors are input errors ---------------------------
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--identity", "nope"], "unknown identity 'nope'"),
+        (["--identity", "prop_any_value"], "identity 'prop_any_value' needs a target value"),
+        (
+            ["--identity", "prop_brasselet_vs_fiber_eu", "--at", "0", "--use-milnor"],
+            "milnor counts do not apply to this identity",
+        ),
+    ],
+)
+def test_identity_argument_errors_are_census_errors(tmp_path, capsys, extra, message):
+    doc = json.loads(json.dumps(load_entry("cusp-linear").raw))
+    del doc["fibration"]["fiber_chi"]["V2"]["generic"]
+    path = tmp_path / "blanked.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--unknown", "fiber_chi.V2.generic", *extra]
+    # raised as a CensusError by the subcommand itself, not only mapped to
+    # exit 2 by main's catch-all for ValueError
+    args = build_parser().parse_args(argv)
+    with pytest.raises(CensusError) as exc:
+        args.run(args)
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# --- the full check output, pinned ---------------------------------------
+
+
+def census_path(name):
+    return str(DATA / name) if name.endswith(".json") else fixture_path(name)
+
+
+def pinned_case_id(case):
+    return case["census"] + (f"+{case['hyperplane']}" if case["hyperplane"] else "")
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((DATA / "check_outputs.json").read_text()), ids=pinned_case_id
+)
+def test_check_output_matches_the_recorded_lines(case, capsys):
+    """Every row (name, detail, sides, status), the order of the rows, the
+    summary and the exit code of ``check``, as recorded for each shipped
+    census, the n=21 wide census and one hyperplane slicing run."""
+    argv = ["check", census_path(case["census"])]
+    if case["hyperplane"]:
+        argv += ["--hyperplane", census_path(case["hyperplane"])]
+    code = main(argv)
+    assert capsys.readouterr().out.splitlines() == case["lines"]
+    assert code == case["exit"]

@@ -1,10 +1,14 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from strat_euler import (
     GENERIC,
+    IDENTITIES,
+    FieldPath,
     IDENTITY_NAMES,
     STRUCTURAL_IDENTITIES,
     InsufficientData,
@@ -12,6 +16,7 @@ from strat_euler import (
     PointNotInClosure,
     StratumConstructibleFunction,
     UnknownCriticalPoint,
+    UnknownStratum,
     UnknownValueLabel,
     brasselet,
     check_identity,
@@ -20,6 +25,7 @@ from strat_euler import (
     eu_of_function_local,
     eu_weight,
     lambda_infinity,
+    load_document,
     load_entry,
     local_fiber_defect,
     resolve_value_label,
@@ -31,6 +37,8 @@ from strat_euler import (
 )
 
 from conftest import blank_field, fibered_censuses
+
+DATA = Path(__file__).parent / "data"
 
 
 def fibered(name):
@@ -127,19 +135,24 @@ def test_all_identities_verify_on_the_cusp():
     bundle = load_entry("cusp-linear")
     for name in IDENTITY_NAMES:
         kwargs = {}
-        if name in (
-            "prop_brasselet_vs_fiber_eu",
-            "bdk_global_1",
-            "bdk_global_3",
-            "prop_any_value",
-            "cor_generic_vs_any",
-            "value_consistency",
-        ):
+        if IDENTITIES[name].values is not None:
             kwargs["at"] = "0"
-        if name == "prop_brasselet_vs_fiber_eu":
+        if IDENTITIES[name].fiber:
             kwargs["fiber_census"] = bundle.fiber_censuses["0"]
         report = check_identity(census, name, **kwargs)
         assert report.ok, report.line()
+
+
+def test_missing_fiber_slots_are_named_in_declared_order():
+    census = load_document(json.loads((DATA / "wide-n21.json").read_text())).census
+    w = eu_weight(census, solve_bdk(census.base))
+    with pytest.raises(InsufficientData) as exc:
+        brasselet(replace(census, fiber_chi={}), "0", w)
+    # the order the census declares its strata in (P2 before P10), not the
+    # (dim, id) order the weight lists its support in
+    declared = [f"fiber_chi.{sid}.0" for sid in census.base.poset.ids() if w.value(sid)]
+    assert list(exc.value.fields) == declared
+    assert declared != [f"fiber_chi.{sid}.0" for sid in w.coeffs]
 
 
 def test_milnor_variant_needs_a_general_function():
@@ -244,7 +257,32 @@ def test_restrict_fibered_filters_points_and_columns():
     small = restrict_fibered(cusp, "V1")
     assert small.base.poset.ids() == ["V1"]
     assert [q.id for q in small.critical_points] == ["q1"]
-    assert small.fiber_entry("V1", "0") == 1
+    assert small.fiber_chi["V1"]["0"] == 1
     assert small.special_values == cusp.special_values
     full = restrict_fibered(cusp, "V2")
     assert {q.id for q in full.critical_points} == {"q1", "q2"}
+
+
+@pytest.mark.parametrize(
+    "path, error",
+    [
+        ("chi.nope", UnknownStratum),
+        ("fiber_chi.nope.0", UnknownStratum),
+        ("fiber_chi.V2.nope", UnknownValueLabel),
+        ("infinity_chi.nope.0", UnknownStratum),
+        ("infinity_chi.V2.generic", UnknownValueLabel),
+        # the point is looked up before the stratum
+        ("morse_counts.nope.nope", UnknownCriticalPoint),
+        ("morse_counts.q1.nope", UnknownStratum),
+        ("weird.path", NotSolvable),
+        ("chi", NotSolvable),
+        ("chi.V1.0", NotSolvable),
+        ("fiber_chi.V2", NotSolvable),
+    ],
+)
+def test_field_paths_reject_unknown_slots(path, error):
+    census = fibered("cusp-linear")
+    with pytest.raises(error):
+        FieldPath.parse(path).get(census)
+    with pytest.raises(error):
+        FieldPath.parse(path).set(census, 1)
