@@ -16,9 +16,8 @@ SKIP when the census lacks the data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from itertools import product
+from pathlib import Path
 from typing import Callable
 
 from .census_io import CensusBundle, load_document
@@ -46,12 +45,15 @@ from .fibered import (
 )
 from .obstruction import check_bdk_point_formula, global_euler_obstruction, solve_bdk
 from .polar import brasselet_from_polar, infinity_from_polar, stv_global_eu
+from .records import record
 from .reports import CheckLine, row_detail
 from .strata import chi_global, indicator_of_space
 
 
-def _fixture_dir():
-    return resources.files("strat_euler").joinpath("fixtures")
+def _fixture_dir() -> Path:
+    # the fixtures ship next to the modules (importlib.resources would load
+    # inspect on Python 3.12+)
+    return Path(__file__).with_name("fixtures")
 
 
 def list_entries() -> list[str]:
@@ -267,7 +269,7 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
 # --- whole-catalog runs ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExpectedResult:
     key: str
     want: object
@@ -285,7 +287,7 @@ class ExpectedResult:
         return f"expected {self.key}: want={self.want!r} got={self.got!r} {self.status}"
 
 
-@dataclass(frozen=True)
+@record
 class EntryReport:
     name: str
     expected: tuple[ExpectedResult, ...]
@@ -298,7 +300,7 @@ class EntryReport:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CatalogReport:
     entries: tuple[EntryReport, ...]
 

@@ -10,13 +10,13 @@ derivation notes (used by the catalog).  Schema violations raise
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .errors import NotSolvable, SchemaError
 from .fibered import CriticalPoint, FiberedCensus, FieldPath
 from .polar import PolarData
+from .records import field, record
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
 
@@ -207,7 +207,7 @@ def _polar_from_json(obj: Any, path: str, top_dim: int) -> PolarData:
     return polar
 
 
-@dataclass(frozen=True)
+@record
 class CensusBundle:
     """Everything one census file declares."""
 

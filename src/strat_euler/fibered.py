@@ -27,7 +27,6 @@ compared with a tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from .errors import (
@@ -47,6 +46,7 @@ from .obstruction import (
     global_euler_obstruction,
     solve_bdk,
 )
+from .records import field, record, replace
 from .reports import CheckLine, row_detail
 from .strata import (
     StratifiedCensus,
@@ -60,7 +60,7 @@ from .strata import (
 GENERIC = "generic"
 
 
-@dataclass(frozen=True)
+@record
 class CriticalPoint:
     """An isolated stratified critical point of the function.
 
@@ -90,7 +90,7 @@ class CriticalPoint:
             object.__setattr__(self, "milnor_numbers", dict(self.milnor_numbers))
 
 
-@dataclass(frozen=True)
+@record
 class FiberedCensus:
     """A stratified census together with the data of one function on it."""
 
@@ -490,7 +490,7 @@ def _value_consistency(census, a, w, counts, fiber) -> tuple[int, int]:
     return lhs, rhs
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     """How to evaluate one identity, and what it takes.
 
@@ -598,7 +598,7 @@ def _updated(entries: Mapping[str, int], key: str, x: int | None) -> dict[str, i
     return out
 
 
-@dataclass(frozen=True)
+@record
 class FieldPath:
     """One census slot, named by a dotted path: ``chi.<stratum>``,
     ``fiber_chi.<stratum>.<value>``, ``infinity_chi.<stratum>.<value>`` or
@@ -682,7 +682,7 @@ class FieldPath:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     field: str
     value: int

@@ -23,10 +23,10 @@ failure can only mean a bug, never interesting geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotAPointStratum, NotEquidimensional, UnknownStratum
+from .records import record
 from .reports import CheckLine
 from .strata import (
     LabeledMatrix,
@@ -60,7 +60,7 @@ def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
     return inv
 
 
-@dataclass(frozen=True)
+@record
 class EulerObstructionTable:
     """Solved obstruction data for one census.
 
@@ -172,8 +172,11 @@ def check_bdk_point_formula(
     s = census.poset.stratum(point_stratum)
     if s.dim != 0:
         raise NotAPointStratum(f"{point_stratum!r} has dimension {s.dim}")
-    one = census.solved.weight(indicator_of_space(census))
-    rhs = sum(
-        table.eu_closure(point_stratum, j) * one.eta(j) for j in census.poset.ids()
-    )
+    solved = census.solved
+    one = solved.weight(indicator_of_space(census))
+    # only the closures containing the point, itself and its up-set, are
+    # nonzero there
+    i = solved.index[point_stratum]
+    row = table.values[i]
+    rhs = sum(row[k] * one.eta(solved.order[k]) for k in (i, *solved.above[i]))
     return CheckLine.compare("bdk_point_formula", 1, rhs, f"at={point_stratum}")

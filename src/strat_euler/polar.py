@@ -16,7 +16,6 @@ whose alternating sum recovers the global obstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingPolarData
@@ -29,10 +28,11 @@ from .fibered import (
     resolve_value_label,
 )
 from .obstruction import EulerObstructionTable, global_euler_obstruction, solve_bdk
+from .records import record
 from .reports import CheckLine
 
 
-@dataclass(frozen=True)
+@record
 class PolarData:
     """Polar intersection numbers attached to one fibered census."""
 

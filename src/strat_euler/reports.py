@@ -7,10 +7,10 @@ a skipped one the reason it was skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class CheckLine:
     """One row of a verification run: a checked identity or a skipped one.
 

@@ -10,7 +10,6 @@ that only need a consistent total order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterable, Iterator
 
@@ -20,13 +19,14 @@ from .errors import (
     NotASubcomplex,
     SchemaError,
 )
+from .records import record
 
 # Parse-time cap on simplex dimension; keeps adversarial JSON from blowing up
 # the powerset walks in faces() and the product triangulation.
 DIMENSION_CAP = 8
 
 
-@dataclass(frozen=True)
+@record
 class Simplex:
     """An abstract simplex: a strictly increasing tuple of vertex labels."""
 
@@ -70,7 +70,7 @@ class Simplex:
         return "<" + ",".join(map(repr, self.vertices)) + ">"
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialComplex:
     """A finite set of simplices, expected to be closed under taking faces.
 
@@ -122,7 +122,7 @@ def validate(complex_: SimplicialComplex) -> None:
                 raise FaceClosureViolation(f"{s!r} is present but its face {f!r} is not")
 
 
-@dataclass(frozen=True)
+@record
 class SimplexSubset:
     """A set of open simplices of a host complex, not required to be face-closed.
 

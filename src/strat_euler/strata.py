@@ -34,7 +34,6 @@ the independent route the tests compare against.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -43,9 +42,10 @@ from .errors import (
     MissingLinkEntry,
     UnknownStratum,
 )
+from .records import field, record, replace
 
 
-@dataclass(frozen=True)
+@record
 class Stratum:
     """One connected stratum, or the possibly-disconnected regular part.
 
@@ -64,8 +64,23 @@ class Stratum:
 def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> dict[str, set[str]]:
     # each id -> the ids strictly below it, through any chain of pairs
     below: dict[str, set[str]] = {i: set() for i in ids}
+    position = {sid: k for k, sid in enumerate(ids)}
+    forward = True
     for a, b in pairs:
         below[b].add(a)
+        if position[a] >= position[b]:
+            forward = False
+    if forward:
+        # as every valid order does in (dim, id) order: each down-set is
+        # closed before any stratum above it reads it, so one pass closes all
+        for b in ids:
+            extra = set()
+            for a in below[b]:
+                extra |= below[a]
+            below[b] |= extra
+        return below
+    # otherwise iterate to a fixpoint, so cycle and dimension errors name
+    # what the full closure holds
     changed = True
     while changed:
         changed = False
@@ -79,7 +94,7 @@ def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> dict[str
     return below
 
 
-@dataclass(frozen=True)
+@record
 class StratumPoset:
     """Strata plus the strict frontier order, closed under transitivity.
 
@@ -172,7 +187,7 @@ class StratumPoset:
         return list(self._order)
 
 
-@dataclass(frozen=True)
+@record
 class LinkTable:
     """Euler characteristics of complex links: (lower, upper) -> chi.
 
@@ -200,7 +215,7 @@ class LinkTable:
         return LinkTable({p: v for p, v in self.entries.items() if p[0] in keep and p[1] in keep})
 
 
-@dataclass(frozen=True)
+@record
 class StratifiedCensus:
     """A named stratified space: poset, link data, equidimensionality flag."""
 
@@ -254,7 +269,7 @@ class StratifiedCensus:
         return SolvedCensus(self)
 
 
-@dataclass(frozen=True)
+@record
 class StratumConstructibleFunction:
     """Integer coefficients on open strata; missing ids count as zero."""
 
@@ -480,7 +495,7 @@ class SolvedCensus:
         return f
 
 
-@dataclass(frozen=True)
+@record
 class LabeledMatrix:
     """A square integer matrix with stratum ids labeling rows and columns."""
 

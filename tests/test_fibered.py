@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +34,7 @@ from strat_euler import (
     total_brasselet_infinity,
     total_lambda_infinity,
 )
+from strat_euler.records import replace
 
 from conftest import blank_field, fibered_censuses
 

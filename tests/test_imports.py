@@ -85,3 +85,62 @@ def test_check_leaves_the_simplicial_layer_out():
     assert code == 0
     assert "catalog" in modules
     assert not modules & {"simplicial", "euler_calculus"}
+
+
+# imports the command line, then runs each argv of argv[1] through
+# cli.main, printing after each step whether dataclasses or inspect has been
+# loaded since start-up (a site hook may load them before the package runs)
+LOADS_AFTER_EACH = """
+import contextlib, io, json, sys
+at_start = set(sys.modules)
+import strat_euler.cli
+
+def loaded():
+    return sorted(m for m in ("dataclasses", "inspect") if m in set(sys.modules) - at_start)
+
+print(json.dumps(["import", 0, loaded()]))
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = strat_euler.cli.main(args)
+    print(json.dumps([args[0], code, loaded()]))
+"""
+
+BUNDLE = {
+    "complex_src": {"simplices": [[0], [1], [2], [0, 1], [1, 2]]},
+    "complex_dst": {"simplices": [[0], [1], [0, 1]]},
+    "vertex_map": {"0": 0, "1": 1, "2": 0},
+    "weights": [[[0, 1], 2], [[1, 2], -1]],
+}
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    """Importing dataclasses (and the inspect module it loads) would cost
+    every call start-up time for nothing the package needs."""
+    doc = load_entry("zk-3").raw
+    del doc["fibration"]["fiber_chi"]["V1"]["generic"]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(doc))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE))
+    calls = [
+        ["check", fixture("cusp-linear")],
+        ["compute", fixture("broughton"), "--what", "eu-table"],
+        ["solve", str(gap), "--identity", "thm_generic_fiber", "--unknown", "fiber_chi.V1.generic"],
+        ["catalog", "run"],
+        ["fubini", str(bundle)],
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", LOADS_AFTER_EACH, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    steps = [json.loads(line) for line in run.stdout.splitlines()]
+    assert steps == [
+        ["import", 0, []],
+        ["check", 0, []],
+        ["compute", 0, []],
+        ["solve", 0, []],
+        ["catalog", 0, []],
+        ["fubini", 0, []],
+    ]

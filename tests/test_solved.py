@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,6 +50,7 @@ from strat_euler import (
     total_brasselet_infinity,
 )
 from strat_euler.cli import main
+from strat_euler.records import replace
 from strat_euler.strata import _eta_entry
 
 from conftest import censuses, censuses_with_functions, fibered_censuses

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from strat_euler import (
     load_entry,
     restrict_to_closure,
 )
+from strat_euler.strata import _transitive_closure
 
 from conftest import censuses_with_functions
 
@@ -104,6 +106,71 @@ def test_poset_errors_do_not_depend_on_the_hash_seed():
         "$: order relation has a cycle through 'a'\n"
         "$: frontier order must raise dimension: 'x' (dim 1) < 'y' (dim 1)\n"
     }
+
+
+def fixpoint_closure(pairs):
+    """The transitive closure of a relation, by adding composed pairs until
+    nothing changes."""
+    closed = set(pairs)
+    while True:
+        composed = {(a, d) for a, b in closed for c, d in closed if b == c}
+        if composed <= closed:
+            return closed
+        closed |= composed
+
+
+def layered_pairs(rng, levels, width):
+    # each stratum below a random part of the next level and, now and then,
+    # of a level further up
+    ids = [[f"L{d}_{w}" for w in range(width)] for d in range(levels)]
+    pairs = set()
+    for d in range(1, levels):
+        for t in ids[d]:
+            for s in rng.sample(ids[d - 1], rng.randint(1, width)):
+                pairs.add((s, t))
+            if d > 1 and rng.random() < 0.3:
+                pairs.add((rng.choice(ids[rng.randrange(d - 1)]), t))
+    strata = [Stratum(s, d, 0) for d, row in enumerate(ids) for s in row]
+    return strata, pairs
+
+
+def wide_pairs(rng, points, curves):
+    # points under 2 random curves each (and only sometimes directly under
+    # the surface), every curve under the surface
+    cs = [f"C{i}" for i in range(curves)]
+    pairs = {(c, "S") for c in cs}
+    for i in range(points):
+        pairs |= {(f"P{i}", c) for c in rng.sample(cs, 2)}
+        if rng.random() < 0.5:
+            pairs.add((f"P{i}", "S"))
+    strata = (
+        [Stratum(f"P{i}", 0, 1) for i in range(points)]
+        + [Stratum(c, 1, 0) for c in cs]
+        + [Stratum("S", 2, 0, True)]
+    )
+    return strata, pairs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closure_matches_a_fixpoint_oracle(seed):
+    """Valid orders close in one pass over the (dim, id) order; the closure
+    and the index down-sets must be what composing pairs to a fixpoint
+    gives, and so must the fixpoint route, fed the ids in another order."""
+    rng = random.Random(seed)
+    for strata, pairs in (
+        layered_pairs(rng, levels=3 + seed, width=4),
+        wide_pairs(rng, points=10 + 5 * seed, curves=4 + seed),
+    ):
+        want = fixpoint_closure(pairs)
+        poset = StratumPoset(tuple(strata), frozenset(pairs))
+        assert poset.relations == want
+        order = poset.linear_extension()
+        for b, down in zip(order, poset._below):
+            assert {order[i] for i in down} == {a for a, c in want if c == b}
+        shuffled = [s.id for s in strata]
+        rng.shuffle(shuffled)
+        below = _transitive_closure(shuffled, pairs)
+        assert {(a, b) for b in below for a in below[b]} == want
 
 
 def test_down_set_and_extension_on_the_diamond():
