@@ -89,42 +89,38 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
     """
     census = bundle.census
     base = census.base
-
-    def table():
-        return solve_bdk(base)
-
     if key == "eu_global":
-        return global_euler_obstruction(base, table())
+        return global_euler_obstruction(base)
     if key == "chi_global":
         return chi_global(base, indicator_of_space(base))
     if key == "lambda_total":
         return total_lambda_infinity(census)
     if key == "binf_total":
-        return total_brasselet_infinity(census, eu_weight(census, table()))
+        return total_brasselet_infinity(census, eu_weight(census))
     if key == "irregular_values":
         return detect_irregular_values(census)
     if key == "stv_sum":
         if bundle.polar is None:
             raise InsufficientData(["polar"])
-        return stv_global_eu(census, table(), bundle.polar).lhs
+        return stv_global_eu(census, bundle.polar).lhs
     if key == "B_generic":
-        return brasselet(census, GENERIC, eu_weight(census, table()))
+        return brasselet(census, GENERIC, eu_weight(census))
     if key == "B_polar_generic":
         if bundle.polar is None:
             raise InsufficientData(["polar"])
         return brasselet_from_polar(census, bundle.polar, GENERIC)
     if key == "eu_f_at_generic":
-        return eu_of_f_at(census, table(), GENERIC)
+        return eu_of_f_at(census, GENERIC)
     if key.startswith("B_polar_at_") and len(key) > len("B_polar_at_"):
         if bundle.polar is None:
             raise InsufficientData(["polar"])
         return brasselet_from_polar(census, bundle.polar, key[len("B_polar_at_"):])
     for prefix, run in (
-        ("eu_x_at_", lambda arg: table().eu_at(arg)),
-        ("B_at_", lambda arg: brasselet(census, arg, eu_weight(census, table()))),
-        ("eu_f_at_", lambda arg: eu_of_f_at(census, table(), arg)),
+        ("eu_x_at_", lambda arg: solve_bdk(base).eu_at(arg)),
+        ("B_at_", lambda arg: brasselet(census, arg, eu_weight(census))),
+        ("eu_f_at_", lambda arg: eu_of_f_at(census, arg)),
         ("lambda_at_", lambda arg: lambda_infinity(census, arg)),
-        ("binf_at_", lambda arg: brasselet_infinity(census, arg, eu_weight(census, table()))),
+        ("binf_at_", lambda arg: brasselet_infinity(census, arg, eu_weight(census))),
         ("defect_at_", lambda arg: local_fiber_defect(census, arg)),
     ):
         if key.startswith(prefix) and len(key) > len(prefix):
@@ -200,14 +196,14 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
                 checked_row(
                     "bdk_point_formula",
                     f"at={sid}",
-                    lambda: check_bdk_point_formula(base, solve_bdk(base), sid).sides,
+                    lambda: check_bdk_point_formula(base, sid).sides,
                 )
             )
 
     alphas: list[tuple[str, object]] = [("1", None)]
     if base.equidimensional:
         try:
-            alphas.append(("Eu", eu_weight(census, solve_bdk(base))))
+            alphas.append(("Eu", eu_weight(census)))
         except SKIPPABLE_ERRORS:
             pass
     values = list(census.special_values)
@@ -238,7 +234,7 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
         if polar.alpha is not None:
             lines.append(
                 checked_row(
-                    "stv_global_eu", "", lambda: stv_global_eu(census, solve_bdk(base), polar).sides
+                    "stv_global_eu", "", lambda: stv_global_eu(census, polar).sides
                 )
             )
         for a in values + [GENERIC]:
@@ -248,7 +244,7 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
                     f"a={a}",
                     lambda: (
                         brasselet_from_polar(census, polar, a),
-                        brasselet(census, a, eu_weight(census, solve_bdk(base))),
+                        brasselet(census, a, eu_weight(census)),
                     ),
                 )
             )
@@ -259,7 +255,7 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
                     f"a={a}",
                     lambda: (
                         infinity_from_polar(census, polar, a),
-                        brasselet_infinity(census, a, eu_weight(census, solve_bdk(base))),
+                        brasselet_infinity(census, a, eu_weight(census)),
                     ),
                 )
             )

@@ -107,8 +107,7 @@ def _cmd_compute(args) -> int:
         print(table.value_matrix().pretty())
         return 0
     if what == "eu-global":
-        table = solve_bdk(census.base)
-        print(f"Eu(X) = {global_euler_obstruction(census.base, table)}")
+        print(f"Eu(X) = {global_euler_obstruction(census.base)}")
         return 0
     if what == "detect-irregular":
         for label in detect_irregular_values(census):
@@ -119,15 +118,13 @@ def _cmd_compute(args) -> int:
         return 2
     at = _resolved_label(bundle, args.at)
     if what == "brasselet":
-        table = solve_bdk(census.base)
-        print(f"B({at}) = {brasselet(census, at, eu_weight(census, table))}")
+        print(f"B({at}) = {brasselet(census, at, eu_weight(census))}")
         return 0
     if what == "lambda":
         print(f"lambda({at}) = {lambda_infinity(census, at)}")
         return 0
     if what == "binf":
-        table = solve_bdk(census.base)
-        print(f"Binf({at}) = {brasselet_infinity(census, at, eu_weight(census, table))}")
+        print(f"Binf({at}) = {brasselet_infinity(census, at, eu_weight(census))}")
         return 0
     raise AssertionError(f"unhandled --what {what!r}")
 
@@ -136,7 +133,7 @@ def _cmd_solve(args) -> int:
     bundle = load_file(args.census)
     alpha = None
     if args.alpha == "eu":
-        alpha = eu_weight(bundle.census, solve_bdk(bundle.census.base))
+        alpha = eu_weight(bundle.census)
     fiber = None
     if args.at is not None and args.at in bundle.fiber_censuses:
         fiber = bundle.fiber_censuses[args.at]

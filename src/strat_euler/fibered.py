@@ -37,15 +37,9 @@ from .errors import (
     PointNotInClosure,
     SchemaError,
     UnknownCriticalPoint,
-    UnknownStratum,
     UnknownValueLabel,
 )
-from .obstruction import (
-    EulerObstructionTable,
-    eu_function_of_space,
-    global_euler_obstruction,
-    solve_bdk,
-)
+from .obstruction import eu_function_of_space, global_euler_obstruction
 from .records import field, record, replace
 from .reports import CheckLine, row_detail
 from .strata import (
@@ -214,10 +208,7 @@ def brasselet(
     census.require_label(at)
     if alpha is None:
         alpha = indicator_of_space(census.base)
-    known = census.base.solved.index
-    for k in alpha.coeffs:
-        if k not in known:
-            raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
+    census.base.solved.require_known(alpha)
     # only the support of alpha contributes
     total = 0
     missing = set()
@@ -237,15 +228,15 @@ def brasselet(
     return total
 
 
-def eu_weight(census: FiberedCensus, table: EulerObstructionTable) -> StratumConstructibleFunction:
+def eu_weight(census: FiberedCensus) -> StratumConstructibleFunction:
     """The obstruction of the space as an integration weight."""
-    return eu_function_of_space(census.base, table)
+    return eu_function_of_space(census.base)
 
 
-def eu_of_f_at(census: FiberedCensus, table: EulerObstructionTable, at: str) -> int:
+def eu_of_f_at(census: FiberedCensus, at: str) -> int:
     """Global obstruction of the function at a value: the defect between the
     obstruction of the space and the Brasselet number of the fiber."""
-    w = eu_weight(census, table)
+    w = eu_weight(census)
     return chi_global(census.base, w) - brasselet(census, at, w)
 
 
@@ -434,7 +425,7 @@ def _prop_brasselet_vs_fiber_eu(census, a, w, counts, fiber) -> tuple[int, int]:
     ]
     if missing:
         raise InsufficientData(missing)
-    rhs = global_euler_obstruction(fiber, solve_bdk(fiber))
+    rhs = global_euler_obstruction(fiber)
     for q in census.points_at(a):
         # w is the obstruction of the space
         ambient = w.value(q.stratum)
@@ -574,7 +565,7 @@ def check_identity(
     if entry.counts:
         counts = _milnor_totals(census) if use_milnor else _morse_totals(census)
     if entry.weight == "Eu":
-        w = eu_weight(census, solve_bdk(census.base))
+        w = eu_weight(census)
     elif entry.weight == "alpha" and alpha is not None:
         w = alpha
     else:

@@ -11,9 +11,9 @@ The system is solved once per census, row by row: ``census.solved`` (see
 :class:`strata.SolvedCensus`) back-substitutes every coefficient row over
 its stratum's up-set and sums those rows into value rows.  Restricted to
 the closure of one stratum the system is a principal block, so each
-closure's column is read from the same rows, and the full table is those
-rows laid out densely, built on first request and then shared by every
-caller.
+closure's column is read from the same rows.  Every invariant here reads
+that solved view.  :func:`solve_bdk` lays its value rows out as a dense
+table, which serves only the printed ``eu-table`` and the tests.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -62,18 +62,14 @@ def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
 
 @record
 class EulerObstructionTable:
-    """Solved obstruction data for one census.
+    """The solved obstruction values of one census, laid out densely.
 
-    ``order`` is the (dim, id) linear extension.  ``coefficients`` expresses
-    each closure's obstruction function in the closure-indicator basis:
-    column j holds the coefficients of the function attached to the closure
-    of ``order[j]``.  ``values`` tabulates those functions on open strata:
-    ``values[k][j]`` is the obstruction of the closure of ``order[j]``
-    evaluated at points of ``order[k]``, zero off the closure.
+    ``order`` is the (dim, id) linear extension.  ``values[k][j]`` is the
+    obstruction of the closure of ``order[j]`` evaluated at points of
+    ``order[k]``, zero off the closure.
     """
 
     order: tuple[str, ...]
-    coefficients: tuple[tuple[int, ...], ...]
     values: tuple[tuple[int, ...], ...]
 
     @cached_property
@@ -100,83 +96,62 @@ class EulerObstructionTable:
             {s: self.values[k][j] for k, s in enumerate(self.order) if self.values[k][j]}
         )
 
-    def coefficient_matrix(self) -> LabeledMatrix:
-        return LabeledMatrix(self.order, self.coefficients)
-
     def value_matrix(self) -> LabeledMatrix:
         return LabeledMatrix(self.order, self.values)
 
 
 def solve_bdk(census: StratifiedCensus) -> EulerObstructionTable:
-    """Solve the defining triangular system for all closures at once.
+    """The value rows of ``census.solved`` laid out as one dense table.
 
-    Inverts the eta-against-closures matrix over the integers; column j of
-    the inverse gives the obstruction function of closure j in the closure
-    basis.  Values on open strata follow by summing coefficients over the
-    up-set, since a closure indicator is 1 on its whole down-set.  The
-    table is solved once per census and shared; any absent link of the
-    matrix raises MissingLinkEntry, the first one in row-major order.
+    Column j holds the obstruction of closure j on open strata.  The table
+    is built once per census and shared; any absent link of the matrix
+    raises MissingLinkEntry, the first one in row-major order.
     """
     solved = census.solved
     if solved.table is None:
         solved.require_links()
-        coeffs, values = solved.rows
-        n = len(solved.order)
-        solved.table = EulerObstructionTable(
-            order=solved.order,
-            coefficients=_dense(coeffs, n),
-            values=_dense(values, n),
-        )
+        columns = range(len(solved.order))
+        values = tuple(tuple(row.get(j, 0) for j in columns) for row in solved.rows[1])
+        solved.table = EulerObstructionTable(order=solved.order, values=values)
     return solved.table
 
 
-def _dense(rows: list[dict[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for sparse in rows:
-        row = [0] * n
-        for j, v in sparse.items():
-            row[j] = v
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def eu_function_of_space(
-    census: StratifiedCensus, table: EulerObstructionTable
-) -> StratumConstructibleFunction:
+def eu_function_of_space(census: StratifiedCensus) -> StratumConstructibleFunction:
     """The obstruction of the whole space as a constructible function.
 
-    Needs the census declared equidimensional: only then is the space the
-    closure of its regular part, which is the top column of the table.
+    Needs every link of the census, then the census declared
+    equidimensional: only then is the space the closure of its regular part.
     """
+    solved = census.solved
+    solved.require_links()
     if not census.equidimensional:
         raise NotEquidimensional(
             f"census {census.name!r} is not declared equidimensional"
         )
-    return table.eu_function(census.regular_part().id)
+    return solved.eu_function(census.regular_part().id)
 
 
-def global_euler_obstruction(census: StratifiedCensus, table: EulerObstructionTable) -> int:
+def global_euler_obstruction(census: StratifiedCensus) -> int:
     """Euler characteristic of the space weighted by its obstruction."""
-    return chi_global(census, eu_function_of_space(census, table))
+    return chi_global(census, eu_function_of_space(census))
 
 
-def check_bdk_point_formula(
-    census: StratifiedCensus, table: EulerObstructionTable, point_stratum: str
-) -> CheckLine:
+def check_bdk_point_formula(census: StratifiedCensus, point_stratum: str) -> CheckLine:
     """At a point stratum: the obstructions of all incident closures, paired
     against eta of the constant function 1, must sum to 1.
 
-    This is an algebraic identity of the solved table (see the module
+    This is an algebraic identity of the solved rows (see the module
     docstring), kept as a tripwire for solver regressions.
     """
+    solved = census.solved
+    solved.require_links()
     s = census.poset.stratum(point_stratum)
     if s.dim != 0:
         raise NotAPointStratum(f"{point_stratum!r} has dimension {s.dim}")
-    solved = census.solved
     one = solved.weight(indicator_of_space(census))
-    # only the closures containing the point, itself and its up-set, are
-    # nonzero there
+    # the value row of the point is keyed by the closures containing it,
+    # itself and its up-set; every other closure is zero there
     i = solved.index[point_stratum]
-    row = table.values[i]
+    row = solved.rows[1][i]
     rhs = sum(row[k] * one.eta(solved.order[k]) for k in (i, *solved.above[i]))
     return CheckLine.compare("bdk_point_formula", 1, rhs, f"at={point_stratum}")

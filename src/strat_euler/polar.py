@@ -27,7 +27,7 @@ from .fibered import (
     eu_weight,
     resolve_value_label,
 )
-from .obstruction import EulerObstructionTable, global_euler_obstruction, solve_bdk
+from .obstruction import global_euler_obstruction
 from .records import record
 from .reports import CheckLine
 
@@ -109,17 +109,17 @@ def infinity_from_polar(census: FiberedCensus, polar: PolarData, at: str) -> int
     return total
 
 
-def stv_global_eu(
-    census: FiberedCensus, table: EulerObstructionTable, polar: PolarData
-) -> CheckLine:
+def stv_global_eu(census: FiberedCensus, polar: PolarData) -> CheckLine:
     """Alternating sum of generic-linear polar counts against the global
-    obstruction of the space."""
+    obstruction of the space.  Every link of the census is needed first,
+    ahead of the polar data."""
+    census.base.solved.require_links()
     d = census.base.top_dim()
     polar.validate(d)
     if polar.alpha is None:
         raise MissingPolarData("no generic-linear polar counts (alpha) declared")
     lhs = sum((-1 if i % 2 else 1) * polar.alpha[i] for i in range(d + 1))
-    rhs = global_euler_obstruction(census.base, table)
+    rhs = global_euler_obstruction(census.base)
     return CheckLine.compare("stv_global_eu", lhs, rhs)
 
 
@@ -140,13 +140,9 @@ def hyperplane_step(
     census.require_label(at)
     d = census.base.top_dim()
     polar.validate(d)
-    table = solve_bdk(census.base)
-    lhs = brasselet(census, at, eu_weight(census, table))
-    slice_table = solve_bdk(slice_census.base)
+    lhs = brasselet(census, at, eu_weight(census))
     lhs -= brasselet(
-        slice_census,
-        resolve_value_label(slice_census, at),
-        eu_weight(slice_census, slice_table),
+        slice_census, resolve_value_label(slice_census, at), eu_weight(slice_census)
     )
     gamma = polar.gamma_at(at)
     if not gamma:

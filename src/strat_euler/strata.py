@@ -26,9 +26,11 @@ the eta-against-closures matrix is upper unitriangular, so one row-wise
 back-substitution from the top of the order solves it whole, each row
 sparse over its stratum's up-set.  Its restriction to the closure of a
 stratum is a principal block, so the obstruction column of every closure
-is read from those rows, never from a re-solved sub-census.
-:func:`restrict_to_closure` builds the sub-census explicitly and stays as
-the independent route the tests compare against.
+is read from those rows, never from a re-solved sub-census.  Every
+invariant reads this one view; the dense table that
+``obstruction.solve_bdk`` lays out from it serves only the printed
+``eu-table``.  :func:`restrict_to_closure` builds the sub-census
+explicitly and stays as the independent route the tests compare against.
 """
 
 from __future__ import annotations
@@ -297,20 +299,13 @@ def indicator_of_space(census: StratifiedCensus) -> StratumConstructibleFunction
     return StratumConstructibleFunction({i: 1 for i in census.poset.ids()})
 
 
-def _check_alpha(census: StratifiedCensus, alpha: StratumConstructibleFunction) -> None:
-    known = set(census.poset.ids())
-    for k in alpha.coeffs:
-        if k not in known:
-            raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
-
-
 def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) -> int:
     """Euler characteristic of the space weighted by alpha.
 
     Additivity of chi_c over the strata makes this a plain weighted sum of
     the per-stratum Euler characteristics.
     """
-    _check_alpha(census, alpha)
+    census.solved.require_known(alpha)
     missing = []
     total = 0
     for s in census.poset.strata:
@@ -386,8 +381,8 @@ class SolvedCensus:
     the block is a principal one, so it is what re-solving the census of
     that closure would give.  Everything is computed on first use: a column
     first scans its block in row-major order and raises the MissingLinkEntry
-    that solving the restricted census would raise, and the full table
-    needs every block.
+    that solving the restricted census would raise, and the readers of the
+    whole space first ask for every link through :meth:`require_links`.
     """
 
     def __init__(self, census: StratifiedCensus):
@@ -400,7 +395,7 @@ class SolvedCensus:
         self._weights: dict[frozenset, SolvedWeight] = {}
         self._last_weight: tuple[object, SolvedWeight | None] = (None, None)
         self._eu_functions: dict[int, StratumConstructibleFunction] = {}
-        # the EulerObstructionTable, filled in by obstruction.solve_bdk
+        # the dense EulerObstructionTable, laid out by obstruction.solve_bdk
         self.table = None
 
     @cached_property
@@ -456,15 +451,20 @@ class SolvedCensus:
             if block is None or k in block:
                 raise MissingLinkEntry(self.order[i], self.order[k])
 
+    def require_known(self, alpha: StratumConstructibleFunction) -> None:
+        """Raise for the first coefficient of alpha on a stratum the census
+        does not have."""
+        for k in alpha.coeffs:
+            if k not in self.index:
+                raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
+
     def weight(self, alpha: StratumConstructibleFunction) -> SolvedWeight:
         """The solved weight of alpha, shared by every equal function."""
         # an identity row passes one weight object once per stratum
         last, w = self._last_weight
         if alpha is last:
             return w
-        for k in alpha.coeffs:
-            if k not in self.index:
-                raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
+        self.require_known(alpha)
         key = frozenset((k, v) for k, v in alpha.coeffs.items() if v)
         w = self._weights.get(key)
         if w is None:

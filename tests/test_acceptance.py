@@ -107,9 +107,8 @@ def test_criterion_04_smooth_spaces():
         census = bundle.census.base
         if len(census.poset.ids()) != 1:
             continue
-        table = solve_bdk(census)
         one = indicator_of_space(census)
-        ok = ok and global_euler_obstruction(census, table) == chi_global(census, one)
+        ok = ok and global_euler_obstruction(census) == chi_global(census, one)
         checked.append(bundle.name)
     report(
         "criterion 4: smooth censuses have obstruction equal to chi",
@@ -142,7 +141,7 @@ def test_criterion_06_corrections_at_infinity():
     ok = total_lambda_infinity(census) == -1
     ok = ok and lambda_infinity(census, "0") == -1
     ok = ok and detect_irregular_values(census) == ["0"]
-    w = eu_weight(census, solve_bdk(census.base))
+    w = eu_weight(census)
     for alpha in (None, w):
         r = check_identity(census, "prop_any_value", at="0", alpha=alpha)
         ok = ok and r.ok
@@ -159,7 +158,7 @@ def test_criterion_07_global_decompositions():
         census = bundle.census
         base = census.base
         rng = random.Random(hash(bundle.name) & 0xFFFF)
-        weights = [None, eu_weight(census, solve_bdk(base))]
+        weights = [None, eu_weight(census)]
         for _ in range(3):
             weights.append(
                 StratumConstructibleFunction(
@@ -186,15 +185,14 @@ def test_criterion_08_polar_cross_checks():
     ok = True
     for name in ("node-linear", "cusp-linear", "triple-point-linear"):
         bundle = load_entry(name)
-        table = solve_bdk(bundle.census.base)
-        r = stv_global_eu(bundle.census, table, bundle.polar)
-        ok = ok and r.ok and r.rhs == global_euler_obstruction(bundle.census.base, table)
+        r = stv_global_eu(bundle.census, bundle.polar)
+        ok = ok and r.ok and r.rhs == global_euler_obstruction(bundle.census.base)
     matched = 0
     for bundle in all_bundles():
         if bundle.polar is None:
             continue
         census = bundle.census
-        w = eu_weight(census, solve_bdk(census.base))
+        w = eu_weight(census)
         for label in census.special_values + (GENERIC,):
             if label not in bundle.polar.gamma:
                 continue

@@ -29,7 +29,6 @@ from strat_euler import (
     local_fiber_defect,
     resolve_value_label,
     restrict_fibered,
-    solve_bdk,
     solve_unknown,
     total_brasselet_infinity,
     total_lambda_infinity,
@@ -64,7 +63,7 @@ def test_resolve_value_label_falls_back_to_generic():
 
 def test_brasselet_golden_values():
     node = fibered("node-linear")
-    w = eu_weight(node, solve_bdk(node.base))
+    w = eu_weight(node)
     assert brasselet(node, "0", w) == 2
     assert brasselet(node, GENERIC, w) == 2
     assert brasselet(node, "0") == 1
@@ -82,18 +81,16 @@ def test_brasselet_reports_missing_fiber_entries():
 
 def test_eu_of_f_at_golden_values():
     cusp = fibered("cusp-linear")
-    table = solve_bdk(cusp.base)
-    assert eu_of_f_at(cusp, table, GENERIC) == -1
-    assert eu_of_f_at(cusp, table, "0") == -1
-    assert eu_of_f_at(cusp, table, "v1") == 0
+    assert eu_of_f_at(cusp, GENERIC) == -1
+    assert eu_of_f_at(cusp, "0") == -1
+    assert eu_of_f_at(cusp, "v1") == 0
 
 
 def test_infinity_corrections_on_the_plane_family():
     census = fibered("broughton")
     assert lambda_infinity(census, "0") == -1
     assert total_lambda_infinity(census) == -1
-    table = solve_bdk(census.base)
-    assert total_brasselet_infinity(census, eu_weight(census, table)) == -1
+    assert total_brasselet_infinity(census, eu_weight(census)) == -1
 
 
 def test_detect_irregular_values():
@@ -145,7 +142,7 @@ def test_all_identities_verify_on_the_cusp():
 
 def test_missing_fiber_slots_are_named_in_declared_order():
     census = load_document(json.loads((DATA / "wide-n21.json").read_text())).census
-    w = eu_weight(census, solve_bdk(census.base))
+    w = eu_weight(census)
     with pytest.raises(InsufficientData) as exc:
         brasselet(replace(census, fiber_chi={}), "0", w)
     # the order the census declares its strata in (P2 before P10), not the

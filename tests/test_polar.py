@@ -12,7 +12,6 @@ from strat_euler import (
     infinity_from_polar,
     list_entries,
     load_entry,
-    solve_bdk,
     stv_global_eu,
     global_euler_obstruction,
 )
@@ -35,7 +34,7 @@ def test_polar_brasselet_matches_fiber_brasselet_everywhere():
         if bundle.polar is None:
             continue
         census = bundle.census
-        w = eu_weight(census, solve_bdk(census.base))
+        w = eu_weight(census)
         for label in census.special_values + (GENERIC,):
             if label not in bundle.polar.gamma:
                 continue
@@ -50,7 +49,7 @@ def test_polar_infinity_matches_census_infinity():
         if bundle.polar is None:
             continue
         census = bundle.census
-        w = eu_weight(census, solve_bdk(census.base))
+        w = eu_weight(census)
         for label in census.special_values:
             if label not in bundle.polar.gamma:
                 continue
@@ -63,26 +62,24 @@ def test_generic_slice_counts_recover_the_global_obstruction():
     for name in ("node-linear", "cusp-linear", "triple-point-linear"):
         bundle = load_entry(name)
         census = bundle.census
-        table = solve_bdk(census.base)
-        report = stv_global_eu(census, table, bundle.polar)
+        report = stv_global_eu(census, bundle.polar)
         assert report.ok
-        assert report.rhs == global_euler_obstruction(census.base, table)
+        assert report.rhs == global_euler_obstruction(census.base)
 
 
 def test_stv_needs_generic_linear_counts():
     bundle = load_entry("node-linear")
     census = bundle.census
-    table = solve_bdk(census.base)
     stripped = PolarData(gamma=bundle.polar.gamma, alpha=None)
     with pytest.raises(MissingPolarData):
-        stv_global_eu(census, table, stripped)
+        stv_global_eu(census, stripped)
 
 
 def test_wrong_polar_count_is_detected():
     bundle = load_entry("zk-3")
     census = bundle.census
     bad = PolarData(gamma={**bundle.polar.gamma, "0": (1,)}, alpha=bundle.polar.alpha)
-    w = eu_weight(census, solve_bdk(census.base))
+    w = eu_weight(census)
     assert brasselet_from_polar(census, bad, "0") != brasselet(census, "0", w)
     assert infinity_from_polar(census, bad, "0") != brasselet_infinity(census, "0", w)
 

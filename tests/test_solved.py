@@ -22,6 +22,7 @@ from hypothesis import given
 from strat_euler import (
     GENERIC,
     AmbientObstructionMismatch,
+    EulerObstructionTable,
     FiberedCensus,
     InsufficientData,
     LinkTable,
@@ -117,7 +118,8 @@ def assert_table_is_dense_inverse(census):
     table = solve_bdk(census)
     order, coeff, values = dense_values(census)
     assert table.order == order
-    assert [list(r) for r in table.coefficients] == coeff
+    columns = range(len(order))
+    assert [[row.get(j, 0) for j in columns] for row in census.solved.rows[0]] == coeff
     assert [list(r) for r in table.values] == values
 
 
@@ -147,8 +149,7 @@ def assert_columns_match_restriction(census):
     for sid in base.poset.ids():
         column = base.solved.eu_function(sid)
         sub = restrict_fibered(census, sid)
-        sub_table = solve_bdk(sub.base)
-        sub_weight = eu_weight(sub, sub_table)
+        sub_weight = eu_weight(sub)
         assert column == sub_weight
         order, _coeff, values = dense_values(sub.base)
         top = order.index(sid)
@@ -203,7 +204,7 @@ def test_columns_with_dropped_links_match_the_restricted_route(seed, levels, wid
     for sid in base.poset.ids():
         sub = restrict_fibered(census, sid)
         try:
-            want = eu_weight(sub, solve_bdk(sub.base))
+            want = eu_weight(sub)
         except MissingLinkEntry as exc:
             with pytest.raises(MissingLinkEntry) as got:
                 base.solved.eu_function(sid)
@@ -274,7 +275,7 @@ def assert_point_formula_from_scratch(census):
             for j in census.poset.ids()
         )
         assert total == 1
-        report = check_bdk_point_formula(census, solve_bdk(census), p)
+        report = check_bdk_point_formula(census, p)
         assert (report.lhs, report.rhs) == (1, total)
 
 
@@ -390,3 +391,97 @@ def test_ambient_obstruction_mismatch_is_a_failed_row(tmp_path):
     assert (exc.value.point, exc.value.declared, exc.value.implied) == ("q0", 99, 4)
     rows = [l for l in standard_check_lines(bundle) if l.status == "FAIL"]
     assert len(rows) == 21
+
+
+# --- the obstruction routes with absent links, recorded from the table ---
+
+
+def faulted_doc(spec):
+    """A fixture or ``tests/data`` census with some links dropped, and the
+    equidimensional flag or the polar block replaced where ``spec`` says."""
+    if spec["file"].startswith("wide"):
+        doc = json.loads((DATA / spec["file"]).read_text())
+    else:
+        doc = json.loads(json.dumps(load_entry(spec["file"][: -len(".json")]).raw))
+    drop = [tuple(p) for p in spec.get("drop", [])]
+    doc["links"] = [l for l in doc["links"] if (l["at"], l["in_closure"]) not in drop]
+    for key in ("equidimensional", "polar"):
+        if key in spec:
+            doc[key] = spec[key]
+    return doc
+
+
+def missing_link_calls():
+    return json.loads((DATA / "missing_link_calls.json").read_text())
+
+
+def call_id(case):
+    spec = case["census"]
+    drop = ";".join(f"{a}<{b}" for a, b in spec.get("drop", [])) or "none"
+    eq = "" if spec.get("equidimensional", True) else ",loose"
+    polar = ",polar" if "polar" in spec else ""
+    hyper = ",hyperplane" if "hyperplane" in case else ""
+    return f"{' '.join(case['argv'])}:{spec['file']}:{drop}{eq}{polar}{hyper}"
+
+
+@pytest.mark.parametrize("case", missing_link_calls(), ids=call_id)
+def test_obstruction_routes_with_absent_links_match_the_recorded_output(case, tmp_path):
+    """``compute eu-global|brasselet|binf``, ``solve --alpha eu`` and
+    ``check`` (malformed polar lists, ``--hyperplane`` with an absent link
+    on either side) on censuses with an absent link, most of them also not
+    declared equidimensional: stdout, stderr and the exit code, line for
+    line, as the code that solved the dense table first printed them."""
+    argv = []
+    for arg in case["argv"]:
+        if arg in ("{census}", "{hyperplane}"):
+            key = arg[1:-1]
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(faulted_doc(case[key])))
+            arg = str(path)
+        argv.append(arg)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert out.getvalue().splitlines() == case["stdout"]
+    assert err.getvalue().splitlines() == case["stderr"]
+    assert code == case["exit"]
+
+
+# --- only the printed table builds the dense table ------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["check", "{wide}"], 0),
+        (["check", "{cusp}", "--hyperplane", "{slice}"], 0),
+        (["compute", "{wide}", "--what", "eu-global"], 0),
+        (["compute", "{wide}", "--what", "brasselet", "--at", "0"], 0),
+        (["compute", "{wide}", "--what", "binf", "--at", "0"], 0),
+        (["solve", "{gap}", "--identity", "cor_constructible",
+          "--unknown", "fiber_chi.S.generic", "--alpha", "eu"], 0),
+        (["compute", "{wide}", "--what", "eu-table"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_only_eu_table_builds_the_dense_table(argv, tables, tmp_path, monkeypatch, capsys):
+    wide = json.loads((DATA / "wide-n21.json").read_text())
+    gap = json.loads(json.dumps(wide))
+    del gap["fibration"]["fiber_chi"]["S"]["generic"]
+    paths = {"wide": DATA / "wide-n21.json", "gap": tmp_path / "gap.json"}
+    paths["gap"].write_text(json.dumps(gap))
+    for name, entry in (("cusp", "cusp-linear"), ("slice", "broughton-slice")):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(load_entry(entry).raw))
+    built = []
+    init = EulerObstructionTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EulerObstructionTable, "__init__", counting)
+    code = main([str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv])
+    assert code in (0, 1)
+    assert capsys.readouterr().out
+    assert len(built) == tables
