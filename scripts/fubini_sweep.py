@@ -20,19 +20,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500, help="maps to test")
     parser.add_argument("--seed", type=int, default=164201)
-    parser.add_argument("--max-vertices", type=int, default=8)
-    parser.add_argument("--max-generators", type=int, default=4)
-    parser.add_argument(
-        "--target-pool", type=int, default=4, help="size of the target vertex pool"
-    )
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     started = time.perf_counter()
     for index in range(args.count):
-        fmap, weights = random_weighted_map(
-            rng, args.max_vertices, args.max_generators, args.target_pool
-        )
+        fmap, weights = random_weighted_map(rng)
         lhs, rhs = check_fubini(fmap, weights)
         if lhs != rhs:
             print(f"MISMATCH at map {index} (seed {args.seed}): LHS={lhs} RHS={rhs}")

@@ -87,7 +87,6 @@ _EXPORTS = {
         "total_lambda_infinity",
     ),
     "obstruction": (
-        "EulerObstructionTable",
         "check_bdk_point_formula",
         "eu_function_of_space",
         "global_euler_obstruction",

@@ -104,7 +104,7 @@ def _cmd_compute(args) -> int:
     if what == "eu-table":
         table = solve_bdk(census.base)
         print("local obstruction values (rows: strata, columns: stratum closures)")
-        print(table.value_matrix().pretty())
+        print(table.pretty())
         return 0
     if what == "eu-global":
         print(f"Eu(X) = {global_euler_obstruction(census.base)}")

@@ -13,7 +13,9 @@ its stratum's up-set and sums those rows into value rows.  Restricted to
 the closure of one stratum the system is a principal block, so each
 closure's column is read from the same rows.  Every invariant here reads
 that solved view.  :func:`solve_bdk` lays its value rows out as a dense
-table, which serves only the printed ``eu-table`` and the tests.
+:class:`strata.LabeledMatrix`, built afresh on each call and not cached;
+it serves only the printed ``eu-table``, the ``eu_x_at_`` catalog key and
+the tests.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -23,10 +25,7 @@ failure can only mean a bug, never interesting geometry.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .errors import NotAPointStratum, NotEquidimensional, UnknownStratum
-from .records import record
+from .errors import NotAPointStratum, NotEquidimensional
 from .reports import CheckLine
 from .strata import (
     LabeledMatrix,
@@ -60,60 +59,20 @@ def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
     return inv
 
 
-@record
-class EulerObstructionTable:
-    """The solved obstruction values of one census, laid out densely.
+def solve_bdk(census: StratifiedCensus) -> LabeledMatrix:
+    """The value rows of ``census.solved`` laid out as one dense matrix.
 
-    ``order`` is the (dim, id) linear extension.  ``values[k][j]`` is the
-    obstruction of the closure of ``order[j]`` evaluated at points of
-    ``order[k]``, zero off the closure.
-    """
-
-    order: tuple[str, ...]
-    values: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.order)}
-
-    def _idx(self, stratum_id: str) -> int:
-        try:
-            return self._positions[stratum_id]
-        except KeyError:
-            raise UnknownStratum(f"no stratum {stratum_id!r} in the table") from None
-
-    def eu_closure(self, at: str, closure_of: str) -> int:
-        """Obstruction of one closed stratum closure at points of a stratum."""
-        return self.values[self._idx(at)][self._idx(closure_of)]
-
-    def eu_at(self, at: str) -> int:
-        """Obstruction of the whole space at points of a stratum (top column)."""
-        return self.values[self._idx(at)][len(self.order) - 1]
-
-    def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
-        j = self._idx(closure_of)
-        return StratumConstructibleFunction(
-            {s: self.values[k][j] for k, s in enumerate(self.order) if self.values[k][j]}
-        )
-
-    def value_matrix(self) -> LabeledMatrix:
-        return LabeledMatrix(self.order, self.values)
-
-
-def solve_bdk(census: StratifiedCensus) -> EulerObstructionTable:
-    """The value rows of ``census.solved`` laid out as one dense table.
-
-    Column j holds the obstruction of closure j on open strata.  The table
-    is built once per census and shared; any absent link of the matrix
-    raises MissingLinkEntry, the first one in row-major order.
+    Column j holds the obstruction of closure j on open strata.  Any absent
+    link of the matrix raises MissingLinkEntry, the first one in row-major
+    order.  The matrix is not cached: only the printed ``eu-table`` and the
+    ``eu_x_at_`` catalog key ask for it.
     """
     solved = census.solved
-    if solved.table is None:
-        solved.require_links()
-        columns = range(len(solved.order))
-        values = tuple(tuple(row.get(j, 0) for j in columns) for row in solved.rows[1])
-        solved.table = EulerObstructionTable(order=solved.order, values=values)
-    return solved.table
+    solved.require_links()
+    columns = range(len(solved.order))
+    return LabeledMatrix(
+        solved.order, tuple(tuple(row.get(j, 0) for j in columns) for row in solved.rows[1])
+    )
 
 
 def eu_function_of_space(census: StratifiedCensus) -> StratumConstructibleFunction:

@@ -67,11 +67,13 @@ class PolarData:
 
 def _alternating_gamma(seq: Sequence[int], top_dim: int) -> int:
     # sum over i=1..d of (-1)^(d-i) times the entry on the (i-1)-fold slice
-    total = 0
-    for i in range(1, top_dim + 1):
-        sign = -1 if (top_dim - i) % 2 else 1
-        total += sign * seq[i - 1]
-    return total
+    return sum((-1) ** (top_dim - i) * seq[i - 1] for i in range(1, top_dim + 1))
+
+
+def _local_terms(census: FiberedCensus, at: str) -> int:
+    # the local obstructions of the function at the critical points over a value
+    top = census.base.regular_part().id
+    return sum(eu_of_function_local(census, q.id, top) for q in census.points_at(at))
 
 
 def brasselet_from_polar(census: FiberedCensus, polar: PolarData, at: str) -> int:
@@ -84,11 +86,7 @@ def brasselet_from_polar(census: FiberedCensus, polar: PolarData, at: str) -> in
     census.require_label(at)
     d = census.base.top_dim()
     polar.validate(d)
-    total = _alternating_gamma(polar.gamma_at(at), d)
-    top = census.base.regular_part().id
-    for q in census.points_at(at):
-        total += eu_of_function_local(census, q.id, top)
-    return total
+    return _alternating_gamma(polar.gamma_at(at), d) + _local_terms(census, at)
 
 
 def infinity_from_polar(census: FiberedCensus, polar: PolarData, at: str) -> int:
@@ -100,13 +98,8 @@ def infinity_from_polar(census: FiberedCensus, polar: PolarData, at: str) -> int
     census.require_label(at)
     d = census.base.top_dim()
     polar.validate(d)
-    generic = polar.gamma_at(GENERIC)
-    special = polar.gamma_at(at)
-    total = 0
-    for i in range(1, d + 1):
-        sign = -1 if (d - i) % 2 else 1
-        total += sign * (generic[i - 1] - special[i - 1])
-    return total
+    generic = _alternating_gamma(polar.gamma_at(GENERIC), d)
+    return generic - _alternating_gamma(polar.gamma_at(at), d)
 
 
 def stv_global_eu(census: FiberedCensus, polar: PolarData) -> CheckLine:
@@ -148,8 +141,5 @@ def hyperplane_step(
     if not gamma:
         raise MissingPolarData(f"no ambient polar entry at {at!r} (dimension 0)")
     sign = -1 if (d - 1) % 2 else 1
-    rhs = sign * gamma[0]
-    top = census.base.regular_part().id
-    for q in census.points_at(at):
-        rhs += eu_of_function_local(census, q.id, top)
+    rhs = sign * gamma[0] + _local_terms(census, at)
     return CheckLine.compare("hyperplane_step", lhs, rhs, f"a={at}")

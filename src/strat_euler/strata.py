@@ -27,10 +27,11 @@ back-substitution from the top of the order solves it whole, each row
 sparse over its stratum's up-set.  Its restriction to the closure of a
 stratum is a principal block, so the obstruction column of every closure
 is read from those rows, never from a re-solved sub-census.  Every
-invariant reads this one view; the dense table that
-``obstruction.solve_bdk`` lays out from it serves only the printed
-``eu-table``.  :func:`restrict_to_closure` builds the sub-census
-explicitly and stays as the independent route the tests compare against.
+invariant reads this one view; the dense :class:`LabeledMatrix` that
+``obstruction.solve_bdk`` lays out from it is not cached and serves only
+the printed ``eu-table`` and the ``eu_x_at_`` catalog key.
+:func:`restrict_to_closure` builds the sub-census explicitly and stays as
+the independent route the tests compare against.
 """
 
 from __future__ import annotations
@@ -295,8 +296,8 @@ class StratumConstructibleFunction:
 
 
 def indicator_of_space(census: StratifiedCensus) -> StratumConstructibleFunction:
-    """The constant function 1 on the whole space."""
-    return StratumConstructibleFunction({i: 1 for i in census.poset.ids()})
+    """The constant function 1 on the whole space, one object per census."""
+    return census.solved.one
 
 
 def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) -> int:
@@ -392,11 +393,13 @@ class SolvedCensus:
         self.index: dict[str, int] = poset._index
         self.below: tuple[tuple[int, ...], ...] = poset._below
         self.above: tuple[tuple[int, ...], ...] = poset._above
-        self._weights: dict[frozenset, SolvedWeight] = {}
-        self._last_weight: tuple[object, SolvedWeight | None] = (None, None)
+        self._weights: dict[int, tuple[StratumConstructibleFunction, SolvedWeight]] = {}
         self._eu_functions: dict[int, StratumConstructibleFunction] = {}
-        # the dense EulerObstructionTable, laid out by obstruction.solve_bdk
-        self.table = None
+
+    @cached_property
+    def one(self) -> StratumConstructibleFunction:
+        """The constant function 1 on the whole space."""
+        return StratumConstructibleFunction({i: 1 for i in self.census.poset.ids()})
 
     @cached_property
     def _missing(self) -> tuple[tuple[int, int], ...]:
@@ -459,18 +462,16 @@ class SolvedCensus:
                 raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
 
     def weight(self, alpha: StratumConstructibleFunction) -> SolvedWeight:
-        """The solved weight of alpha, shared by every equal function."""
-        # an identity row passes one weight object once per stratum
-        last, w = self._last_weight
-        if alpha is last:
-            return w
-        self.require_known(alpha)
-        key = frozenset((k, v) for k, v in alpha.coeffs.items() if v)
-        w = self._weights.get(key)
-        if w is None:
-            w = self._weights[key] = SolvedWeight(self, alpha)
-        self._last_weight = (alpha, w)
-        return w
+        """The solved weight of alpha, keyed by ``id(alpha)``: the weights
+        the package passes around (:attr:`one`, the columns of
+        :meth:`eu_function`) are one object each per census.  The entry
+        keeps alpha, so its id is not reused; an equal but distinct function
+        gets its own, equal, weight.  Alpha's strata are checked once."""
+        hit = self._weights.get(id(alpha))
+        if hit is None:
+            self.require_known(alpha)
+            hit = self._weights[id(alpha)] = (alpha, SolvedWeight(self, alpha))
+        return hit[1]
 
     def column(self, j: int) -> dict[int, int]:
         """Values on open strata of the obstruction of the closure of
@@ -503,9 +504,13 @@ class LabeledMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def entry(self, row_label: str, col_label: str) -> int:
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return self.rows[i][j]
+        return self.rows[self._position(row_label)][self._position(col_label)]
+
+    def _position(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise UnknownStratum(f"no stratum {label!r} in the table") from None
 
     def pretty(self) -> str:
         width = max(

@@ -73,10 +73,10 @@ def test_curve_singularity_golden_values():
     ):
         census = census_of(name)
         table = solve_bdk(census)
-        assert table.eu_at("V1") == expected, name
-        assert table.eu_at("V2") == 1, name
-        assert table.eu_closure("V2", "V2") == 1
-        assert table.eu_closure("V2", "V1") == 0
+        assert table.entry("V1", table.labels[-1]) == expected, name
+        assert table.entry("V2", table.labels[-1]) == 1, name
+        assert table.entry("V2", "V2") == 1
+        assert table.entry("V2", "V1") == 0
 
 
 def test_global_obstruction_golden_values():
@@ -105,7 +105,7 @@ def test_smooth_census_obstruction_equals_chi():
 def test_delta_identity_defines_the_table(census):
     table = solve_bdk(census)
     for j in census.poset.ids():
-        col = table.eu_function(j)
+        col = StratumConstructibleFunction({k: table.entry(k, j) for k in table.labels})
         for at in census.poset.ids():
             want = 1 if at == j else 0
             assert eta(census, at, col) == want
@@ -139,7 +139,7 @@ def assert_locality(census):
         small_table = solve_bdk(small)
         for at in small.poset.ids():
             for j in small.poset.ids():
-                assert small_table.eu_closure(at, j) == table.eu_closure(at, j)
+                assert small_table.entry(at, j) == table.entry(at, j)
 
 
 def test_solve_respects_closure_restriction_on_catalog():
@@ -155,13 +155,13 @@ def test_solve_respects_closure_restriction_randomized(census):
 def test_table_matrices_are_labeled():
     census = census_of("cusp-linear")
     table = solve_bdk(census)
-    assert table.value_matrix().entry("V1", "V2") == 2
+    assert table.entry("V1", "V2") == 2
     coefficients = [
-        tuple(row.get(j, 0) for j in range(len(table.order)))
+        tuple(row.get(j, 0) for j in range(len(table.labels)))
         for row in census.solved.rows[0]
     ]
-    assert LabeledMatrix(table.order, tuple(coefficients)).entry("V1", "V1") == 1
-    assert "V2" in table.value_matrix().pretty()
+    assert LabeledMatrix(table.labels, tuple(coefficients)).entry("V1", "V1") == 1
+    assert "V2" in table.pretty()
 
 
 def test_seeded_random_unitriangular_sweep():

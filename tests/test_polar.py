@@ -28,6 +28,31 @@ def test_polar_data_validates_lengths():
         polar.gamma_at("0")
 
 
+def test_every_polar_route_checks_the_list_lengths():
+    # library callers build PolarData by hand, without the loader's check
+    ambient = load_entry("broughton")
+    census, polar = ambient.census, ambient.polar
+    slice_census = load_entry("broughton-slice").census
+    d = census.base.top_dim()
+    long_gamma = PolarData(
+        gamma={k: v + (0,) for k, v in polar.gamma.items()}, alpha=polar.alpha
+    )
+    short_alpha = PolarData(gamma=polar.gamma, alpha=polar.alpha[:-1])
+    gamma_text = f"gamma list for {GENERIC!r} has length {d + 1}, expected the complex dimension {d}"
+    alpha_text = f"alpha list has length {d}, expected {d + 1}"
+    routes = (
+        lambda bad: brasselet_from_polar(census, bad, "0"),
+        lambda bad: infinity_from_polar(census, bad, "0"),
+        lambda bad: stv_global_eu(census, bad),
+        lambda bad: hyperplane_step(census, bad, slice_census, "0"),
+    )
+    for route in routes:
+        for bad, text in ((long_gamma, gamma_text), (short_alpha, alpha_text)):
+            with pytest.raises(ValueError) as exc:
+                route(bad)
+            assert str(exc.value) == text
+
+
 def test_polar_brasselet_matches_fiber_brasselet_everywhere():
     for name in list_entries():
         bundle = load_entry(name)

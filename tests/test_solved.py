@@ -22,15 +22,16 @@ from hypothesis import given
 from strat_euler import (
     GENERIC,
     AmbientObstructionMismatch,
-    EulerObstructionTable,
     FiberedCensus,
     InsufficientData,
+    LabeledMatrix,
     LinkTable,
     MissingLinkEntry,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
+    UnknownStratum,
     brasselet,
     brasselet_infinity,
     check_bdk_point_formula,
@@ -50,6 +51,7 @@ from strat_euler import (
     standard_check_lines,
     total_brasselet_infinity,
 )
+from strat_euler.catalog import evaluate_expected_key
 from strat_euler.cli import main
 from strat_euler.records import replace
 from strat_euler.strata import _eta_entry
@@ -117,10 +119,10 @@ def layered_census(seed, levels, width):
 def assert_table_is_dense_inverse(census):
     table = solve_bdk(census)
     order, coeff, values = dense_values(census)
-    assert table.order == order
+    assert table.labels == order
     columns = range(len(order))
     assert [[row.get(j, 0) for j in columns] for row in census.solved.rows[0]] == coeff
-    assert [list(r) for r in table.values] == values
+    assert [list(r) for r in table.rows] == values
 
 
 def test_table_is_the_dense_inverse_on_the_catalog():
@@ -301,26 +303,48 @@ def test_a_replaced_census_is_solved_afresh():
     base = load_entry("cusp-linear").census.base
     table = solve_bdk(base)
     assert base.solved is base.solved
-    assert solve_bdk(base) is table
+    assert solve_bdk(base) == table
 
     relinked = replace(base, links=LinkTable({("V1", "V2"): 3}))
     assert relinked.solved is not base.solved
-    assert solve_bdk(relinked).values != table.values
-    assert solve_bdk(relinked).values == tuple(
+    assert solve_bdk(relinked).rows != table.rows
+    assert solve_bdk(relinked).rows == tuple(
         tuple(r) for r in dense_values(relinked)[2]
     )
 
     unlinked = replace(
         base, poset=StratumPoset(base.poset.strata, frozenset()), links=LinkTable({})
     )
-    assert solve_bdk(unlinked).values != table.values
-    assert solve_bdk(unlinked).values == tuple(
+    assert solve_bdk(unlinked).rows != table.rows
+    assert solve_bdk(unlinked).rows == tuple(
         tuple(r) for r in dense_values(unlinked)[2]
     )
 
     one = indicator_of_space(base)
     assert eta(relinked, "V1", one) == scratch_eta(relinked, "V1", one)
     assert eta(relinked, "V1", one) != eta(base, "V1", one)
+
+
+def test_the_constant_weight_is_one_object_per_census():
+    base = load_entry("cusp-linear").census.base
+    one = indicator_of_space(base)
+    assert indicator_of_space(base) is one
+    relinked = replace(base, links=LinkTable({("V1", "V2"): 3}))
+    assert indicator_of_space(relinked) is not one
+    assert indicator_of_space(relinked) == one
+    assert base.solved.weight(one) is base.solved.weight(one)
+
+    wide = load_document(json.loads((DATA / "wide-n21.json").read_text())).census.base
+    one = indicator_of_space(wide)
+    twin = StratumConstructibleFunction(dict(one.coeffs))
+    assert twin is not one
+    for sid in wide.poset.ids():
+        assert eta(wide, sid, twin) == eta(wide, sid, one) == scratch_eta(wide, sid, one)
+
+    stray = StratumConstructibleFunction({"V1": 1, "nope": 0})
+    for _ in range(2):  # a refused function is not remembered
+        with pytest.raises(UnknownStratum):
+            base.solved.weight(stray)
 
 
 # --- check output with absent links, recorded before the solved view -----
@@ -431,6 +455,10 @@ def test_obstruction_routes_with_absent_links_match_the_recorded_output(case, tm
     on either side) on censuses with an absent link, most of them also not
     declared equidimensional: stdout, stderr and the exit code, line for
     line, as the code that solved the dense table first printed them."""
+    assert_recorded_call(case, tmp_path)
+
+
+def assert_recorded_call(case, tmp_path):
     argv = []
     for arg in case["argv"]:
         if arg in ("{census}", "{hyperplane}"):
@@ -445,6 +473,40 @@ def test_obstruction_routes_with_absent_links_match_the_recorded_output(case, tm
     assert out.getvalue().splitlines() == case["stdout"]
     assert err.getvalue().splitlines() == case["stderr"]
     assert code == case["exit"]
+
+
+# --- the dense table, recorded from the EulerObstructionTable class -------
+
+
+def eu_table_outputs():
+    return json.loads((DATA / "eu_table_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", eu_table_outputs()["calls"], ids=call_id)
+def test_eu_table_matches_the_recorded_output(case, tmp_path):
+    """``compute --what eu-table`` on every fixture and the n=21 wide census,
+    each as shipped and with the equidimensional flag flipped, and on
+    censuses with absent links: stdout, stderr and the exit code."""
+    assert_recorded_call(case, tmp_path)
+
+
+def key_id(case):
+    spec = case["census"]
+    drop = ";".join(f"{a}<{b}" for a, b in spec.get("drop", [])) or "none"
+    return f"{case['key']}:{spec['file']}:{drop}"
+
+
+@pytest.mark.parametrize("case", eu_table_outputs()["keys"], ids=key_id)
+def test_eu_x_at_key_matches_the_recorded_value(case):
+    """``eu_x_at_<s>`` for every stratum and an unknown one: the value, or
+    the error class and text (an absent link wins over an unknown id)."""
+    bundle = load_document(faulted_doc(case["census"]))
+    if "error" in case:
+        with pytest.raises(Exception) as exc:
+            evaluate_expected_key(bundle, case["key"])
+        assert (type(exc.value).__name__, str(exc.value)) == (case["error"], case["message"])
+    else:
+        assert evaluate_expected_key(bundle, case["key"]) == case["value"]
 
 
 # --- only the printed table builds the dense table ------------------------
@@ -474,13 +536,13 @@ def test_only_eu_table_builds_the_dense_table(argv, tables, tmp_path, monkeypatc
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(load_entry(entry).raw))
     built = []
-    init = EulerObstructionTable.__init__
+    init = LabeledMatrix.__init__
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(EulerObstructionTable, "__init__", counting)
+    monkeypatch.setattr(LabeledMatrix, "__init__", counting)
     code = main([str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv])
     assert code in (0, 1)
     assert capsys.readouterr().out
