@@ -28,6 +28,7 @@ from .errors import (
     MissingPolarData,
     NotEquidimensional,
     UnknownEntry,
+    UnknownStratum,
 )
 from .fibered import (
     GENERIC,
@@ -43,7 +44,7 @@ from .fibered import (
     total_brasselet_infinity,
     total_lambda_infinity,
 )
-from .obstruction import check_bdk_point_formula, global_euler_obstruction, solve_bdk
+from .obstruction import check_bdk_point_formula, global_euler_obstruction
 from .polar import brasselet_from_polar, infinity_from_polar, stv_global_eu
 from .records import record
 from .reports import CheckLine, row_detail
@@ -80,10 +81,14 @@ def load_entry(name: str) -> CensusBundle:
 
 
 def _eu_of_space_at(census: StratifiedCensus, stratum_id: str) -> int:
-    # the last closure in (dim, id) order, read off the dense matrix, so an
-    # absent link anywhere raises ahead of an unknown id
-    table = solve_bdk(census)
-    return table.entry(stratum_id, table.labels[-1])
+    # the column of the last closure in (dim, id) order, zero off its
+    # down-set; an absent link anywhere raises ahead of an unknown id
+    solved = census.solved
+    solved.require_links()
+    column = solved.eu_function(solved.order[-1])
+    if stratum_id not in solved.index:
+        raise UnknownStratum(f"no stratum {stratum_id!r} in the table")
+    return column.value(stratum_id)
 
 
 def evaluate_expected_key(bundle: CensusBundle, key: str):

@@ -20,31 +20,42 @@ from .records import field, record
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
 
+def _mistyped(obj: Any, kind: type, path: str, what: str) -> SchemaError:
+    got = "a boolean" if kind is int and isinstance(obj, bool) else type(obj).__name__
+    return SchemaError(path, f"expected {what}, got {got}")
+
+
+def _bad_ident(obj: Any, path: str, what: str) -> SchemaError:
+    # the error for a value that is not a nonempty, dot-free string
+    if not isinstance(obj, str):
+        return _mistyped(obj, str, path, what)
+    if not obj:
+        return SchemaError(path, f"{what} must be nonempty")
+    # dots are reserved by the dotted field paths of solve_unknown
+    return SchemaError(path, f"{what} must not contain '.'")
+
+
 def _expect(obj: Any, kind: type, path: str, what: str) -> Any:
-    if kind is int and isinstance(obj, bool):
-        raise SchemaError(path, f"expected {what}, got a boolean")
-    if not isinstance(obj, kind):
-        raise SchemaError(path, f"expected {what}, got {type(obj).__name__}")
-    return obj
+    if isinstance(obj, kind) and not (kind is int and isinstance(obj, bool)):
+        return obj
+    raise _mistyped(obj, kind, path, what)
 
 
 def _ident(obj: Any, path: str, what: str) -> str:
-    s = _expect(obj, str, path, what)
-    if not s:
-        raise SchemaError(path, f"{what} must be nonempty")
-    if "." in s:
-        # dots are reserved by the dotted field paths of solve_unknown
-        raise SchemaError(path, f"{what} must not contain '.'")
-    return s
+    if isinstance(obj, str) and obj and "." not in obj:
+        return obj
+    raise _bad_ident(obj, path, what)
 
 
 def _int_map(obj: Any, path: str, what: str) -> dict[str, int]:
+    # per entry, the path is formatted only when the entry is refused
     _expect(obj, dict, path, "an object")
-    out = {}
     for k, v in obj.items():
-        key = _ident(k, f"{path}.{k}", what)
-        out[key] = _expect(v, int, f"{path}.{k}", "an integer")
-    return out
+        if not (isinstance(k, str) and k and "." not in k):
+            raise _bad_ident(k, f"{path}.{k}", what)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise _mistyped(v, int, f"{path}.{k}", "an integer")
+    return dict(obj)
 
 
 def _census_from_json(obj: Any, path: str, default_name: str) -> StratifiedCensus:
@@ -52,46 +63,58 @@ def _census_from_json(obj: Any, path: str, default_name: str) -> StratifiedCensu
     name = obj.get("name", default_name)
     _expect(name, str, f"{path}.name", "a string")
 
+    # the per-entry loops check inline and format a path only to raise
     raw_strata = _expect(obj.get("strata"), list, f"{path}.strata", "a list")
     strata = []
     for i, s in enumerate(raw_strata):
-        where = f"{path}.strata[{i}]"
-        _expect(s, dict, where, "an object")
-        sid = _ident(s.get("id"), f"{where}.id", "a stratum id")
-        dim = _expect(s.get("dim"), int, f"{where}.dim", "an integer")
+        if not isinstance(s, dict):
+            raise _mistyped(s, dict, f"{path}.strata[{i}]", "an object")
+        sid, dim, chi = s.get("id"), s.get("dim"), s.get("chi")
+        if not (isinstance(sid, str) and sid and "." not in sid):
+            raise _bad_ident(sid, f"{path}.strata[{i}].id", "a stratum id")
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise _mistyped(dim, int, f"{path}.strata[{i}].dim", "an integer")
         if dim < 0:
-            raise SchemaError(f"{where}.dim", "dimension must be nonnegative")
-        chi = s.get("chi")
-        if chi is not None:
-            chi = _expect(chi, int, f"{where}.chi", "an integer")
+            raise SchemaError(f"{path}.strata[{i}].dim", "dimension must be nonnegative")
+        if chi is not None and (not isinstance(chi, int) or isinstance(chi, bool)):
+            raise _mistyped(chi, int, f"{path}.strata[{i}].chi", "an integer")
         flag = s.get("regular_part", False)
-        _expect(flag, bool, f"{where}.regular_part", "a boolean")
-        strata.append(Stratum(id=sid, dim=dim, chi=chi, is_regular_part=flag))
+        if not isinstance(flag, bool):
+            raise _mistyped(flag, bool, f"{path}.strata[{i}].regular_part", "a boolean")
+        strata.append(Stratum(sid, dim, chi, flag))
 
     raw_order = obj.get("order", [])
     _expect(raw_order, list, f"{path}.order", "a list")
     pairs = set()
     for i, pair in enumerate(raw_order):
-        where = f"{path}.order[{i}]"
-        _expect(pair, list, where, "a two-element list")
+        if not isinstance(pair, list):
+            raise _mistyped(pair, list, f"{path}.order[{i}]", "a two-element list")
         if len(pair) != 2:
-            raise SchemaError(where, "expected exactly two stratum ids")
-        a = _ident(pair[0], f"{where}[0]", "a stratum id")
-        b = _ident(pair[1], f"{where}[1]", "a stratum id")
+            raise SchemaError(f"{path}.order[{i}]", "expected exactly two stratum ids")
+        a, b = pair
+        if not (isinstance(a, str) and a and "." not in a):
+            raise _bad_ident(a, f"{path}.order[{i}][0]", "a stratum id")
+        if not (isinstance(b, str) and b and "." not in b):
+            raise _bad_ident(b, f"{path}.order[{i}][1]", "a stratum id")
         pairs.add((a, b))
 
     raw_links = obj.get("links", [])
     _expect(raw_links, list, f"{path}.links", "a list")
     entries = {}
     for i, entry in enumerate(raw_links):
-        where = f"{path}.links[{i}]"
-        _expect(entry, dict, where, "an object")
-        low = _ident(entry.get("at"), f"{where}.at", "a stratum id")
-        up = _ident(entry.get("in_closure"), f"{where}.in_closure", "a stratum id")
-        chi = _expect(entry.get("chi"), int, f"{where}.chi", "an integer")
-        if (low, up) in entries:
-            raise SchemaError(where, f"duplicate link entry for ({low!r}, {up!r})")
-        entries[(low, up)] = chi
+        if not isinstance(entry, dict):
+            raise _mistyped(entry, dict, f"{path}.links[{i}]", "an object")
+        low, up, chi = entry.get("at"), entry.get("in_closure"), entry.get("chi")
+        if not (isinstance(low, str) and low and "." not in low):
+            raise _bad_ident(low, f"{path}.links[{i}].at", "a stratum id")
+        if not (isinstance(up, str) and up and "." not in up):
+            raise _bad_ident(up, f"{path}.links[{i}].in_closure", "a stratum id")
+        if not isinstance(chi, int) or isinstance(chi, bool):
+            raise _mistyped(chi, int, f"{path}.links[{i}].chi", "an integer")
+        key = (low, up)
+        if key in entries:
+            raise SchemaError(f"{path}.links[{i}]", f"duplicate link entry for ({low!r}, {up!r})")
+        entries[key] = chi
 
     flag = obj.get("equidimensional", False)
     _expect(flag, bool, f"{path}.equidimensional", "a boolean")

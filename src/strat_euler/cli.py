@@ -149,7 +149,11 @@ def _cmd_solve(args) -> int:
     print(f"{result.field} = {result.value}")
     if args.emit_completed is not None:
         completed = apply_field_to_raw(bundle.raw, result.field, result.value)
-        Path(args.emit_completed).write_text(json.dumps(completed, indent=2) + "\n")
+        try:
+            Path(args.emit_completed).write_text(json.dumps(completed, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.emit_completed}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote completed census to {args.emit_completed}")
     return 0
 

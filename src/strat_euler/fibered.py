@@ -403,8 +403,9 @@ def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]
     def sides(census, a, w, counts, fiber) -> tuple[int, int]:
         base = census.base
         lhs = integral(census, a, w)
+        solved = base.solved.solve_whole()
         rhs = sum(
-            integral(census, a, base.solved.eu_function(sid)) * eta(base, sid, w)
+            integral(census, a, solved.eu_function(sid)) * eta(base, sid, w)
             for sid in base.poset.ids()
         )
         return lhs, rhs

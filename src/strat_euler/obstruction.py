@@ -7,15 +7,17 @@ increase along the frontier order, so in any (dim, id) linear extension the
 system is upper unitriangular over the integers and back-substitution solves
 it exactly, with no rational arithmetic and no growth surprises.
 
-The system is solved once per census, row by row: ``census.solved`` (see
-:class:`strata.SolvedCensus`) back-substitutes every coefficient row over
-its stratum's up-set and sums those rows into value rows.  Restricted to
-the closure of one stratum the system is a principal block, so each
-closure's column is read from the same rows.  Every invariant here reads
-that solved view.  :func:`solve_bdk` lays its value rows out as a dense
-:class:`strata.LabeledMatrix`, built afresh on each call and not cached;
-it serves only the printed ``eu-table``, the ``eu_x_at_`` catalog key and
-the tests.
+Every invariant here reads the solved view ``census.solved`` (see
+:class:`strata.SolvedCensus`).  Restricted to the closure of one stratum
+the system is a principal block, so one closure's column is solved alone
+over its down-set: the obstruction of the space, and with it the global
+obstruction, costs the relations of the census, not the whole table.
+Readers of the whole table (:func:`solve_bdk`, the point formula, and the
+closure sums of ``check``) solve it once, row by row, each coefficient row
+over its stratum's up-set, summed into value rows.  :func:`solve_bdk` lays
+those value rows out as a dense :class:`strata.LabeledMatrix`, built
+afresh on each call and not cached; it serves only the printed
+``eu-table`` and the tests.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -64,8 +66,8 @@ def solve_bdk(census: StratifiedCensus) -> LabeledMatrix:
 
     Column j holds the obstruction of closure j on open strata.  Any absent
     link of the matrix raises MissingLinkEntry, the first one in row-major
-    order.  The matrix is not cached: only the printed ``eu-table`` and the
-    ``eu_x_at_`` catalog key ask for it.
+    order.  The matrix is not cached: only the printed ``eu-table`` asks
+    for it.
     """
     solved = census.solved
     solved.require_links()
@@ -80,6 +82,8 @@ def eu_function_of_space(census: StratifiedCensus) -> StratumConstructibleFuncti
 
     Needs every link of the census, then the census declared
     equidimensional: only then is the space the closure of its regular part.
+    It is one column, the regular part's: the whole table is never solved
+    for it.
     """
     solved = census.solved
     solved.require_links()

@@ -22,16 +22,17 @@ Conventions
   along the frontier order, so this is always a valid linear extension.
 
 Each census is solved once.  ``census.solved`` is a :class:`SolvedCensus`:
-the eta-against-closures matrix is upper unitriangular, so one row-wise
-back-substitution from the top of the order solves it whole, each row
-sparse over its stratum's up-set.  Its restriction to the closure of a
-stratum is a principal block, so the obstruction column of every closure
-is read from those rows, never from a re-solved sub-census.  Every
-invariant reads this one view; the dense :class:`LabeledMatrix` that
-``obstruction.solve_bdk`` lays out from it is not cached and serves only
-the printed ``eu-table`` and the ``eu_x_at_`` catalog key.
-:func:`restrict_to_closure` builds the sub-census explicitly and stays as
-the independent route the tests compare against.
+the eta-against-closures matrix is upper unitriangular, and its restriction
+to the closure of a stratum is a principal block.  So the obstruction
+column of one closure is back-substituted alone over that closure's
+down-set, never from a re-solved sub-census, and a reader of every closure
+solves the whole matrix once instead, row by row from the top of the
+order, each row sparse over its stratum's up-set.  Every invariant reads
+this one view; the dense :class:`LabeledMatrix` that
+``obstruction.solve_bdk`` lays out from the rows is not cached and serves
+only the printed ``eu-table``.  :func:`restrict_to_closure` builds the
+sub-census explicitly and stays as the independent route the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -65,25 +66,11 @@ class Stratum:
 
 
 def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> dict[str, set[str]]:
-    # each id -> the ids strictly below it, through any chain of pairs
+    # each id -> the ids strictly below it, through any chain of pairs,
+    # composed to a fixpoint so that cycles close too
     below: dict[str, set[str]] = {i: set() for i in ids}
-    position = {sid: k for k, sid in enumerate(ids)}
-    forward = True
     for a, b in pairs:
         below[b].add(a)
-        if position[a] >= position[b]:
-            forward = False
-    if forward:
-        # as every valid order does in (dim, id) order: each down-set is
-        # closed before any stratum above it reads it, so one pass closes all
-        for b in ids:
-            extra = set()
-            for a in below[b]:
-                extra |= below[a]
-            below[b] |= extra
-        return below
-    # otherwise iterate to a fixpoint, so cycle and dimension errors name
-    # what the full closure holds
     changed = True
     while changed:
         changed = False
@@ -95,6 +82,26 @@ def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> dict[str
                 below[b] |= extra
                 changed = True
     return below
+
+
+def _order_error(
+    order: tuple[str, ...], dims: list[int], pairs: frozenset[tuple[str, str]]
+) -> ValueError:
+    # some pair does not raise dimension: close the pairs to a fixpoint and
+    # name the first cycle, else the first pair of the closure that does not
+    # raise dimension, in row-major (dim, id) order
+    closed = _transitive_closure(list(order), set(pairs))
+    for sid in order:
+        if sid in closed[sid]:
+            return ValueError(f"order relation has a cycle through {sid!r}")
+    index = {sid: i for i, sid in enumerate(order)}
+    i, k = min(
+        (index[a], index[b]) for b in order for a in closed[b] if dims[index[a]] >= dims[index[b]]
+    )
+    return ValueError(
+        f"frontier order must raise dimension: {order[i]!r} (dim {dims[i]}) "
+        f"< {order[k]!r} (dim {dims[k]})"
+    )
 
 
 @record
@@ -122,27 +129,25 @@ class StratumPoset:
         # ascending index tuples into it
         order = tuple(s.id for s in sorted(self.strata, key=lambda s: (s.dim, s.id)))
         index = {sid: i for i, sid in enumerate(order)}
-        closed = _transitive_closure(list(order), set(self.relations))
-        for sid in order:
-            if sid in closed[sid]:
-                raise ValueError(f"order relation has a cycle through {sid!r}")
-        below = tuple(tuple(sorted(index[a] for a in closed[b])) for b in order)
-        above: list[list[int]] = [[] for _ in order]
-        for k, down in enumerate(below):
-            for i in down:
-                above[i].append(k)
         dims = [by_id[sid].dim for sid in order]
-        for i, up in enumerate(above):
-            for k in up:
-                if dims[i] >= dims[k]:
-                    a, b = order[i], order[k]
-                    raise ValueError(
-                        f"frontier order must raise dimension: {a!r} (dim {dims[i]}) "
-                        f"< {b!r} (dim {dims[k]})"
-                    )
-        object.__setattr__(
-            self, "relations", frozenset((a, b) for b in order for a in closed[b])
-        )
+        down: list[set[int]] = [set() for _ in order]
+        for a, b in self.relations:
+            down[index[b]].add(index[a])
+        if any(dims[i] >= dims[k] for k, gen in enumerate(down) for i in gen):
+            raise _order_error(order, dims, self.relations)
+        # every generating pair raises dimension, hence so does every pair of
+        # the closure, and each down-set is closed before any stratum above
+        # it reads it: one ascending pass closes them all
+        for gen in down:
+            for i in tuple(gen):
+                gen |= down[i]
+        below = tuple(tuple(sorted(gen)) for gen in down)
+        above: list[list[int]] = [[] for _ in order]
+        for k, lower in enumerate(below):
+            for i in lower:
+                above[i].append(k)
+        closure = [(order[i], b) for b, lower in zip(order, below) for i in lower]
+        object.__setattr__(self, "relations", frozenset(closure))
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_index", index)
@@ -236,8 +241,10 @@ class StratifiedCensus:
         flag the regular part is the unique maximal stratum of top dimension.
         """
         poset = self.poset
+        relations = poset.relations
         for (a, b) in self.links.entries:
-            if not poset.lt(a, b):
+            # lt names an unknown stratum before the pair is refused
+            if (a, b) not in relations and not poset.lt(a, b):
                 raise ValueError(f"link entry at ({a!r}, {b!r}) is not a strict order pair")
         flagged = [s for s in poset.strata if s.is_regular_part]
         if len(flagged) != 1:
@@ -371,19 +378,25 @@ class SolvedCensus:
     """A census solved once, read through ``StratifiedCensus.solved``.
 
     Rows and columns follow the (dim, id) linear extension ``order``.  The
-    obstruction system M C = I, with M the eta-against-closures matrix, is
-    back-substituted row by row from the top of the order: row i of C is
-    e_i plus (link - 1) times row k for each k strictly above i, so it is
-    sparse over the up-set of i.  An absent link is skipped, not raised:
-    the term it would contribute reaches only the columns whose closure
-    block contains that pair, and those columns are exactly the ones
-    :meth:`column` refuses.  The closure column of stratum j, the
-    obstruction of the closure of j, is column j of C on the down-set of j;
-    the block is a principal one, so it is what re-solving the census of
-    that closure would give.  Everything is computed on first use: a column
-    first scans its block in row-major order and raises the MissingLinkEntry
-    that solving the restricted census would raise, and the readers of the
-    whole space first ask for every link through :meth:`require_links`.
+    obstruction system M C = I, with M the eta-against-closures matrix,
+    gives entry (i, j) of C as delta_ij plus (link(i, k) - 1) times entry
+    (k, j) for each k strictly above i.  The closure column of stratum j,
+    the obstruction of the closure of j, is column j of C on the down-set
+    of j; the block is a principal one, so it is what re-solving the census
+    of that closure would give.
+
+    :meth:`column` solves one column alone, from j down over its down-set.
+    :attr:`rows` back-substitutes all of C row by row from the top of the
+    order, row i sparse over the up-set of i; it is what the whole table,
+    the point formula and the closure sums of ``check`` read, and once it
+    is solved every column is read from it.  There an absent link is
+    skipped, not raised: the term it would contribute reaches only the
+    columns whose closure block contains that pair, and those columns are
+    exactly the ones :meth:`column` refuses.  Everything is computed on
+    first use: a column first scans its block in row-major order and raises
+    the MissingLinkEntry that solving the restricted census would raise,
+    and the readers of the whole space first ask for every link through
+    :meth:`require_links`.
     """
 
     def __init__(self, census: StratifiedCensus):
@@ -476,11 +489,41 @@ class SolvedCensus:
     def column(self, j: int) -> dict[int, int]:
         """Values on open strata of the obstruction of the closure of
         ``order[j]``, keyed by index over its down-set in ascending order;
-        zero off it."""
+        zero off it.
+
+        Read from :attr:`rows` when the whole table is solved already;
+        otherwise solved alone over the down-set of j, from j down: the
+        coefficient of closure i is the sum of (link - 1) times the
+        coefficients above i, and the value at m adds the coefficients
+        of m and of its up-set.  That costs the relations of the block,
+        not the whole table."""
         down = self.below[j] + (j,)
         self.require_links(set(down))
-        values = self.rows[1]
-        return {m: values[m][j] for m in down}
+        if "rows" in self.__dict__:
+            values = self.rows[1]
+            return {m: values[m][j] for m in down}
+        order, above = self.order, self.above
+        links = self.census.links.entries
+        coeffs = {j: 1}
+        for i in reversed(self.below[j]):
+            at = order[i]
+            c = 0
+            for k in above[i]:
+                ck = coeffs.get(k)
+                if ck:
+                    c += (links[at, order[k]] - 1) * ck
+            if c:
+                coeffs[i] = c
+        return {
+            m: coeffs.get(m, 0) + sum(coeffs.get(k, 0) for k in above[m]) for m in down
+        }
+
+    def solve_whole(self) -> "SolvedCensus":
+        """Solve the whole table now, so every column asked for next is read
+        from :attr:`rows`: for a reader of every closure, one solve of the
+        table costs less than a solve per column."""
+        self.rows
+        return self
 
     def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
         """The obstruction of the closure of one stratum, as a function.

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from strat_euler import (
     load_file,
 )
 from strat_euler.catalog import _fixture_dir
+from strat_euler.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,3 +235,53 @@ def test_the_base_census_is_validated_once_per_load(monkeypatch):
     two_tops = StratifiedCensus("two tops", StratumPoset(strata, poset.relations), LinkTable({}))
     with pytest.raises(ValueError, match="regular-part"):
         FiberedCensus(base=two_tops).validate()
+
+
+# --- the loader's error text, recorded before the loader was rewritten ---
+
+
+def loader_error_cases():
+    return json.loads((DATA / "loader_errors.json").read_text())
+
+
+def edited(case):
+    """The case's base document (a fixture or a ``tests/data`` census) with
+    its edits applied in order: ``[path, value]`` sets, ``[path]`` deletes."""
+    if case["base"].endswith(".json"):
+        doc = json.loads((DATA / case["base"]).read_text())
+    else:
+        doc = copy.deepcopy(load_entry(case["base"]).raw)
+    for path, *value in case["edits"]:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value:
+            target[path[-1]] = value[0]
+        else:
+            del target[path[-1]]
+    return doc
+
+
+def loader_case_id(case):
+    edits = ";".join(
+        ".".join(map(str, path)) + (f"={value[0]!r}" if value else " deleted")
+        for path, *value in case["edits"]
+    )
+    return f"{case['base']}:{edits}"
+
+
+@pytest.mark.parametrize("case", loader_error_cases(), ids=loader_case_id)
+def test_malformed_documents_report_the_recorded_error(case, tmp_path):
+    """``check`` on a document with one or two malformed fields: every type,
+    boolean-for-integer, empty-id, dotted-id and missing-key site of the
+    census and fibration blocks, duplicate links, links on non-order pairs
+    or unknown strata, and the first of two offenders.  Stdout, stderr and
+    the exit code, line for line."""
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(edited(case)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    assert out.getvalue().splitlines() == case["stdout"]
+    assert err.getvalue().splitlines() == case["stderr"]
+    assert code == case["exit"]

@@ -133,6 +133,24 @@ def test_solve_round_trip_through_files(tmp_path, capsys):
     assert "0 failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["no-such-dir/x.json", "."])
+def test_solve_reports_an_unwritable_completed_file(tmp_path, target):
+    doc = json.loads(json.dumps(load_entry("zk-3").raw))
+    del doc["fibration"]["fiber_chi"]["V1"]["generic"]
+    hole = tmp_path / "hole.json"
+    hole.write_text(json.dumps(doc))
+    out = tmp_path / target
+    proc = run_cli(
+        "solve", str(hole), "--identity", "thm_generic_fiber",
+        "--unknown", "fiber_chi.V1.generic", "--emit-completed", str(out),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "fiber_chi.V1.generic = 3\n"
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_solve_structural_identity_exits_2(tmp_path, capsys):
     doc = json.loads(json.dumps(load_entry("zk-2").raw))
     del doc["fibration"]["fiber_chi"]["V1"]["generic"]

@@ -1,12 +1,13 @@
 """The solved view against routes that do not use it.
 
-``census.solved`` reads every closure's obstruction column from one solve,
-which makes ``bdk_global_1/2/3`` and ``bdk_point_formula`` nearly
-tautological in the package itself.  These tests keep independent oracles:
-the dense inverse of the eta matrix, the explicit sub-census of a closure
-solved on its own, eta written out from its definition, and ``check``
-output recorded from the implementation that restricted and re-solved the
-census for every closure.
+``census.solved`` reads every closure's obstruction column from one solve
+of the whole table, or solves one column alone, which makes
+``bdk_global_1/2/3`` and ``bdk_point_formula`` nearly tautological in the
+package itself.  These tests keep independent oracles: the dense inverse
+of the eta matrix, the explicit sub-census of a closure solved on its own,
+eta written out from its definition, and ``check`` output recorded from
+the implementation that restricted and re-solved the census for every
+closure.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import hashlib
 import io
 import json
 import random
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -54,7 +56,7 @@ from strat_euler import (
 from strat_euler.catalog import evaluate_expected_key
 from strat_euler.cli import main
 from strat_euler.records import replace
-from strat_euler.strata import _eta_entry
+from strat_euler.strata import SolvedCensus, _eta_entry
 
 from conftest import censuses, censuses_with_functions, fibered_censuses
 
@@ -140,6 +142,76 @@ def test_table_is_the_dense_inverse_on_larger_posets():
         assert_table_is_dense_inverse(layered_census(seed, levels, width))
     wide = load_document(json.loads((DATA / "wide-n21.json").read_text()))
     assert_table_is_dense_inverse(wide.census.base)
+
+
+# --- one column solved alone --------------------------------------------
+
+
+def fresh(census):
+    """The same census, unsolved: a new object, so nothing solved is shared."""
+    return replace(census, name=census.name)
+
+
+def assert_columns_solved_alone_match(census):
+    order, _coeff, values = dense_values(census)
+    for j in range(len(order)):
+        solved = fresh(census).solved
+        column = solved.column(j)
+        assert "rows" not in vars(solved)
+        down = set(census.poset.down_set(order[j]))
+        assert list(column) == sorted(k for k, s in enumerate(order) if s in down)
+        assert {k: values[k][j] for k in column} == column
+        assert all(values[k][j] == 0 for k in range(len(order)) if k not in column)
+        assert {k: solved.rows[1][k][j] for k in column} == column
+        assert solved.column(j) == column
+
+
+def layered_5x4():
+    return load_file(DATA / "layered-5x4.json").census.base
+
+
+def test_a_column_solved_alone_is_the_dense_column_on_the_catalog():
+    for census in catalog_fibered():
+        assert_columns_solved_alone_match(census.base)
+
+
+@given(censuses())
+def test_a_column_solved_alone_is_the_dense_column_randomized(census):
+    assert_columns_solved_alone_match(census)
+
+
+def test_a_column_solved_alone_is_the_dense_column_on_layered_censuses():
+    assert_columns_solved_alone_match(layered_5x4())
+    for seed, levels, width in ((1, 3, 4), (3, 6, 4), (4, 2, 12)):
+        assert_columns_solved_alone_match(layered_census(seed, levels, width))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_column_solved_alone_raises_what_the_table_route_raises(seed):
+    """Random links dropped: each column, solved alone or read from the
+    whole table, gives the same values or the same MissingLinkEntry."""
+    full = layered_5x4() if seed == 0 else layered_census(20 + seed, 4 + seed, 4)
+    rng = random.Random(seed)
+    drop = set(rng.sample(sorted(full.links.entries), 1 + seed))
+    base = replace(
+        full,
+        links=LinkTable({p: v for p, v in full.links.entries.items() if p not in drop}),
+    )
+    whole = fresh(base).solved.solve_whole()
+    raised = 0
+    for j in range(len(whole.order)):
+        alone = fresh(base).solved
+        try:
+            want = whole.column(j)
+        except MissingLinkEntry as exc:
+            with pytest.raises(MissingLinkEntry) as got:
+                alone.column(j)
+            assert got.value.pair == exc.pair
+            raised += 1
+        else:
+            assert alone.column(j) == want == full.solved.column(j)
+        assert "rows" not in vars(alone)
+    assert 0 < raised < len(whole.order)
 
 
 # --- closure columns against the restricted census -----------------------
@@ -547,3 +619,68 @@ def test_only_eu_table_builds_the_dense_table(argv, tables, tmp_path, monkeypatc
     assert code in (0, 1)
     assert capsys.readouterr().out
     assert len(built) == tables
+
+
+# --- one-column readers never solve the whole table ------------------------
+
+
+def blanked(doc, *path):
+    out = json.loads(json.dumps(doc))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["compute", "{layered}", "--what", "eu-global"], 0),
+        (["compute", "{layered}", "--what", "brasselet", "--at", "0"], 0),
+        (["compute", "{layered}", "--what", "binf", "--at", "0"], 0),
+        (["solve", "{fiber_gap}", "--identity", "cor_equi", "--unknown", "fiber_chi.T.generic"], 0),
+        (["solve", "{chi_gap}", "--identity", "cor_equi", "--unknown", "chi.T"], 0),
+        (["solve", "{fiber_gap}", "--identity", "cor_constructible",
+          "--unknown", "fiber_chi.T.generic", "--alpha", "eu"], 0),
+        (["compute", "{layered}", "--what", "eu-table"], 1),
+        (["check", "{layered}"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_one_column_readers_never_solve_the_whole_table(argv, solves, tmp_path, monkeypatch, capsys):
+    doc = json.loads((DATA / "layered-5x4.json").read_text())
+    paths = {"layered": DATA / "layered-5x4.json"}
+    for name, gap in (
+        ("fiber_gap", blanked(doc, "fibration", "fiber_chi", "T", "generic")),
+        ("chi_gap", blanked(doc, "strata", -1, "chi")),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(gap))
+    assert doc["strata"][-1]["id"] == "T"
+    solved = []
+    rows = SolvedCensus.rows
+
+    def counting(self):
+        solved.append(self)
+        return rows.func(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(SolvedCensus, "rows")
+    monkeypatch.setattr(SolvedCensus, "rows", counted)
+    code = main([str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv])
+    assert code in (0, 1)
+    assert capsys.readouterr().out
+    assert len(solved) == solves
+
+
+def test_the_eu_x_at_key_reads_one_column(monkeypatch):
+    bundle = load_file(DATA / "layered-5x4.json")
+    monkeypatch.setattr(
+        SolvedCensus, "rows", property(lambda self: pytest.fail("the whole table was solved"))
+    )
+    values = {
+        s: evaluate_expected_key(bundle, f"eu_x_at_{s}") for s in bundle.census.base.poset.ids()
+    }
+    order, _coeff, table = dense_values(bundle.census.base)
+    assert values == {s: table[k][-1] for k, s in enumerate(order)}
