@@ -9,9 +9,9 @@ and their corrections at infinity, all in exact integer arithmetic.  A
 verification harness cross-checks the identities tying these invariants
 together, on shipped catalog censuses and on user-supplied ones.
 
-The public names below are re-exported flat, and each is imported from its
-module on first access, so ``import strat_euler`` (and a command that needs
-only the census layer) compiles no module it does not use.
+The public names below are re-exported flat from the module that defines
+each, imported on first access: ``import strat_euler`` compiles no submodule,
+and each subcommand of the command line imports only the layers it runs.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ _EXPORTS = {
         "EntryReport",
         "ExpectedResult",
         "evaluate_expected_key",
-        "list_entries",
         "load_entry",
         "run_all",
         "run_entry",
@@ -31,6 +30,7 @@ _EXPORTS = {
         "validate_entry",
     ),
     "census_io": ("CensusBundle", "apply_field_to_raw", "load_document", "load_file"),
+    "documents": ("list_entries",),
     "errors": (
         "AmbientObstructionMismatch",
         "CensusError",
@@ -63,17 +63,21 @@ _EXPORTS = {
         "random_weighted_map",
     ),
     "fibered": (
-        "GENERIC",
         "IDENTITIES",
         "IDENTITY_NAMES",
         "STRUCTURAL_IDENTITIES",
-        "CriticalPoint",
-        "FiberedCensus",
         "FieldPath",
         "SolveResult",
+        "check_identity",
+        "restrict_fibered",
+        "solve_unknown",
+    ),
+    "fibration": (
+        "GENERIC",
+        "CriticalPoint",
+        "FiberedCensus",
         "brasselet",
         "brasselet_infinity",
-        "check_identity",
         "detect_irregular_values",
         "eu_of_f_at",
         "eu_of_function_local",
@@ -81,8 +85,6 @@ _EXPORTS = {
         "lambda_infinity",
         "local_fiber_defect",
         "resolve_value_label",
-        "restrict_fibered",
-        "solve_unknown",
         "total_brasselet_infinity",
         "total_lambda_infinity",
     ),
@@ -122,10 +124,7 @@ _EXPORTS = {
         "StratumConstructibleFunction",
         "StratumPoset",
         "chi_global",
-        "closure_coefficients",
         "eta",
-        "eta_closure_matrix",
-        "function_from_closure_coefficients",
         "indicator_of_space",
         "restrict_to_closure",
     ),

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 from itertools import product
-from pathlib import Path
 from typing import Callable
 
 from .census_io import CensusBundle, load_document
+from .documents import _fixture_dir, list_entries
 from .errors import (
     AmbientObstructionMismatch,
     InsufficientData,
@@ -30,12 +30,11 @@ from .errors import (
     UnknownEntry,
     UnknownStratum,
 )
-from .fibered import (
+from .fibered import IDENTITIES, check_identity
+from .fibration import (
     GENERIC,
-    IDENTITIES,
     brasselet,
     brasselet_infinity,
-    check_identity,
     detect_irregular_values,
     eu_of_f_at,
     eu_weight,
@@ -51,25 +50,10 @@ from .reports import CheckLine, row_detail
 from .strata import StratifiedCensus, chi_global, indicator_of_space
 
 
-def _fixture_dir() -> Path:
-    # the fixtures ship next to the modules (importlib.resources would load
-    # inspect on Python 3.12+)
-    return Path(__file__).with_name("fixtures")
-
-
-def list_entries() -> list[str]:
-    """Names of the shipped censuses, sorted."""
-    return sorted(
-        p.name[: -len(".json")]
-        for p in _fixture_dir().iterdir()
-        if p.name.endswith(".json")
-    )
-
-
 def load_entry(name: str) -> CensusBundle:
     path = _fixture_dir().joinpath(f"{name}.json")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError):
         raise UnknownEntry(
             f"no catalog entry {name!r}; available: {', '.join(list_entries())}"

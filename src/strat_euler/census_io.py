@@ -9,12 +9,12 @@ derivation notes (used by the catalog).  Schema violations raise
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
+from .documents import read_json
 from .errors import NotSolvable, SchemaError
-from .fibered import CriticalPoint, FiberedCensus, FieldPath
+from .fibration import CriticalPoint, FiberedCensus
 from .polar import PolarData
 from .records import field, record
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
@@ -297,23 +297,7 @@ def load_document(obj: Any, path: str = "$") -> CensusBundle:
 
 
 def load_file(path: str | Path) -> CensusBundle:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise SchemaError("$", f"cannot read {p}: {exc}") from exc
-    return load_document(parse_json(text))
-
-
-def parse_json(text: str):
-    """``json.loads``, with malformed and too deeply nested text both
-    reported as a SchemaError at the document root."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaError("$", "not valid JSON: nested too deeply") from None
+    return load_document(read_json(Path(path)))
 
 
 def apply_field_to_raw(raw: dict, fieldpath: str, value: int) -> dict:
@@ -322,6 +306,8 @@ def apply_field_to_raw(raw: dict, fieldpath: str, value: int) -> dict:
     Returns a deep-copied document with only that slot changed, so emitting
     a completed census never disturbs unrelated formatting or data.
     """
+    from .fibered import FieldPath
+
     try:
         path = FieldPath.parse(fieldpath)
     except NotSolvable:

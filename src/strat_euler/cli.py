@@ -11,27 +11,13 @@ STRAT_EULER_COLOR=0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
-from .census_io import CensusBundle, apply_field_to_raw, load_file, parse_json
-from .errors import CensusError, SchemaError
-from .fibered import (
-    brasselet,
-    brasselet_infinity,
-    detect_irregular_values,
-    eu_weight,
-    lambda_infinity,
-    resolve_value_label,
-    solve_unknown,
-)
-from .obstruction import global_euler_obstruction, solve_bdk
-from .reports import CheckLine
+from .errors import CensusError
 
-# catalog, euler_calculus, simplicial and the hyperplane step are imported by
-# the subcommands that run them, so compute and solve never compile them
+# each subcommand imports the layers it runs: `catalog list` and `fubini`
+# compile no census module, `compute` neither the identities nor the catalog
 
 
 def _use_color(stream) -> bool:
@@ -56,6 +42,7 @@ def _emit(line, stream) -> None:
 
 def _cmd_check(args) -> int:
     from .catalog import standard_check_lines
+    from .census_io import load_file
 
     bundle = load_file(args.census)
     lines = standard_check_lines(bundle)
@@ -69,9 +56,10 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _hyperplane_lines(bundle: CensusBundle, slice_bundle: CensusBundle) -> list[CheckLine]:
+def _hyperplane_lines(bundle, slice_bundle) -> list:
     from .catalog import checked_row
     from .polar import hyperplane_step
+    from .reports import CheckLine
 
     values = bundle.census.special_values
     if bundle.polar is None:
@@ -86,18 +74,18 @@ def _hyperplane_lines(bundle: CensusBundle, slice_bundle: CensusBundle) -> list[
     ]
 
 
-def _resolved_label(bundle: CensusBundle, label: str) -> str:
-    resolved = resolve_value_label(bundle.census, label)
-    if resolved != label:
-        print(
-            f"note: {label!r} is not a declared special value; "
-            "using the generic column",
-            file=sys.stderr,
-        )
-    return resolved
-
-
 def _cmd_compute(args) -> int:
+    from .census_io import load_file
+    from .fibration import (
+        brasselet,
+        brasselet_infinity,
+        detect_irregular_values,
+        eu_weight,
+        lambda_infinity,
+        resolve_value_label,
+    )
+    from .obstruction import global_euler_obstruction, solve_bdk
+
     bundle = load_file(args.census)
     census = bundle.census
     what = args.what
@@ -116,7 +104,12 @@ def _cmd_compute(args) -> int:
     if args.at is None:
         print(f"error: --what {what} needs --at", file=sys.stderr)
         return 2
-    at = _resolved_label(bundle, args.at)
+    at = resolve_value_label(census, args.at)
+    if at != args.at:
+        print(
+            f"note: {args.at!r} is not a declared special value; using the generic column",
+            file=sys.stderr,
+        )
     if what == "brasselet":
         print(f"B({at}) = {brasselet(census, at, eu_weight(census))}")
         return 0
@@ -130,6 +123,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .census_io import apply_field_to_raw, load_file
+    from .fibered import solve_unknown
+    from .fibration import eu_weight
+
     bundle = load_file(args.census)
     alpha = None
     if args.alpha == "eu":
@@ -148,6 +145,9 @@ def _cmd_solve(args) -> int:
     )
     print(f"{result.field} = {result.value}")
     if args.emit_completed is not None:
+        import json
+        from pathlib import Path
+
         completed = apply_field_to_raw(bundle.raw, result.field, result.value)
         try:
             Path(args.emit_completed).write_text(json.dumps(completed, indent=2) + "\n")
@@ -159,68 +159,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fubini(args) -> int:
-    from .euler_calculus import (
-        SimplicialConstructibleFunction,
-        SimplicialMap,
-        check_fubini,
-    )
-    from .simplicial import complex_from_json, validate
+    from .euler_calculus import check_fubini, load_bundle
 
-    try:
-        text = Path(args.bundle).read_text()
-    except OSError as exc:
-        raise SchemaError("$", f"cannot read {args.bundle}: {exc}") from exc
-    obj = parse_json(text)
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "expected an object")
-    for key in ("complex_src", "complex_dst", "vertex_map", "weights"):
-        if key not in obj:
-            raise SchemaError(f"$.{key}", "missing")
-    src = complex_from_json(obj["complex_src"], "$.complex_src")
-    dst = complex_from_json(obj["complex_dst"], "$.complex_dst")
-    for c, where in ((src, "$.complex_src"), (dst, "$.complex_dst")):
-        try:
-            validate(c)
-        except CensusError as exc:
-            raise SchemaError(where, str(exc)) from exc
-
-    raw_map = obj["vertex_map"]
-    if not isinstance(raw_map, dict):
-        raise SchemaError("$.vertex_map", "expected an object")
-    vertices = src.vertices
-    vmap = {}
-    for k, tgt in raw_map.items():
-        if k in vertices:
-            v = k
-        else:
-            try:
-                v = int(k)
-            except ValueError:
-                raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source") from None
-            if v not in vertices:
-                raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source")
-        vmap[v] = tgt
-
-    raw_weights = obj["weights"]
-    if not isinstance(raw_weights, list):
-        raise SchemaError("$.weights", "expected a list of [simplex, weight] pairs")
-    weights = {}
-    for i, pair in enumerate(raw_weights):
-        where = f"$.weights[{i}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError(where, "expected [simplex, weight]")
-        simplex_obj = complex_from_json({"simplices": [pair[0]]}, where)
-        (simplex,) = simplex_obj.simplices
-        if not isinstance(pair[1], int) or isinstance(pair[1], bool):
-            raise SchemaError(f"{where}[1]", "weight must be an integer")
-        weights[simplex] = pair[1]
-
-    try:
-        f = SimplicialMap(src, dst, vmap)
-        alpha = SimplicialConstructibleFunction(src, weights)
-    except CensusError as exc:
-        raise SchemaError("$", str(exc)) from exc
-    lhs, rhs = check_fubini(f, alpha)
+    lhs, rhs = check_fubini(*load_bundle(args.bundle))
     print(f"lhs = {lhs}")
     print(f"rhs = {rhs}")
     ok = lhs == rhs
@@ -229,14 +170,15 @@ def _cmd_fubini(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from . import catalog
-
     if args.action == "list":
-        for name in catalog.list_entries():
+        from .documents import list_entries
+
+        for name in list_entries():
             print(name)
         return 0
-    names = args.names or None
-    report = catalog.run_all(names)
+    from .catalog import run_all
+
+    report = run_all(args.names or None)
     for entry in report.entries:
         print(f"== {entry.name} ==")
         for line in entry.expected + entry.checks:

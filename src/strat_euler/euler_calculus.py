@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .errors import HostMismatch, InvalidMap, MemberNotInHost
-from .simplicial import Simplex, SimplicialComplex, SimplexSubset, whole
+from .documents import read_json
+from .errors import CensusError, HostMismatch, InvalidMap, MemberNotInHost, SchemaError
+from .simplicial import (
+    Simplex, SimplicialComplex, SimplexSubset, complex_from_json, validate, whole
+)
 
 
 class SimplicialConstructibleFunction:
@@ -181,3 +184,58 @@ def random_weighted_map(
         src, {s: rng.randint(-5, 5) for s in src.simplices}
     )
     return SimplicialMap(src, dst, mapping), weights
+
+
+def load_bundle(path) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
+    """The map and the weight of a JSON map bundle (``complex_src``,
+    ``complex_dst``, ``vertex_map``, ``weights``), with every schema or
+    structural error reported as a SchemaError carrying its JSON path."""
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise SchemaError("$", "expected an object")
+    for key in ("complex_src", "complex_dst", "vertex_map", "weights"):
+        if key not in obj:
+            raise SchemaError(f"$.{key}", "missing")
+    src = complex_from_json(obj["complex_src"], "$.complex_src")
+    dst = complex_from_json(obj["complex_dst"], "$.complex_dst")
+    for c, where in ((src, "$.complex_src"), (dst, "$.complex_dst")):
+        try:
+            validate(c)
+        except CensusError as exc:
+            raise SchemaError(where, str(exc)) from exc
+
+    raw_map = obj["vertex_map"]
+    if not isinstance(raw_map, dict):
+        raise SchemaError("$.vertex_map", "expected an object")
+    vertices = src.vertices
+    vmap = {}
+    for k, tgt in raw_map.items():
+        if k in vertices:
+            v = k
+        else:
+            try:
+                v = int(k)
+            except ValueError:
+                raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source") from None
+            if v not in vertices:
+                raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source")
+        vmap[v] = tgt
+
+    raw_weights = obj["weights"]
+    if not isinstance(raw_weights, list):
+        raise SchemaError("$.weights", "expected a list of [simplex, weight] pairs")
+    weights = {}
+    for i, pair in enumerate(raw_weights):
+        where = f"$.weights[{i}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError(where, "expected [simplex, weight]")
+        simplex_obj = complex_from_json({"simplices": [pair[0]]}, where)
+        (simplex,) = simplex_obj.simplices
+        if not isinstance(pair[1], int) or isinstance(pair[1], bool):
+            raise SchemaError(f"{where}[1]", "weight must be an integer")
+        weights[simplex] = pair[1]
+
+    try:
+        return SimplicialMap(src, dst, vmap), SimplicialConstructibleFunction(src, weights)
+    except CensusError as exc:
+        raise SchemaError("$", str(exc)) from exc

@@ -1,0 +1,299 @@
+"""Census of a polynomial function on a stratified space, and its invariants.
+
+On top of a stratified census this layer records what a global function
+contributes: a finite list of special target values, Euler characteristics
+of fiber pieces per stratum (one generic column plus one column per special
+value), corrections at infinity per stratum and special value, and isolated
+stratified critical points with their local Morse counts.  The invariants
+read from that data are here; the identities tying them live in ``fibered``.
+
+Target values are opaque labels.  ``GENERIC`` names the generic column; by
+the constancy of fiber topology off the special set, any unlisted value
+behaves exactly like the generic one, and :func:`resolve_value_label` makes
+that defaulting explicit for callers that need it (cross-census work, the
+command line).  The computational operations themselves insist on declared
+labels so that typos fail loudly.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from .errors import InsufficientData, PointNotInClosure, UnknownCriticalPoint, UnknownValueLabel
+from .obstruction import eu_function_of_space
+from .records import field, record
+from .strata import (
+    StratifiedCensus,
+    StratumConstructibleFunction,
+    chi_global,
+    eta,
+    indicator_of_space,
+)
+
+GENERIC = "generic"
+
+
+@record
+class CriticalPoint:
+    """An isolated stratified critical point of the function.
+
+    ``morse_counts`` maps a stratum id to the number of Morse points landing
+    on that stratum when the function is perturbed near this point; entries
+    can only sit on strata whose closure contains the point.  A point lying
+    on a zero-dimensional stratum counts itself with multiplicity one there.
+    ``milnor_numbers`` are the per-stratum Milnor numbers of the restriction,
+    usable in place of Morse counts when the function is declared general.
+    ``eu_fiber_at_q`` is the local Euler obstruction of the special fiber
+    through the point, evaluated at the point.  ``eu_space_at_q`` may record
+    the obstruction of the ambient space at the point; it is redundant given
+    the census and is cross-checked when present.
+    """
+
+    id: str
+    stratum: str
+    value: str
+    morse_counts: Mapping[str, int] = field(default_factory=dict)
+    eu_fiber_at_q: int | None = None
+    eu_space_at_q: int | None = None
+    milnor_numbers: Mapping[str, int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "morse_counts", dict(self.morse_counts))
+        if self.milnor_numbers is not None:
+            object.__setattr__(self, "milnor_numbers", dict(self.milnor_numbers))
+
+
+@record
+class FiberedCensus:
+    """A stratified census together with the data of one function on it."""
+
+    base: StratifiedCensus
+    special_values: tuple[str, ...] = ()
+    fiber_chi: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    infinity_chi: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    critical_points: tuple[CriticalPoint, ...] = ()
+    f_general: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "special_values", tuple(self.special_values))
+        object.__setattr__(
+            self, "fiber_chi", {k: dict(v) for k, v in self.fiber_chi.items()}
+        )
+        object.__setattr__(
+            self, "infinity_chi", {k: dict(v) for k, v in self.infinity_chi.items()}
+        )
+        object.__setattr__(self, "critical_points", tuple(self.critical_points))
+
+    # --- validation -----------------------------------------------------
+
+    def validate(self) -> None:
+        """Structural checks of the base census and of the function data."""
+        self.base.validate()
+        self.validate_fibration()
+
+    def validate_fibration(self) -> None:
+        """Structural checks beyond what the base census enforces, for a
+        base that has been validated already."""
+        poset = self.base.poset
+        values = self.special_values
+        if len(set(values)) != len(values):
+            raise ValueError("duplicate special value labels")
+        if GENERIC in values:
+            raise ValueError(f"{GENERIC!r} cannot be declared as a special value")
+        for sid, col in self.fiber_chi.items():
+            poset.stratum(sid)
+            for label in col:
+                if label != GENERIC and label not in values:
+                    raise UnknownValueLabel(
+                        f"fiber data for {sid!r} at undeclared value {label!r}"
+                    )
+        for sid, col in self.infinity_chi.items():
+            poset.stratum(sid)
+            for label in col:
+                if label not in values:
+                    raise UnknownValueLabel(
+                        f"infinity data for {sid!r} at undeclared value {label!r}"
+                    )
+        seen = set()
+        for q in self.critical_points:
+            if q.id in seen:
+                raise ValueError(f"duplicate critical point id {q.id!r}")
+            seen.add(q.id)
+            poset.stratum(q.stratum)
+            if q.value not in values:
+                raise UnknownValueLabel(
+                    f"critical point {q.id!r} sits over undeclared value {q.value!r}"
+                )
+            for counts in (q.morse_counts, q.milnor_numbers or {}):
+                for sid, n in counts.items():
+                    poset.stratum(sid)
+                    if n and not poset.leq(q.stratum, sid):
+                        raise PointNotInClosure(
+                            f"critical point {q.id!r} carries a count on {sid!r} "
+                            "whose closure does not contain it"
+                        )
+
+    # --- accessors ------------------------------------------------------
+
+    def require_label(self, label: str) -> None:
+        if label != GENERIC and label not in self.special_values:
+            raise UnknownValueLabel(
+                f"value label {label!r} is not declared (special values: "
+                f"{list(self.special_values)!r})"
+            )
+
+    def point(self, point_id: str) -> CriticalPoint:
+        for q in self.critical_points:
+            if q.id == point_id:
+                return q
+        raise UnknownCriticalPoint(f"no critical point {point_id!r}")
+
+    def points_at(self, label: str) -> list[CriticalPoint]:
+        return [q for q in self.critical_points if q.value == label]
+
+    def morse_total(self, sid: str, excluding_value: str | None = None) -> int:
+        """Total Morse count on one stratum, optionally dropping the points
+        sitting over one special value."""
+        self.base.poset.stratum(sid)
+        total = 0
+        for q in self.critical_points:
+            if excluding_value is not None and q.value == excluding_value:
+                continue
+            total += q.morse_counts.get(sid, 0)
+        return total
+
+
+def resolve_value_label(census: FiberedCensus, label: str) -> str:
+    """Map a value label onto the census's column set.
+
+    Labels that are not declared special denote generic values, whose fiber
+    data is the generic column and whose infinity correction vanishes.
+    """
+    return label if label == GENERIC or label in census.special_values else GENERIC
+
+
+# --- the computed invariants -------------------------------------------
+
+
+def brasselet(
+    census: FiberedCensus, at: str, alpha: StratumConstructibleFunction | None = None
+) -> int:
+    """Euler characteristic of one fiber, weighted by alpha.
+
+    This is the fiber integral of alpha: the sum over strata of the alpha
+    coefficient times the chi of the fiber piece in that stratum.  With the
+    obstruction weight it is the global Brasselet number at the value.
+    """
+    census.require_label(at)
+    if alpha is None:
+        alpha = indicator_of_space(census.base)
+    census.base.solved.require_known(alpha)
+    # only the support of alpha contributes
+    total = 0
+    missing = set()
+    for sid, a in alpha.coeffs.items():
+        if a == 0:
+            continue
+        v = census.fiber_chi.get(sid, {}).get(at)
+        if v is None:
+            missing.add(sid)
+            continue
+        total += a * v
+    if missing:
+        # named in the order the census declares its strata
+        raise InsufficientData(
+            [f"fiber_chi.{sid}.{at}" for sid in census.base.poset.ids() if sid in missing]
+        )
+    return total
+
+
+def eu_weight(census: FiberedCensus) -> StratumConstructibleFunction:
+    """The obstruction of the space as an integration weight."""
+    return eu_function_of_space(census.base)
+
+
+def eu_of_f_at(census: FiberedCensus, at: str) -> int:
+    """Global obstruction of the function at a value: the defect between the
+    obstruction of the space and the Brasselet number of the fiber."""
+    w = eu_weight(census)
+    return chi_global(census.base, w) - brasselet(census, at, w)
+
+
+def brasselet_infinity(
+    census: FiberedCensus, at: str, alpha: StratumConstructibleFunction | None = None
+) -> int:
+    """Weighted correction at infinity for one value; zero off the special
+    set and zero whenever no entry was declared."""
+    census.require_label(at)
+    if alpha is None:
+        alpha = indicator_of_space(census.base)
+    if at == GENERIC:
+        return 0
+    # absent entries are zero (the one documented default), so only the
+    # support of alpha contributes, and a coefficient on an unknown stratum
+    # meets no entry
+    infinity = census.infinity_chi
+    return sum(
+        a * infinity[sid].get(at, 0) for sid, a in alpha.coeffs.items() if sid in infinity
+    )
+
+
+def total_brasselet_infinity(
+    census: FiberedCensus, alpha: StratumConstructibleFunction | None = None
+) -> int:
+    return sum(brasselet_infinity(census, a, alpha) for a in census.special_values)
+
+
+def lambda_infinity(census: FiberedCensus, at: str) -> int:
+    """Unweighted (constant weight 1) correction at infinity at one value."""
+    return brasselet_infinity(census, at, None)
+
+
+def total_lambda_infinity(census: FiberedCensus) -> int:
+    return sum(lambda_infinity(census, a) for a in census.special_values)
+
+
+def detect_irregular_values(census: FiberedCensus) -> list[str]:
+    """Special values whose behaviour at infinity is nontrivial.
+
+    A value is flagged as soon as one stratum declares a nonzero correction
+    at infinity there.  The detector is one-sided by design: a census cannot
+    certify regularity, only exhibit irregularity.
+    """
+    flagged = [
+        a
+        for a in census.special_values
+        if any(column.get(a, 0) != 0 for column in census.infinity_chi.values())
+    ]
+    return sorted(flagged)
+
+
+def local_fiber_defect(census: FiberedCensus, point_id: str) -> int:
+    """Drop of the local fiber's chi at a critical point.
+
+    Morse counts weighted by the sign of the stratum dimension and by eta of
+    the constant function 1; equals 1 minus the chi of the local fiber of
+    the function at the point.
+    """
+    q = census.point(point_id)
+    one = indicator_of_space(census.base)
+    total = 0
+    for sid, n in q.morse_counts.items():
+        if n == 0:
+            continue
+        d = census.base.poset.stratum(sid).dim
+        total += (-1 if d % 2 else 1) * n * eta(census.base, sid, one)
+    return total
+
+
+def eu_of_function_local(census: FiberedCensus, point_id: str, closure_of: str) -> int:
+    """Local obstruction of the function on one closed closure at a point:
+    the signed Morse count on the open top stratum of that closure."""
+    q = census.point(point_id)
+    poset = census.base.poset
+    if not poset.leq(q.stratum, closure_of):
+        raise PointNotInClosure(
+            f"critical point {q.id!r} does not lie in the closure of {closure_of!r}"
+        )
+    d = poset.stratum(closure_of).dim
+    return (-1 if d % 2 else 1) * q.morse_counts.get(closure_of, 0)

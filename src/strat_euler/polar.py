@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import MissingPolarData
-from .fibered import (
+from .fibration import (
     FiberedCensus,
     GENERIC,
     brasselet,

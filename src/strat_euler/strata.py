@@ -209,9 +209,6 @@ class LinkTable:
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
 
-    def has(self, lower: str, upper: str) -> bool:
-        return (lower, upper) in self.entries
-
     def get(self, lower: str, upper: str) -> int:
         try:
             return self.entries[(lower, upper)]
@@ -275,8 +272,16 @@ class StratifiedCensus:
     @cached_property
     def solved(self) -> "SolvedCensus":
         """This census solved once.  A census changed with ``replace`` is a
-        new object and gets a new view, so nothing solved survives a change."""
+        new object and gets a new view, so nothing solved survives a change
+        other than :meth:`with_chi`."""
         return SolvedCensus(self)
+
+    def with_chi(self, stratum_id: str, chi: int | None) -> "StratifiedCensus":
+        """The census with one stratum's Euler characteristic replaced.  No
+        reader of the solved view reads chi, so the new census shares it."""
+        new = replace(self, poset=self.poset.with_chi(stratum_id, chi))
+        new.__dict__["solved"] = self.solved
+        return new
 
 
 @record
@@ -329,15 +334,6 @@ def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) ->
     return total
 
 
-def _eta_entry(census: StratifiedCensus, at: str, closure_of: str) -> int:
-    # eta of the closure indicator 1_{cl(V_j)} evaluated at the stratum `at`
-    if at == closure_of:
-        return 1
-    if census.poset.lt(at, closure_of):
-        return 1 - census.links.get(at, closure_of)
-    return 0
-
-
 class SolvedWeight:
     """One weight alpha on a solved census: its closure-basis coefficients,
     and eta of alpha at each stratum, each computed on first use."""
@@ -351,10 +347,6 @@ class SolvedWeight:
             coeffs[j] = alpha.value(order[j]) - sum(coeffs[k] for k in above[j])
         self._coeffs = coeffs
         self._eta: dict[int, int] = {}
-
-    def closure_coefficients(self) -> dict[str, int]:
-        order = self._solved.order
-        return {order[j]: self._coeffs[j] for j in reversed(range(len(order)))}
 
     def eta(self, at: str) -> int:
         """eta of alpha at a stratum.  Reads the links from ``at`` to the
@@ -564,44 +556,6 @@ class LabeledMatrix:
         for label, row in zip(self.labels, self.rows):
             lines.append(label.rjust(width) + "  " + " ".join(str(v).rjust(width) for v in row))
         return "\n".join(lines)
-
-
-def eta_closure_matrix(census: StratifiedCensus) -> LabeledMatrix:
-    """The matrix of eta values against closure indicators.
-
-    Rows are strata, columns are closures, both in (dim, id) order.  The
-    matrix is upper triangular with unit diagonal because eta against a
-    closure vanishes off the closure and is 1 on the open top stratum.
-    """
-    order = census.poset.linear_extension()
-    rows = tuple(
-        tuple(_eta_entry(census, at, cl) for cl in order) for at in order
-    )
-    return LabeledMatrix(tuple(order), rows)
-
-
-def closure_coefficients(
-    census: StratifiedCensus, alpha: StratumConstructibleFunction
-) -> dict[str, int]:
-    """Coefficients of alpha in the basis of closure indicators.
-
-    Inverts ``1_{cl(V_k)} = sum of 1_{V_j} over j <= k`` by running through
-    strata in decreasing (dim, id) order, a Moebius inversion on the poset.
-    """
-    return census.solved.weight(alpha).closure_coefficients()
-
-
-def function_from_closure_coefficients(
-    census: StratifiedCensus, coeffs: Mapping[str, int]
-) -> StratumConstructibleFunction:
-    """Expand a closure-basis combination back into per-stratum values."""
-    poset = census.poset
-    for k in coeffs:
-        poset.stratum(k)
-    out = {}
-    for j in poset.ids():
-        out[j] = sum(v for k, v in coeffs.items() if k == j or poset.lt(j, k))
-    return StratumConstructibleFunction(out)
 
 
 def eta(census: StratifiedCensus, at: str, alpha: StratumConstructibleFunction) -> int:

@@ -226,6 +226,49 @@ def test_deeply_nested_json_is_bad_input(tmp_path, command):
     assert proc.stderr == "error: $: not valid JSON: nested too deeply\n"
 
 
+# the C locale with neither locale coercion nor UTF-8 mode: the locale's
+# preferred encoding is ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("locale", [{}, C_LOCALE], ids=["default", "C"])
+def test_json_files_are_read_as_utf8_under_any_locale(tmp_path, locale):
+    doc = json.loads(json.dumps(load_entry("node-linear").raw))
+    doc["derivation_notes"]["eu_global"] = "Lê–Teissier, by hand"
+    census = tmp_path / "census.json"
+    census.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(
+        json.dumps(
+            {
+                "complex_src": {"simplices": [["a"], ["é"], ["a", "é"]]},
+                "complex_dst": {"simplices": [["x"]]},
+                "vertex_map": {"a": "x", "é": "x"},
+                "weights": [[["a", "é"], 1]],
+            },
+            ensure_ascii=False,
+        ),
+        encoding="utf-8",
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    env = dict(os.environ, STRAT_EULER_COLOR="0", **locale)
+    want = {
+        ("check", str(census)): (0, run_cli("check", fixture_path("node-linear")).stdout, ""),
+        ("fubini", str(bundle)): (0, "lhs = -1\nrhs = -1\nOK\n", ""),
+        ("check", str(bad)): (
+            2,
+            "",
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        ),
+    }
+    for argv, expected in want.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "strat_euler", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+
 # --- identity argument errors are input errors ---------------------------
 
 

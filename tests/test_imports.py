@@ -4,10 +4,19 @@ the modules it runs."""
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import strat_euler
 from strat_euler import load_entry
 from strat_euler.catalog import _fixture_dir
+
+DATA = Path(__file__).with_name("data")
+
+# the modules of the census model, the identity registry, the polar layer
+# and the catalog
+CENSUS_LAYERS = {"strata", "obstruction", "fibration", "census_io", "fibered", "polar", "catalog"}
 
 # runs `python -m strat_euler ARGS` in-process, then prints the exit code and
 # the strat_euler modules it imported
@@ -64,6 +73,49 @@ def test_importing_the_package_imports_no_module():
     assert run.stdout.split() == ["strat_euler"]
 
 
+def test_importing_the_command_line_imports_only_it_and_the_errors():
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, strat_euler.cli; "
+            "print(*sorted(m for m in sys.modules if m.startswith('strat_euler.')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.split() == ["strat_euler.cli", "strat_euler.errors"]
+
+
+@pytest.mark.parametrize(
+    "args", [("catalog", "list"), ("fubini", str(DATA / "bundle.json"))], ids=lambda a: a[0]
+)
+def test_listing_and_fubini_load_no_census_layer(args):
+    code, modules = imported_by(*args)
+    assert code == 0
+    assert not modules & CENSUS_LAYERS
+
+
+@pytest.mark.parametrize(
+    "what",
+    [
+        ("eu-table",),
+        ("eu-global",),
+        ("detect-irregular",),
+        ("brasselet", "--at", "0"),
+        ("lambda", "--at", "0"),
+        ("binf", "--at", "0"),
+    ],
+    ids=lambda what: what[0],
+)
+def test_compute_loads_neither_the_identities_nor_the_catalog(what):
+    code, modules = imported_by("compute", fixture("broughton"), "--what", *what)
+    assert code == 0
+    assert "fibration" in modules
+    assert not modules & {"fibered", "catalog", "simplicial", "euler_calculus"}
+
+
 def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path):
     doc = load_entry("zk-3").raw
     del doc["fibration"]["fiber_chi"]["V1"]["generic"]
@@ -105,14 +157,6 @@ for args in json.loads(sys.argv[1]):
     print(json.dumps([args[0], code, loaded()]))
 """
 
-BUNDLE = {
-    "complex_src": {"simplices": [[0], [1], [2], [0, 1], [1, 2]]},
-    "complex_dst": {"simplices": [[0], [1], [0, 1]]},
-    "vertex_map": {"0": 0, "1": 1, "2": 0},
-    "weights": [[[0, 1], 2], [[1, 2], -1]],
-}
-
-
 def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
     """Importing dataclasses (and the inspect module it loads) would cost
     every call start-up time for nothing the package needs."""
@@ -120,14 +164,13 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
     del doc["fibration"]["fiber_chi"]["V1"]["generic"]
     gap = tmp_path / "gap.json"
     gap.write_text(json.dumps(doc))
-    bundle = tmp_path / "bundle.json"
-    bundle.write_text(json.dumps(BUNDLE))
     calls = [
         ["check", fixture("cusp-linear")],
         ["compute", fixture("broughton"), "--what", "eu-table"],
         ["solve", str(gap), "--identity", "thm_generic_fiber", "--unknown", "fiber_chi.V1.generic"],
         ["catalog", "run"],
-        ["fubini", str(bundle)],
+        ["catalog", "list"],
+        ["fubini", str(DATA / "bundle.json")],
     ]
     run = subprocess.run(
         [sys.executable, "-c", LOADS_AFTER_EACH, json.dumps(calls)],
@@ -141,6 +184,7 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
         ["check", 0, []],
         ["compute", 0, []],
         ["solve", 0, []],
+        ["catalog", 0, []],
         ["catalog", 0, []],
         ["fubini", 0, []],
     ]

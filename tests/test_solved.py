@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from strat_euler import (
     GENERIC,
@@ -38,8 +38,8 @@ from strat_euler import (
     brasselet_infinity,
     check_bdk_point_formula,
     check_identity,
+    chi_global,
     eta,
-    eta_closure_matrix,
     eu_weight,
     indicator_of_space,
     invert_unitriangular,
@@ -56,9 +56,10 @@ from strat_euler import (
 from strat_euler.catalog import evaluate_expected_key
 from strat_euler.cli import main
 from strat_euler.records import replace
-from strat_euler.strata import SolvedCensus, _eta_entry
+from strat_euler.strata import SolvedCensus
 
 from conftest import censuses, censuses_with_functions, fibered_censuses
+from oracles import closure_coefficients, eta_closure_matrix, eta_entry
 
 DATA = Path(__file__).with_name("data")
 
@@ -84,11 +85,8 @@ def dense_values(census):
 def scratch_eta(census, at, alpha):
     """eta from its definition: Moebius inversion with ``lt``, then the
     closure columns entry by entry.  No memo, no solved view."""
-    poset = census.poset
-    coeffs = {}
-    for j in reversed(poset.linear_extension()):
-        coeffs[j] = alpha.value(j) - sum(c for k, c in coeffs.items() if poset.lt(j, k))
-    return sum(c * _eta_entry(census, at, k) for k, c in coeffs.items() if c)
+    coeffs = closure_coefficients(census, alpha)
+    return sum(c * eta_entry(census, at, k) for k, c in coeffs.items() if c)
 
 
 def catalog_fibered():
@@ -295,7 +293,7 @@ def test_columns_with_dropped_links_match_the_restricted_route(seed, levels, wid
     assert table.value.pair == dense.value.pair
 
 
-# --- a chi edit keeps the order ------------------------------------------
+# --- a chi edit keeps the order and the solved view -----------------------
 
 
 def test_a_chi_solve_builds_no_poset_beyond_the_loaded_one(tmp_path, monkeypatch, capsys):
@@ -326,6 +324,59 @@ def test_a_chi_solve_builds_no_poset_beyond_the_loaded_one(tmp_path, monkeypatch
     code = main(["solve", str(path), "--identity", "thm_generic_fiber", "--unknown", "chi.V1"])
     assert (code, capsys.readouterr().out) == (0, f"chi.V1 = {want}\n")
     assert len(built) == at_load
+
+
+def test_a_chi_solve_solves_the_census_once(tmp_path, monkeypatch, capsys):
+    doc = json.loads((DATA / "layered-5x4.json").read_text())
+    (top,) = [s for s in doc["strata"] if s["id"] == "T"]
+    del top["chi"]
+    path = tmp_path / "chi_gap.json"
+    path.write_text(json.dumps(doc))
+    views, columns = [], []
+    init, column = SolvedCensus.__init__, SolvedCensus.column
+
+    def counting_init(self, census):
+        views.append(self)
+        init(self, census)
+
+    def counting_column(self, j):
+        columns.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(SolvedCensus, "__init__", counting_init)
+    monkeypatch.setattr(SolvedCensus, "column", counting_column)
+    code = main(["solve", str(path), "--identity", "cor_equi", "--unknown", "chi.T"])
+    # the generated fiber data is not that of a real function, so the
+    # solved value is not the generated chi
+    assert (code, capsys.readouterr().out) == (0, "chi.T = -39\n")
+    assert (len(views), len(columns)) == (1, 1)
+
+
+@given(censuses_with_functions(), st.integers(-5, 5))
+def test_a_chi_edit_shares_a_view_equal_to_a_fresh_solve(pair, chi):
+    census, alpha = pair
+    sid = census.poset.ids()[0]
+    # solve part of the census first, so the edited census inherits it
+    census.solved.column(0)
+    eta(census, sid, alpha)
+    edited = census.with_chi(sid, chi)
+    assert edited.poset.stratum(sid).chi == chi
+    assert edited.solved is census.solved
+    shared, fresh = edited.solved, SolvedCensus(edited)
+    assert shared.one == fresh.one
+    assert shared._missing == fresh._missing
+    assert shared.rows == fresh.rows
+    for j, closure in enumerate(fresh.order):
+        assert shared.column(j) == fresh.column(j)
+        assert shared.eu_function(closure) == fresh.eu_function(closure)
+    for weight in (alpha, shared.one):
+        assert shared.weight(weight)._coeffs == fresh.weight(weight)._coeffs
+        for at in fresh.order:
+            assert shared.weight(weight).eta(at) == fresh.weight(weight).eta(at)
+            assert eta(edited, at, weight) == scratch_eta(edited, at, weight)
+    assert chi_global(edited, shared.one) == chi_global(census, shared.one) + chi - (
+        census.poset.stratum(sid).chi
+    )
 
 
 # --- eta and the point formula from scratch ------------------------------

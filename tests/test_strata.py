@@ -17,10 +17,7 @@ from strat_euler import (
     StratumPoset,
     UnknownStratum,
     chi_global,
-    closure_coefficients,
     eta,
-    eta_closure_matrix,
-    function_from_closure_coefficients,
     indicator_of_space,
     load_entry,
     restrict_to_closure,
@@ -28,6 +25,11 @@ from strat_euler import (
 from strat_euler.strata import _transitive_closure
 
 from conftest import censuses_with_functions
+from oracles import (
+    closure_coefficients,
+    eta_closure_matrix,
+    function_from_closure_coefficients,
+)
 
 
 def diamond_poset():
@@ -257,6 +259,9 @@ def test_closure_coefficients_round_trip(pair):
     census, alpha = pair
     coeffs = closure_coefficients(census, alpha)
     assert function_from_closure_coefficients(census, coeffs) == alpha
+    # the solved view's Moebius inversion, indexed by the (dim, id) order
+    order = census.poset.linear_extension()
+    assert census.solved.weight(alpha)._coeffs == [coeffs[s] for s in order]
 
 
 @given(censuses_with_functions())
