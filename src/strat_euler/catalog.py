@@ -15,18 +15,18 @@ SKIP when the census lacks the data.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 from typing import Callable
 
 from .census_io import CensusBundle, load_document
-from .documents import _fixture_dir, list_entries
+from .documents import _fixture_dir, list_entries, read_json
 from .errors import (
     AmbientObstructionMismatch,
     InsufficientData,
     MissingLinkEntry,
     MissingPolarData,
     NotEquidimensional,
+    SchemaError,
     UnknownEntry,
     UnknownStratum,
 )
@@ -51,14 +51,15 @@ from .strata import StratifiedCensus, chi_global, indicator_of_space
 
 
 def load_entry(name: str) -> CensusBundle:
-    path = _fixture_dir().joinpath(f"{name}.json")
     try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
+        doc = read_json(_fixture_dir().joinpath(f"{name}.json"))
+    except SchemaError as exc:
+        if not isinstance(exc.__cause__, OSError):
+            raise
         raise UnknownEntry(
             f"no catalog entry {name!r}; available: {', '.join(list_entries())}"
         ) from None
-    return load_document(json.loads(text))
+    return load_document(doc)
 
 
 # --- expected-value evaluation -----------------------------------------

@@ -248,10 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except CensusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CensusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,11 +25,11 @@ def parse_json(text: str):
 
 
 def read_json(path):
-    """The document in a UTF-8 file; a file that cannot be read is a
-    SchemaError at the document root naming ``path`` as given."""
+    """The document in a UTF-8 file; a file that cannot be read or is not
+    UTF-8 is a SchemaError at the document root naming ``path`` as given."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError("$", f"cannot read {path}: {exc}") from exc
     return parse_json(text)
 

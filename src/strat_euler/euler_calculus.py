@@ -156,19 +156,17 @@ def check_fubini(f: SimplicialMap, alpha: SimplicialConstructibleFunction) -> tu
     return lhs, rhs
 
 
-def random_weighted_map(
-    rng, max_vertices: int = 8, max_generators: int = 4, target_pool: int = 4
-) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
+def random_weighted_map(rng) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
     """A random simplicial map with random integer weights on its source,
     drawn from ``rng`` (a ``random.Random``) for randomized Fubini sweeps.
 
-    The source is the closure of a few random simplices, kept to at most 30
-    simplices; vertices map into a pool of ``target_pool`` target vertices
-    and the target is the image; weights lie in -5..5.
+    The source is the closure of one to four simplices on two to eight
+    vertices, kept to at most 30 simplices; vertices map into four target
+    vertices and the target is the image; weights lie in -5..5.
     """
-    n_vertices = rng.randint(2, max_vertices)
+    n_vertices = rng.randint(2, 8)
     generators = []
-    for _ in range(rng.randint(1, max_generators)):
+    for _ in range(rng.randint(1, 4)):
         size = rng.randint(1, min(4, n_vertices))
         generators.append(Simplex.of(*rng.sample(range(n_vertices), size)))
     src = SimplicialComplex.closed(generators)
@@ -176,7 +174,7 @@ def random_weighted_map(
     while len(src.simplices) > 30:
         generators.pop()
         src = SimplicialComplex.closed(generators)
-    mapping = {v: rng.randint(0, target_pool - 1) for v in sorted(src.vertices)}
+    mapping = {v: rng.randint(0, 3) for v in sorted(src.vertices)}
     dst = SimplicialComplex.closed(
         Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
     )

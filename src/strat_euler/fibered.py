@@ -21,6 +21,7 @@ from .errors import (
     AmbientObstructionMismatch,
     IdentityArgumentError,
     InsufficientData,
+    MissingLinkEntry,
     NotSolvable,
     SchemaError,
     UnknownValueLabel,
@@ -123,20 +124,28 @@ def _milnor_totals(census: FiberedCensus) -> dict[str, int]:
 
 def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]]:
     """The verifier of a bdk_global identity, for a fiber integral called as
-    integral(census, a, weight): the integral of w against the integrals of
-    each closure's own obstruction column weighted by eta of w.  Fiber and
-    infinity data are local to their stratum, so a closure's integral is the
-    number the census of that closure alone gives."""
+    integral(census, a, weight): the integral of w against the sum over
+    closures of each closure's own integral weighted by eta of w.  The
+    integral is linear in its weight, so that sum is the integral of w read
+    back through the solver (``SolvedWeight.resolved``).  Fiber and
+    infinity data are local to their stratum, so a closure's integral is
+    the number the census of that closure alone gives."""
 
     def sides(census, a, w, counts, fiber) -> tuple[int, int]:
         base = census.base
         lhs = integral(census, a, w)
-        solved = base.solved.solve_whole()
-        rhs = sum(
-            integral(census, a, solved.eu_function(sid)) * eta(base, sid, w)
-            for sid in base.poset.ids()
-        )
-        return lhs, rhs
+        solved = base.solved
+        try:
+            solved.require_links()
+            integral(census, a, solved.one)
+        except (MissingLinkEntry, InsufficientData):
+            # an absent link (i, k) breaks closure k's own term, an absent
+            # fiber slot at m closure m's: raise what the sum raises first
+            for sid in base.poset.ids():
+                integral(census, a, solved.eu_function(sid))
+                eta(base, sid, w)
+            raise
+        return lhs, integral(census, a, solved.weight(w).resolved)
 
     return sides
 
@@ -222,7 +231,7 @@ class Identity:
     Morse counts, or Milnor counts on a general function; ``fiber`` the one
     that needs the census of the special fiber.  ``structural`` identities
     are theorems of the census algebra itself: they hold for arbitrary
-    fiber and infinity data once the obstruction table is solved, so no
+    fiber and infinity data once the obstruction system is solved, so no
     single census slot can be recovered from them.
     """
 

@@ -11,11 +11,10 @@ Every invariant here reads the solved view ``census.solved`` (see
 :class:`strata.SolvedCensus`).  Restricted to the closure of one stratum
 the system is a principal block, so one closure's column is solved alone
 over its down-set: the obstruction of the space, and with it the global
-obstruction, costs the relations of the census, not the whole table.
-Readers of the whole table (:func:`solve_bdk`, the point formula, and the
-closure sums of ``check``) solve it once, row by row, each coefficient row
-over its stratum's up-set, summed into value rows.  :func:`solve_bdk` lays
-those value rows out as a dense :class:`strata.LabeledMatrix`, built
+obstruction, costs the relations of the census, not the whole table.  The
+point formula reads one vector solve, the constant weight read back
+through the solver.  Only :func:`solve_bdk` reads the whole table, solved
+row by row and laid out as a dense :class:`strata.LabeledMatrix`, built
 afresh on each call and not cached; it serves only the printed
 ``eu-table`` and the tests.
 
@@ -29,13 +28,7 @@ from __future__ import annotations
 
 from .errors import NotAPointStratum, NotEquidimensional
 from .reports import CheckLine
-from .strata import (
-    LabeledMatrix,
-    StratifiedCensus,
-    StratumConstructibleFunction,
-    chi_global,
-    indicator_of_space,
-)
+from .strata import LabeledMatrix, StratifiedCensus, StratumConstructibleFunction, chi_global
 
 
 def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
@@ -103,7 +96,8 @@ def check_bdk_point_formula(census: StratifiedCensus, point_stratum: str) -> Che
     """At a point stratum: the obstructions of all incident closures, paired
     against eta of the constant function 1, must sum to 1.
 
-    This is an algebraic identity of the solved rows (see the module
+    The sum is the constant weight read back through the solver, at the
+    point: an algebraic identity of the solved system (see the module
     docstring), kept as a tripwire for solver regressions.
     """
     solved = census.solved
@@ -111,10 +105,5 @@ def check_bdk_point_formula(census: StratifiedCensus, point_stratum: str) -> Che
     s = census.poset.stratum(point_stratum)
     if s.dim != 0:
         raise NotAPointStratum(f"{point_stratum!r} has dimension {s.dim}")
-    one = solved.weight(indicator_of_space(census))
-    # the value row of the point is keyed by the closures containing it,
-    # itself and its up-set; every other closure is zero there
-    i = solved.index[point_stratum]
-    row = solved.rows[1][i]
-    rhs = sum(row[k] * one.eta(solved.order[k]) for k in (i, *solved.above[i]))
+    rhs = solved.weight(solved.one).resolved.value(point_stratum)
     return CheckLine.compare("bdk_point_formula", 1, rhs, f"at={point_stratum}")

@@ -23,23 +23,23 @@ Conventions
 
 Each census is solved once.  ``census.solved`` is a :class:`SolvedCensus`:
 the eta-against-closures matrix is upper unitriangular, and its restriction
-to the closure of a stratum is a principal block.  So the obstruction
-column of one closure is back-substituted alone over that closure's
-down-set, never from a re-solved sub-census, and a reader of every closure
-solves the whole matrix once instead, row by row from the top of the
-order, each row sparse over its stratum's up-set.  Every invariant reads
-this one view; the dense :class:`LabeledMatrix` that
-``obstruction.solve_bdk`` lays out from the rows is not cached and serves
-only the printed ``eu-table``.  :func:`restrict_to_closure` builds the
-sub-census explicitly and stays as the independent route the tests
-compare against.
+to the closure of a stratum is a principal block.  One back-substitution
+serves every vector solve: the obstruction column of one closure, over
+that closure's down-set, and a weight read back through the solver
+(:attr:`SolvedWeight.resolved`), over the whole census, which is what the
+structural rows of ``check`` compare against.  Only the printed
+``eu-table`` reads the whole table, solved row by row from the top of the
+order; ``obstruction.solve_bdk`` lays it out as a dense
+:class:`LabeledMatrix` and does not cache it.  :func:`restrict_to_closure`
+builds the sub-census of a closure explicitly and stays as the
+independent route the tests compare against.
 """
 
 from __future__ import annotations
 
 import copy
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InsufficientData,
@@ -336,7 +336,8 @@ def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) ->
 
 class SolvedWeight:
     """One weight alpha on a solved census: its closure-basis coefficients,
-    and eta of alpha at each stratum, each computed on first use."""
+    eta of alpha at each stratum, and alpha read back through the solver,
+    each computed on first use."""
 
     def __init__(self, solved: "SolvedCensus", alpha: StratumConstructibleFunction):
         self._solved = solved
@@ -365,6 +366,20 @@ class SolvedWeight:
             self._eta[i] = value
         return value
 
+    @cached_property
+    def resolved(self) -> StratumConstructibleFunction:
+        """The sum over closures of eta of alpha times each closure's
+        obstruction: eta back-substituted through the system.  Obstructions
+        and eta are dual bases, so this is alpha again, computed through
+        the links and so a check of the solver."""
+        solved = self._solved
+        solved.require_links()
+        order = solved.order
+        values = solved._solve(
+            {i: self.eta(at) for i, at in enumerate(order)}, range(len(order))
+        )
+        return StratumConstructibleFunction({order[m]: v for m, v in values.items() if v})
+
 
 class SolvedCensus:
     """A census solved once, read through ``StratifiedCensus.solved``.
@@ -377,17 +392,14 @@ class SolvedCensus:
     of j; the block is a principal one, so it is what re-solving the census
     of that closure would give.
 
-    :meth:`column` solves one column alone, from j down over its down-set.
-    :attr:`rows` back-substitutes all of C row by row from the top of the
-    order, row i sparse over the up-set of i; it is what the whole table,
-    the point formula and the closure sums of ``check`` read, and once it
-    is solved every column is read from it.  There an absent link is
-    skipped, not raised: the term it would contribute reaches only the
-    columns whose closure block contains that pair, and those columns are
-    exactly the ones :meth:`column` refuses.  Everything is computed on
-    first use: a column first scans its block in row-major order and raises
-    the MissingLinkEntry that solving the restricted census would raise,
-    and the readers of the whole space first ask for every link through
+    :meth:`_solve` is the one back-substitution for one right-hand side:
+    :meth:`column` solves a unit vector over one down-set, and
+    :attr:`SolvedWeight.resolved` eta of a weight over the whole census.
+    :attr:`rows` solves all of C row by row for the printed table.
+    Everything is computed on first use, after the links it reads are
+    checked: a column scans its block in row-major order and raises the
+    MissingLinkEntry that solving the restricted census would raise, and
+    the readers of the whole space ask for every link through
     :meth:`require_links`.
     """
 
@@ -424,7 +436,8 @@ class SolvedCensus:
         closure-basis coefficient of closure i in the obstruction of the
         closure of j; value entry [m][j] is that obstruction at points of m,
         the sum of the coefficient rows of m and of every stratum above m.
-        Only columns whose closure block has every link are meaningful."""
+        Needs every link."""
+        self.require_links()
         order, above = self.order, self.above
         links = self.census.links.entries
         coeffs: list[dict[int, int]] = [{}] * len(order)
@@ -433,14 +446,11 @@ class SolvedCensus:
             row[i] = 1
             at = order[i]
             for k in above[i]:
-                chi = links.get((at, order[k]))
-                # absent links are skipped (see the class docstring), and a
-                # link of chi 1 puts 0 into the eta matrix
-                if chi is None or chi == 1:
-                    continue
-                a = chi - 1
-                for j, c in coeffs[k].items():
-                    row[j] += a * c
+                # a link of chi 1 puts 0 into the eta matrix
+                a = links[at, order[k]] - 1
+                if a:
+                    for j, c in coeffs[k].items():
+                        row[j] += a * c
             coeffs[i] = row
         values = []
         for m in range(len(order)):
@@ -478,49 +488,38 @@ class SolvedCensus:
             hit = self._weights[id(alpha)] = (alpha, SolvedWeight(self, alpha))
         return hit[1]
 
+    def _solve(self, b: Mapping[int, int], over: Sequence[int]) -> dict[int, int]:
+        """Solve M x = b over ``over``, an ascending down-set of indices,
+        from the top down: x_i is b_i plus (link(i, k) - 1) times x_k for
+        each k above i.  Returns x summed over each stratum of ``over`` and
+        its up-set, by index.  The caller has checked the block's links."""
+        order, above = self.order, self.above
+        links = self.census.links.entries
+        x: dict[int, int] = {}
+        for i in reversed(over):
+            at = order[i]
+            c = b.get(i, 0)
+            for k in above[i]:
+                xk = x.get(k)
+                if xk:
+                    c += (links[at, order[k]] - 1) * xk
+            if c:
+                x[i] = c
+        return {m: x.get(m, 0) + sum(x.get(k, 0) for k in above[m]) for m in over}
+
     def column(self, j: int) -> dict[int, int]:
         """Values on open strata of the obstruction of the closure of
         ``order[j]``, keyed by index over its down-set in ascending order;
-        zero off it.
-
-        Read from :attr:`rows` when the whole table is solved already;
-        otherwise solved alone over the down-set of j, from j down: the
-        coefficient of closure i is the sum of (link - 1) times the
-        coefficients above i, and the value at m adds the coefficients
-        of m and of its up-set.  That costs the relations of the block,
-        not the whole table."""
+        zero off it.  It is solved alone over that down-set, so it costs
+        the relations of the block, not the whole table."""
         down = self.below[j] + (j,)
         self.require_links(set(down))
-        if "rows" in self.__dict__:
-            values = self.rows[1]
-            return {m: values[m][j] for m in down}
-        order, above = self.order, self.above
-        links = self.census.links.entries
-        coeffs = {j: 1}
-        for i in reversed(self.below[j]):
-            at = order[i]
-            c = 0
-            for k in above[i]:
-                ck = coeffs.get(k)
-                if ck:
-                    c += (links[at, order[k]] - 1) * ck
-            if c:
-                coeffs[i] = c
-        return {
-            m: coeffs.get(m, 0) + sum(coeffs.get(k, 0) for k in above[m]) for m in down
-        }
-
-    def solve_whole(self) -> "SolvedCensus":
-        """Solve the whole table now, so every column asked for next is read
-        from :attr:`rows`: for a reader of every closure, one solve of the
-        table costs less than a solve per column."""
-        self.rows
-        return self
+        return self._solve({j: 1}, down)
 
     def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
-        """The obstruction of the closure of one stratum, as a function.
-        Identity rows ask for every closure once per row, so each function
-        is built once and shared; a column that raises is not stored."""
+        """The obstruction of the closure of one stratum, as a function,
+        built once and shared (the obstruction of the space is a weight,
+        keyed by this object); a column that raises is not stored."""
         j = self.index[closure_of]
         f = self._eu_functions.get(j)
         if f is None:

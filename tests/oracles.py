@@ -3,12 +3,19 @@
 No command runs these, so they live with the tests rather than in the
 package, where every command-line call would compile them.  Each is written
 out from its definition with ``StratumPoset.lt`` and the link table,
-independently of ``census.solved``.
+independently of ``census.solved``, except :func:`closure_sums`, which
+adds up the solved closure columns one closure at a time.
 """
 
-from typing import Mapping
+from typing import Callable, Mapping
 
-from strat_euler import LabeledMatrix, StratifiedCensus, StratumConstructibleFunction
+from strat_euler import (
+    FiberedCensus,
+    LabeledMatrix,
+    StratifiedCensus,
+    StratumConstructibleFunction,
+    eta,
+)
 
 
 def eta_entry(census: StratifiedCensus, at: str, closure_of: str) -> int:
@@ -58,3 +65,22 @@ def function_from_closure_coefficients(
     for j in poset.ids():
         out[j] = sum(v for k, v in coeffs.items() if k == j or poset.lt(j, k))
     return StratumConstructibleFunction(out)
+
+
+def closure_sums(
+    integral: Callable[..., int],
+    census: FiberedCensus,
+    a: str,
+    w: StratumConstructibleFunction,
+) -> tuple[int, int]:
+    """Both sides of a bdk_global identity, the right side summed closure by
+    closure: the integral of each closure's own obstruction column, weighted
+    by eta of w, in ``poset.ids()`` order.  Its first error is the one the
+    package's row must raise."""
+    base = census.base
+    lhs = integral(census, a, w)
+    rhs = sum(
+        integral(census, a, base.solved.eu_function(sid)) * eta(base, sid, w)
+        for sid in base.poset.ids()
+    )
+    return lhs, rhs

@@ -1,6 +1,7 @@
 import pytest
 
 from strat_euler import (
+    SchemaError,
     UnknownEntry,
     evaluate_expected_key,
     list_entries,
@@ -10,6 +11,7 @@ from strat_euler import (
     standard_check_lines,
     validate_entry,
 )
+from strat_euler import catalog
 
 
 def test_listing_is_sorted_and_complete():
@@ -22,7 +24,26 @@ def test_listing_is_sorted_and_complete():
 def test_unknown_entry_reports_the_available_names():
     with pytest.raises(UnknownEntry) as exc:
         load_entry("no-such-census")
-    assert "node-linear" in str(exc.value)
+    assert str(exc.value) == (
+        f"no catalog entry 'no-such-census'; available: {', '.join(list_entries())}"
+    )
+
+
+def test_an_unreadable_entry_is_a_schema_error_at_the_root(tmp_path, monkeypatch):
+    monkeypatch.setattr(catalog, "_fixture_dir", lambda: tmp_path)
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    with pytest.raises(SchemaError) as exc:
+        load_entry("broken")
+    assert str(exc.value).startswith("$: not valid JSON: ")
+    with pytest.raises(SchemaError) as exc:
+        load_entry("latin1")
+    assert str(exc.value) == (
+        f"$: cannot read {tmp_path / 'latin1.json'}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
+    with pytest.raises(UnknownEntry):
+        load_entry("absent")
 
 
 def test_every_entry_validates_with_notes():

@@ -253,14 +253,15 @@ def test_json_files_are_read_as_utf8_under_any_locale(tmp_path, locale):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff{}")
     env = dict(os.environ, STRAT_EULER_COLOR="0", **locale)
+    undecodable = (
+        f"error: $: cannot read {bad}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
     want = {
         ("check", str(census)): (0, run_cli("check", fixture_path("node-linear")).stdout, ""),
         ("fubini", str(bundle)): (0, "lhs = -1\nrhs = -1\nOK\n", ""),
-        ("check", str(bad)): (
-            2,
-            "",
-            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
-        ),
+        ("check", str(bad)): (2, "", undecodable),
+        ("fubini", str(bad)): (2, "", undecodable),
     }
     for argv, expected in want.items():
         proc = subprocess.run(

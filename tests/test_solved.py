@@ -1,13 +1,13 @@
 """The solved view against routes that do not use it.
 
-``census.solved`` reads every closure's obstruction column from one solve
-of the whole table, or solves one column alone, which makes
-``bdk_global_1/2/3`` and ``bdk_point_formula`` nearly tautological in the
-package itself.  These tests keep independent oracles: the dense inverse
-of the eta matrix, the explicit sub-census of a closure solved on its own,
-eta written out from its definition, and ``check`` output recorded from
-the implementation that restricted and re-solved the census for every
-closure.
+``census.solved`` solves one closure's column alone, or reads a weight
+back through one vector solve, which is what ``bdk_global_1/2/3`` and
+``bdk_point_formula`` compare against in the package itself.  These tests
+keep independent oracles: the dense inverse of the eta matrix, the
+explicit sub-census of a closure solved on its own, eta written out from
+its definition, the closure sums added term by term, and ``check`` output
+recorded from the implementation that restricted and re-solved the census
+for every closure.
 """
 
 import contextlib
@@ -48,6 +48,7 @@ from strat_euler import (
     load_entry,
     load_file,
     restrict_fibered,
+    restrict_to_closure,
     solve_bdk,
     solve_unknown,
     standard_check_lines,
@@ -59,7 +60,7 @@ from strat_euler.records import replace
 from strat_euler.strata import SolvedCensus
 
 from conftest import censuses, censuses_with_functions, fibered_censuses
-from oracles import closure_coefficients, eta_closure_matrix, eta_entry
+from oracles import closure_coefficients, closure_sums, eta_closure_matrix, eta_entry
 
 DATA = Path(__file__).with_name("data")
 
@@ -185,9 +186,10 @@ def test_a_column_solved_alone_is_the_dense_column_on_layered_censuses():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_a_column_solved_alone_raises_what_the_table_route_raises(seed):
-    """Random links dropped: each column, solved alone or read from the
-    whole table, gives the same values or the same MissingLinkEntry."""
+def test_a_column_solved_alone_raises_what_its_closure_census_raises(seed):
+    """Random links dropped: each column solved alone gives the column of
+    the closure's own census inverted densely, or raises the same
+    MissingLinkEntry; the whole table raises the first absent link."""
     full = layered_5x4() if seed == 0 else layered_census(20 + seed, 4 + seed, 4)
     rng = random.Random(seed)
     drop = set(rng.sample(sorted(full.links.entries), 1 + seed))
@@ -195,21 +197,28 @@ def test_a_column_solved_alone_raises_what_the_table_route_raises(seed):
         full,
         links=LinkTable({p: v for p, v in full.links.entries.items() if p not in drop}),
     )
-    whole = fresh(base).solved.solve_whole()
+    order = base.poset.linear_extension()
     raised = 0
-    for j in range(len(whole.order)):
+    for j, sid in enumerate(order):
         alone = fresh(base).solved
         try:
-            want = whole.column(j)
+            sub_order, _coeff, values = dense_values(restrict_to_closure(base, sid))
         except MissingLinkEntry as exc:
             with pytest.raises(MissingLinkEntry) as got:
                 alone.column(j)
             assert got.value.pair == exc.pair
             raised += 1
         else:
+            top = sub_order.index(sid)
+            want = {order.index(s): values[k][top] for k, s in enumerate(sub_order)}
             assert alone.column(j) == want == full.solved.column(j)
         assert "rows" not in vars(alone)
-    assert 0 < raised < len(whole.order)
+    assert 0 < raised < len(order)
+    with pytest.raises(MissingLinkEntry) as dense:
+        eta_closure_matrix(base)
+    with pytest.raises(MissingLinkEntry) as table:
+        fresh(base).solved.rows
+    assert table.value.pair == dense.value.pair
 
 
 # --- closure columns against the restricted census -----------------------
@@ -417,6 +426,122 @@ def test_point_formula_from_scratch_randomized(census):
 def test_point_formula_from_scratch_on_larger_posets():
     for seed in (5, 6):
         assert_point_formula_from_scratch(layered_census(seed, 4, 4))
+
+
+# --- the closure sums against their terms ---------------------------------
+
+
+@given(censuses_with_functions())
+def test_a_weight_read_back_through_the_solver_is_itself(pair):
+    census, alpha = pair
+    assert census.solved.weight(alpha).resolved == alpha
+
+
+INTEGRALS = {
+    "bdk_global_1": brasselet,
+    "bdk_global_2": lambda census, _a, w: total_brasselet_infinity(census, w),
+    "bdk_global_3": brasselet_infinity,
+}
+
+
+def with_function(base, rng, values=("0", "1")):
+    """``base`` with seeded fiber columns, and infinity columns on most
+    strata, at two special values."""
+    ids = base.poset.ids()
+    return FiberedCensus(
+        base,
+        special_values=values,
+        fiber_chi={s: {v: rng.randint(-3, 3) for v in (*values, GENERIC)} for s in ids},
+        infinity_chi={
+            s: {v: rng.randint(-2, 2) for v in values} for s in ids if rng.random() < 0.7
+        },
+    )
+
+
+def faulted(census, rng):
+    """``census`` with none, one or three links dropped, and none, one or
+    three fiber slots blanked."""
+    links = census.base.links.entries
+    drop = set(rng.sample(sorted(links), min(rng.choice((0, 0, 1, 3)), len(links))))
+    fiber = {s: dict(col) for s, col in census.fiber_chi.items()}
+    slots = sorted((s, v) for s, col in fiber.items() for v in col)
+    for s, v in rng.sample(slots, min(rng.choice((0, 0, 1, 3)), len(slots))):
+        del fiber[s][v]
+    base = replace(census.base, links=LinkTable({p: c for p, c in links.items() if p not in drop}))
+    return replace(census, base=base, fiber_chi=fiber)
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # the type and text are what a SKIP row shows
+        return type(exc).__name__, str(exc)
+
+
+def seeded_function_censuses():
+    """(census, alpha) pairs: seeded wide and layered censuses with faults
+    and a random weight, then one census whose first closure fails in both
+    its own term and its eta."""
+    wide = load_file(DATA / "wide-n21.json").census
+    layered = load_file(DATA / "layered-5x4.json").census
+    for seed in range(48):
+        rng = random.Random(seed)
+        if seed % 4 == 0:
+            census = wide if seed % 8 else layered
+        elif seed % 4 == 1:  # wide: two levels under the regular part
+            census = with_function(layered_census(seed, 2, rng.randint(6, 12)), rng)
+        else:
+            census = with_function(
+                layered_census(seed, rng.randint(3, 5), rng.randint(3, 5)), rng
+            )
+        census = faulted(census, rng)
+        ids = census.base.poset.ids()
+        yield census, StratumConstructibleFunction({s: rng.randint(-3, 3) for s in ids})
+    # a weight off the first stratum, whose fiber slots are blanked and
+    # whose link to the regular part is dropped: its term raises first
+    first = layered.base.poset.ids()[0]
+    links = {p: c for p, c in layered.base.links.entries.items() if p != (first, "T")}
+    assert len(links) < len(layered.base.links.entries)
+    census = replace(
+        layered,
+        base=replace(layered.base, links=LinkTable(links)),
+        fiber_chi={**layered.fiber_chi, first: {}},
+    )
+    yield census, StratumConstructibleFunction({first: 0, "T": 1})
+
+
+def test_closure_sum_rows_match_the_sums_term_by_term():
+    """On seeded wide and layered censuses with links dropped and fiber
+    slots blanked, every bdk_global row, at the weights 1, Eu and a random
+    one, has the sides of the closure-by-closure sum, or raises its error."""
+    seen = set()
+    for census, alpha in seeded_function_censuses():
+        weights = {"1": indicator_of_space, "alpha": lambda _base: alpha}
+        if census.base.equidimensional:
+            weights["Eu"] = lambda base: eu_weight(replace(census, base=base))
+        values = {
+            "bdk_global_1": (*census.special_values, GENERIC),
+            "bdk_global_2": (None,),
+            "bdk_global_3": census.special_values,
+        }
+        for name, integral in INTEGRALS.items():
+            for a in values[name]:
+                for label, weight in weights.items():
+                    row_census = replace(census, base=fresh(census.base))
+                    got = outcome(
+                        lambda: check_identity(
+                            row_census, name, at=a, alpha=weight(row_census.base)
+                        ).sides
+                    )
+                    oracle_census = replace(census, base=fresh(census.base))
+                    want = outcome(
+                        lambda: closure_sums(
+                            integral, oracle_census, a, weight(oracle_census.base)
+                        )
+                    )
+                    assert got == want, (census.base.name, name, a, label)
+                    seen.add(got[0] if isinstance(got[0], str) else "sides")
+    assert seen == {"sides", "MissingLinkEntry", "InsufficientData"}
 
 
 # --- nothing solved survives a change ------------------------------------
@@ -695,7 +820,7 @@ def blanked(doc, *path):
         (["solve", "{fiber_gap}", "--identity", "cor_constructible",
           "--unknown", "fiber_chi.T.generic", "--alpha", "eu"], 0),
         (["compute", "{layered}", "--what", "eu-table"], 1),
-        (["check", "{layered}"], 1),
+        (["check", "{layered}"], 0),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
