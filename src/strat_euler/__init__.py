@@ -43,7 +43,6 @@ _EXPORTS = {
         "MissingLinkEntry",
         "MissingPolarData",
         "NotAPointStratum",
-        "NotASubcomplex",
         "NotEquidimensional",
         "NotSolvable",
         "PointNotInClosure",
@@ -69,7 +68,6 @@ _EXPORTS = {
         "FieldPath",
         "SolveResult",
         "check_identity",
-        "restrict_fibered",
         "solve_unknown",
     ),
     "fibration": (
@@ -92,7 +90,6 @@ _EXPORTS = {
         "check_bdk_point_formula",
         "eu_function_of_space",
         "global_euler_obstruction",
-        "invert_unitriangular",
         "solve_bdk",
     ),
     "polar": (
@@ -110,10 +107,7 @@ _EXPORTS = {
         "SimplexSubset",
         "chi",
         "chi_c",
-        "chi_rel",
         "complex_from_json",
-        "complex_to_json",
-        "ordered_product",
         "whole",
     ),
     "strata": (
@@ -126,7 +120,6 @@ _EXPORTS = {
         "chi_global",
         "eta",
         "indicator_of_space",
-        "restrict_to_closure",
     ),
 }
 

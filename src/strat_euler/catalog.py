@@ -106,8 +106,6 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
         if bundle.polar is None:
             raise InsufficientData(["polar"])
         return brasselet_from_polar(census, bundle.polar, GENERIC)
-    if key == "eu_f_at_generic":
-        return eu_of_f_at(census, GENERIC)
     if key.startswith("B_polar_at_") and len(key) > len("B_polar_at_"):
         if bundle.polar is None:
             raise InsufficientData(["polar"])

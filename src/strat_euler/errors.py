@@ -35,10 +35,6 @@ class MemberNotInHost(CensusError):
     """A subset names a simplex that its host complex does not contain."""
 
 
-class NotASubcomplex(CensusError):
-    """The claimed subcomplex is not contained in the ambient complex."""
-
-
 class HostMismatch(CensusError):
     """Two objects that must share a host complex do not."""
 

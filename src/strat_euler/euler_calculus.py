@@ -39,10 +39,6 @@ class SimplicialConstructibleFunction:
     def __call__(self, s: Simplex) -> int:
         return self._weights.get(s, 0)
 
-    @property
-    def support(self) -> frozenset[Simplex]:
-        return frozenset(self._weights)
-
     def items(self):
         return self._weights.items()
 
@@ -56,26 +52,6 @@ class SimplicialConstructibleFunction:
 
     def __repr__(self) -> str:
         return f"SimplicialConstructibleFunction({len(self._weights)} nonzero weights)"
-
-
-def indicator(subset: SimplexSubset) -> SimplicialConstructibleFunction:
-    """The function worth 1 on each member simplex and 0 elsewhere."""
-    return SimplicialConstructibleFunction(subset.host, {s: 1 for s in subset.members})
-
-
-def scale(c: int, f: SimplicialConstructibleFunction) -> SimplicialConstructibleFunction:
-    return SimplicialConstructibleFunction(f.host, {s: c * v for s, v in f.items()})
-
-
-def add(
-    f: SimplicialConstructibleFunction, g: SimplicialConstructibleFunction
-) -> SimplicialConstructibleFunction:
-    if f.host != g.host:
-        raise HostMismatch("cannot add functions on different hosts")
-    w = dict(f.items())
-    for s, v in g.items():
-        w[s] = w.get(s, 0) + v
-    return SimplicialConstructibleFunction(f.host, w)
 
 
 def integrate(f: SimplicialConstructibleFunction, region: SimplexSubset) -> int:

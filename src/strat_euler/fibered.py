@@ -282,9 +282,10 @@ def check_identity(
     fiber-obstruction comparison additionally needs the census of the fiber
     itself via ``fiber_census``.  ``use_milnor`` switches the generic-fiber
     balance to Milnor numbers, which requires the function to be declared
-    general.  The arguments are checked in that order: value, fiber census,
-    counts, weight.  Data deficiencies raise InsufficientData; a row with
-    differing sides is an honest verification failure, not an error.
+    general, and applies only to the identities that take counts.  The
+    arguments are checked in that order: value, whether counts apply, fiber
+    census, counts, weight.  Data deficiencies raise InsufficientData; a row
+    with differing sides is an honest verification failure, not an error.
     """
     entry = IDENTITIES.get(identity)
     if entry is None:
@@ -293,12 +294,10 @@ def check_identity(
         if at is None:
             raise IdentityArgumentError(f"identity {identity!r} needs a target value")
         census.require_label(at)
-    if entry.fiber:
-        # the fiber's own obstruction takes the place of any counts
-        if use_milnor:
-            raise IdentityArgumentError("milnor counts do not apply to this identity")
-        if fiber_census is None:
-            raise InsufficientData([f"fiber_census.{at}"])
+    if use_milnor and not entry.counts:
+        raise IdentityArgumentError("milnor counts do not apply to this identity")
+    if entry.fiber and fiber_census is None:
+        raise InsufficientData([f"fiber_census.{at}"])
     counts = None
     if entry.counts:
         counts = _milnor_totals(census) if use_milnor else _morse_totals(census)

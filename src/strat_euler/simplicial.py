@@ -13,16 +13,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Any, Iterable, Iterator
 
-from .errors import (
-    FaceClosureViolation,
-    MemberNotInHost,
-    NotASubcomplex,
-    SchemaError,
-)
+from .errors import FaceClosureViolation, MemberNotInHost, SchemaError
 from .records import record
 
 # Parse-time cap on simplex dimension; keeps adversarial JSON from blowing up
-# the powerset walks in faces() and the product triangulation.
+# the powerset walk in faces().
 DIMENSION_CAP = 8
 
 
@@ -96,21 +91,11 @@ class SimplicialComplex:
     def vertices(self) -> frozenset:
         return frozenset(v for s in self.simplices for v in s)
 
-    @property
-    def dim(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(s.dim for s in self.simplices)
-
     def __contains__(self, s: Simplex) -> bool:
         return s in self.simplices
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def sorted_simplices(self) -> list[Simplex]:
-        """Deterministic listing: by dimension, then lexicographically."""
-        return sorted(self.simplices, key=lambda s: (s.dim, s.vertices))
 
 
 def validate(complex_: SimplicialComplex) -> None:
@@ -165,53 +150,7 @@ def chi(complex_: SimplicialComplex) -> int:
     return chi_c(whole(complex_))
 
 
-def chi_rel(complex_: SimplicialComplex, sub: SimplicialComplex) -> int:
-    """chi_c of the complement of a subcomplex inside a complex."""
-    for s in sub.simplices:
-        if s not in complex_:
-            raise NotASubcomplex(f"{s!r} is not a simplex of the ambient complex")
-    return chi(complex_) - chi(sub)
-
-
-def closure(subset: SimplexSubset) -> SimplexSubset:
-    """The face closure of a subset, as a subset of the same host."""
-    out: set[Simplex] = set()
-    for m in subset.members:
-        out.update(m.faces())
-    return SimplexSubset(subset.host, frozenset(out))
-
-
-def is_closed(subset: SimplexSubset) -> bool:
-    return closure(subset).members == subset.members
-
-
-def ordered_product(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex:
-    """Staircase triangulation of the product of two complexes.
-
-    Vertices of the result are pairs (a, b).  Simplices are the nonempty
-    chains in the componentwise partial order whose projections are simplices
-    of the factors.  chi is multiplicative for this construction, which the
-    property suite checks.
-    """
-    out: set[Simplex] = set()
-    for s in left.simplices:
-        for t in right.simplices:
-            grid = [(a, b) for a in s for b in t]
-            # every monotone chain in the grid of s x t
-            def extend(chain: list[tuple], rest: list[tuple]) -> None:
-                out.add(Simplex(tuple(chain)))
-                last = chain[-1]
-                for i, p in enumerate(rest):
-                    if p[0] >= last[0] and p[1] >= last[1]:
-                        extend(chain + [p], rest[i + 1:])
-
-            grid.sort()
-            for i, p in enumerate(grid):
-                extend([p], grid[i + 1:])
-    return SimplicialComplex(frozenset(out))
-
-
-# JSON serialization.  A complex is {"simplices": [[v, ...], ...]} with each
+# JSON input.  A complex is {"simplices": [[v, ...], ...]} with each
 # vertex list strictly increasing; out-of-order input is an error, not
 # something we quietly repair.
 
@@ -239,6 +178,3 @@ def complex_from_json(obj: Any, path: str = "$") -> SimplicialComplex:
             raise SchemaError(where, str(exc)) from exc
     return SimplicialComplex(frozenset(simplices))
 
-
-def complex_to_json(complex_: SimplicialComplex) -> dict:
-    return {"simplices": [list(s.vertices) for s in complex_.sorted_simplices()]}

@@ -188,9 +188,6 @@ class StratumPoset:
         """Ids of strata in the closure of the given one, itself included."""
         return [i for i in self.ids() if i == stratum_id or self.lt(i, stratum_id)]
 
-    def maximal_ids(self) -> list[str]:
-        return [i for i in self.ids() if not self._above[self._index[i]]]
-
     def linear_extension(self) -> list[str]:
         return list(self._order)
 

@@ -5,6 +5,10 @@ away anything that exceeds the size caps.  All invariants under test are
 exact integer identities, so there is no tolerance knob anywhere.
 """
 
+import copy
+import json
+from pathlib import Path
+
 from hypothesis import assume, settings, strategies as st
 
 from strat_euler import (
@@ -20,7 +24,10 @@ from strat_euler import (
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
+    load_entry,
 )
+
+DATA = Path(__file__).with_name("data")
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -33,6 +40,39 @@ def blank_field(census: FiberedCensus, path: str) -> FiberedCensus:
     and ask the solver to recover it.
     """
     return FieldPath.parse(path).set(census, None)
+
+
+def edited(case):
+    """The case's base document (a fixture or a ``tests/data`` census) with
+    its edits applied in order: ``[path, value]`` sets, ``[path]`` deletes."""
+    if case["base"].endswith(".json"):
+        doc = json.loads((DATA / case["base"]).read_text())
+    else:
+        doc = copy.deepcopy(load_entry(case["base"]).raw)
+    for path, *value in case["edits"]:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value:
+            target[path[-1]] = value[0]
+        else:
+            del target[path[-1]]
+    return doc
+
+
+def faulted_doc(spec):
+    """A fixture or ``tests/data`` census with some links dropped, and the
+    equidimensional flag or the polar block replaced where ``spec`` says."""
+    if spec["file"].startswith("wide"):
+        doc = json.loads((DATA / spec["file"]).read_text())
+    else:
+        doc = json.loads(json.dumps(load_entry(spec["file"][: -len(".json")]).raw))
+    drop = [tuple(p) for p in spec.get("drop", [])]
+    doc["links"] = [l for l in doc["links"] if (l["at"], l["in_closure"]) not in drop]
+    for key in ("equidimensional", "polar"):
+        if key in spec:
+            doc[key] = spec[key]
+    return doc
 
 
 @st.composite
@@ -66,7 +106,7 @@ def weighted_maps(draw):
     dst = SimplicialComplex.closed(
         Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
     )
-    cells = src.sorted_simplices()
+    cells = sorted(src.simplices, key=lambda s: (s.dim, s.vertices))
     values = draw(
         st.lists(st.integers(-5, 5), min_size=len(cells), max_size=len(cells))
     )

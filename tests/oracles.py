@@ -1,10 +1,12 @@
-"""Test-only routes to the closure basis and the eta matrix.
+"""Test-only routes to the closure basis and the eta matrix, and products.
 
 No command runs these, so they live with the tests rather than in the
 package, where every command-line call would compile them.  Each is written
 out from its definition with ``StratumPoset.lt`` and the link table,
 independently of ``census.solved``, except :func:`closure_sums`, which
 adds up the solved closure columns one closure at a time.
+:func:`census_product` builds a census whose invariants are known in closed
+form from its factors'.
 """
 
 from typing import Callable, Mapping
@@ -12,8 +14,11 @@ from typing import Callable, Mapping
 from strat_euler import (
     FiberedCensus,
     LabeledMatrix,
+    LinkTable,
     StratifiedCensus,
+    Stratum,
     StratumConstructibleFunction,
+    StratumPoset,
     eta,
 )
 
@@ -84,3 +89,42 @@ def closure_sums(
         for sid in base.poset.ids()
     )
     return lhs, rhs
+
+
+def census_product(a: StratifiedCensus, b: StratifiedCensus) -> StratifiedCensus:
+    """The census of the product space X x Y from the censuses of X and Y.
+
+    Strata are the pairs of strata (ids ``"S*T"``): dimensions add, Euler
+    characteristics multiply, and the regular part is the pair of regular
+    parts.  (S, T) lies below (S', T') when S <= S' and T <= T' and the
+    pairs differ.  The normal Morse data multiply, 1 - chi(link) of a pair
+    being the product of the factors' 1 - chi(link), where an equal
+    coordinate contributes 1.  So the local obstruction multiplies too:
+    Eu(X x Y) at (x, y) is Eu(X) at x times Eu(Y) at y.
+    """
+
+    def normal(census, low, up):
+        return 1 if low == up else 1 - census.links.get(low, up)
+
+    pairs = [(s, t) for s in a.poset.strata for t in b.poset.strata]
+    strata = tuple(
+        Stratum(
+            f"{s.id}*{t.id}",
+            s.dim + t.dim,
+            None if s.chi is None or t.chi is None else s.chi * t.chi,
+            is_regular_part=s.is_regular_part and t.is_regular_part,
+        )
+        for s, t in pairs
+    )
+    links = {}
+    for s, t in pairs:
+        for u, v in pairs:
+            if (s, t) != (u, v) and a.poset.leq(s.id, u.id) and b.poset.leq(t.id, v.id):
+                product = normal(a, s.id, u.id) * normal(b, t.id, v.id)
+                links[(f"{s.id}*{t.id}", f"{u.id}*{v.id}")] = 1 - product
+    return StratifiedCensus(
+        f"{a.name} x {b.name}",
+        StratumPoset(strata, frozenset(links)),
+        LinkTable(links),
+        equidimensional=a.equidimensional and b.equidimensional,
+    )

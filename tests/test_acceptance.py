@@ -27,17 +27,17 @@ from strat_euler import (
     brasselet_from_polar,
     global_euler_obstruction,
     indicator_of_space,
-    invert_unitriangular,
     lambda_infinity,
     list_entries,
     load_entry,
     random_weighted_map,
-    restrict_to_closure,
     solve_bdk,
     solve_unknown,
     stv_global_eu,
     total_lambda_infinity,
 )
+from strat_euler.obstruction import invert_unitriangular
+from strat_euler.strata import restrict_to_closure
 
 from conftest import blank_field
 

@@ -24,6 +24,8 @@ from strat_euler import (
 from strat_euler.catalog import _fixture_dir
 from strat_euler.cli import main
 
+from conftest import edited
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -242,24 +244,6 @@ def test_the_base_census_is_validated_once_per_load(monkeypatch):
 
 def loader_error_cases():
     return json.loads((DATA / "loader_errors.json").read_text())
-
-
-def edited(case):
-    """The case's base document (a fixture or a ``tests/data`` census) with
-    its edits applied in order: ``[path, value]`` sets, ``[path]`` deletes."""
-    if case["base"].endswith(".json"):
-        doc = json.loads((DATA / case["base"]).read_text())
-    else:
-        doc = copy.deepcopy(load_entry(case["base"]).raw)
-    for path, *value in case["edits"]:
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        if value:
-            target[path[-1]] = value[0]
-        else:
-            del target[path[-1]]
-    return doc
 
 
 def loader_case_id(case):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from strat_euler import CensusError, load_entry
+from strat_euler import IDENTITIES, CensusError, IdentityArgumentError, check_identity, load_entry
 from strat_euler.catalog import _fixture_dir
 from strat_euler.cli import build_parser, main
 
@@ -299,6 +299,32 @@ def test_identity_argument_errors_are_census_errors(tmp_path, capsys, extra, mes
     assert str(exc.value) == message
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("identity", [name for name, e in IDENTITIES.items() if not e.counts])
+def test_milnor_counts_are_refused_where_no_counts_are_taken(tmp_path, capsys, identity):
+    """Only the identities that take counts can take Milnor counts; every
+    other one refuses them instead of computing with the Morse counts."""
+    message = "milnor counts do not apply to this identity"
+    bundle = load_entry("cusp-linear")
+    at = None if IDENTITIES[identity].values is None else "0"
+    with pytest.raises(IdentityArgumentError) as exc:
+        check_identity(
+            bundle.census,
+            identity,
+            at=at,
+            fiber_census=bundle.fiber_censuses.get(at),
+            use_milnor=True,
+        )
+    assert str(exc.value) == message
+    doc = json.loads(json.dumps(bundle.raw))
+    del doc["fibration"]["fiber_chi"]["V2"]["generic"]
+    path = tmp_path / "blanked.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--identity", identity, "--unknown", "fiber_chi.V2.generic"]
+    argv += ["--use-milnor"] + ([] if at is None else ["--at", at])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # --- the full check output, pinned ---------------------------------------

@@ -28,11 +28,11 @@ from strat_euler import (
     load_entry,
     local_fiber_defect,
     resolve_value_label,
-    restrict_fibered,
     solve_unknown,
     total_brasselet_infinity,
     total_lambda_infinity,
 )
+from strat_euler.fibered import restrict_fibered
 from strat_euler.records import replace
 
 from conftest import blank_field, fibered_censuses

@@ -1,6 +1,8 @@
 """The package imports its modules on first use, and each subcommand only
 the modules it runs."""
 
+import ast
+import copy
 import json
 import subprocess
 import sys
@@ -11,6 +13,8 @@ import pytest
 import strat_euler
 from strat_euler import load_entry
 from strat_euler.catalog import _fixture_dir
+
+from conftest import edited, faulted_doc
 
 DATA = Path(__file__).with_name("data")
 
@@ -188,3 +192,153 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
         ["catalog", 0, []],
         ["fubini", 0, []],
     ]
+
+
+# --- every function in src/ is run by some command, or kept for a reason ---
+
+SRC = Path(strat_euler.__file__).parent
+SWEEP_SCRIPT = Path(__file__).parents[1] / "scripts" / "fubini_sweep.py"
+
+# the functions no call of the sweep reaches, each with the reason it stays
+UNREACHED = {
+    "simplicial.chi_c": "oracle: the tests check integrate and pushforward against it",
+    "simplicial.chi": "oracle: chi_c of the whole complex, for the additivity tests",
+    "euler_calculus.SimplicialMap.fiber": "oracle: the preimage the pushforward tests count",
+    "euler_calculus.SimplicialConstructibleFunction.items": (
+        "library API; scripts/fubini_sweep.py prints it on a mismatch"
+    ),
+    "strata.LabeledMatrix.entry": "library API, the README's example reads the table with it",
+    "strata.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
+    "reports.CheckLine.ok": "library API, named in the README",
+    "fibration.FiberedCensus.validate": "library API: checks a census built in code",
+    "strata.restrict_to_closure": "oracle for the solved closure columns; the benchmark traces it",
+    "strata.LinkTable.restricted": "part of restrict_to_closure",
+    "strata.StratumPoset.down_set": "part of restrict_to_closure",
+    "fibered.restrict_fibered": "oracle for the solved closure columns; the benchmark traces it",
+    "obstruction.invert_unitriangular": "oracle: the dense inverse; the benchmark traces it",
+}
+
+
+def defined_functions():
+    """(file, first line) -> dotted name of every non-dunder function in the
+    package source; the first line is the one a code object reports, the
+    first decorator's for a decorated function."""
+    found = {}
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(path, first)] = name
+                visit(child, name, path)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", path)
+            else:
+                visit(child, prefix, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, str(path))
+    return found
+
+
+def sweep_calls(tmp_path):
+    """The argv lists of the sweep: every subcommand on the fixtures and the
+    recorded malformed inputs."""
+    def written(name, doc):
+        path = tmp_path / f"{len(calls)}-{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    calls = [["catalog", "run"], ["catalog", "list"], ["fubini", str(DATA / "bundle.json")]]
+    calls += [["check", fixture(name)] for name in strat_euler.list_entries()]
+    calls += [
+        ["check", str(DATA / "wide-n21.json")],
+        ["check", str(DATA / "layered-5x4.json")],
+        ["check", fixture("broughton"), "--hyperplane", fixture("broughton-slice")],
+    ]
+    for what in ("eu-table", "eu-global", "detect-irregular"):
+        calls.append(["compute", fixture("cusp-linear"), "--what", what])
+    for what in ("brasselet", "lambda", "binf"):
+        for at in ("0", "generic", "undeclared"):
+            calls.append(["compute", fixture("cusp-linear"), "--what", what, "--at", at])
+        calls.append(["compute", fixture("cusp-linear"), "--what", what])
+    # one blanked chi slot and one blanked fiber slot per identity
+    raw = load_entry("cusp-linear").raw
+    blanked = {}
+    for label in ("0", "generic"):
+        doc = copy.deepcopy(raw)
+        del doc["fibration"]["fiber_chi"]["V2"][label]
+        blanked[f"fiber_chi.V2.{label}"] = written(label, doc)
+    doc = copy.deepcopy(raw)
+    del doc["strata"][1]["chi"]
+    blanked["chi.V2"] = written("chi", doc)
+    out = str(tmp_path / "completed.json")
+    for identity, entry in strat_euler.IDENTITIES.items():
+        at = [] if entry.values is None else ["--at", "0"]
+        for slot in ("chi.V2", "fiber_chi.V2." + (at[-1] if at else "generic")):
+            for alpha in ("1", "eu"):
+                calls.append(
+                    ["solve", blanked[slot], "--identity", identity, "--unknown", slot, *at,
+                     "--alpha", alpha, "--emit-completed", out]
+                )
+    # the malformed documents include an order with a cycle and an order
+    # pair that lowers dimension
+    for case in json.loads((DATA / "loader_errors.json").read_text()):
+        calls.append(["check", written("malformed", edited(case))])
+    for case in json.loads((DATA / "missing_link_calls.json").read_text()):
+        argv = []
+        for arg in case["argv"]:
+            if arg in ("{census}", "{hyperplane}"):
+                arg = written(arg[1:-1], faulted_doc(case[arg[1:-1]]))
+            argv.append(arg)
+        calls.append(argv)
+    return calls
+
+
+# runs each argv of the JSON file argv[1] through cli.main, then the Fubini
+# sweep script argv[2], with a profiler on from before the package is
+# imported; prints where each function called under the directory argv[3]
+# starts
+REACHED_BY = """
+import contextlib, io, json, runpy, sys
+calls_file, script, src = sys.argv[1:]
+with open(calls_file) as f:
+    calls = json.load(f)
+reached = set()
+
+def profile(frame, event, _arg):
+    if event == "call" and frame.f_code.co_filename.startswith(src):
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    import strat_euler.cli
+    for argv in calls:
+        strat_euler.cli.main(argv)
+    runpy.run_path(script, run_name="fubini_sweep")["main"](["--count", "20"])
+sys.setprofile(None)
+print(json.dumps(sorted(reached)))
+"""
+
+
+def test_every_function_in_src_is_reached_or_allowed(tmp_path):
+    """Runs every subcommand on the fixtures and the recorded malformed
+    inputs, then the randomized Fubini sweep, under a profiler: a function
+    of the package that none of them reaches has to be in UNREACHED, with
+    its reason, and every name there has to exist and stay unreached."""
+    calls = tmp_path / "calls.json"
+    calls.write_text(json.dumps(sweep_calls(tmp_path)))
+    run = subprocess.run(
+        [sys.executable, "-c", REACHED_BY, str(calls), str(SWEEP_SCRIPT), str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reached = {tuple(key) for key in json.loads(run.stdout)}
+    unreached = {name for key, name in defined_functions().items() if key not in reached}
+    unlisted = sorted(unreached - UNREACHED.keys())
+    assert not unlisted, f"no call reaches {unlisted}: delete them, or list them with a reason"
+    stale = sorted(UNREACHED.keys() - unreached)
+    assert not stale, f"listed as unreached but reached or gone: {stale}"

@@ -17,12 +17,12 @@ from strat_euler import (
     eta,
     eu_function_of_space,
     global_euler_obstruction,
-    invert_unitriangular,
     list_entries,
     load_entry,
-    restrict_to_closure,
     solve_bdk,
 )
+from strat_euler.obstruction import invert_unitriangular
+from strat_euler.strata import restrict_to_closure
 
 from conftest import censuses
 

@@ -1,0 +1,71 @@
+"""Product censuses against their factors.
+
+The census of X x Y is built from the censuses of X and Y alone
+(``oracles.census_product``), so its invariants are known in closed form:
+the local obstruction table is the Kronecker product of the factors'
+tables, and the global obstruction and the Euler characteristic multiply.
+None of that is read from the solver's own output on the product.
+"""
+
+from pathlib import Path
+
+from hypothesis import given
+
+from strat_euler import (
+    check_bdk_point_formula,
+    chi_global,
+    global_euler_obstruction,
+    indicator_of_space,
+    list_entries,
+    load_entry,
+    load_file,
+    solve_bdk,
+)
+
+from conftest import censuses
+from oracles import census_product
+
+DATA = Path(__file__).with_name("data")
+
+
+def assert_product_invariants(a, b):
+    product = census_product(a, b)
+    product.validate()
+    table, left, right = solve_bdk(product), solve_bdk(a), solve_bdk(b)
+    for s in left.labels:
+        for t in right.labels:
+            for u in left.labels:
+                for v in right.labels:
+                    assert table.entry(f"{s}*{t}", f"{u}*{v}") == (
+                        left.entry(s, u) * right.entry(t, v)
+                    )
+    assert global_euler_obstruction(product) == (
+        global_euler_obstruction(a) * global_euler_obstruction(b)
+    )
+    assert chi_global(product, indicator_of_space(product)) == (
+        chi_global(a, indicator_of_space(a)) * chi_global(b, indicator_of_space(b))
+    )
+    for s in product.poset.strata:
+        if s.dim == 0:
+            assert check_bdk_point_formula(product, s.id).ok
+    return product
+
+
+def test_products_of_every_pair_of_fixtures():
+    bases = [load_entry(name).census.base for name in list_entries()]
+    for a in bases:
+        for b in bases:
+            assert_product_invariants(a, b)
+
+
+@given(censuses(), censuses())
+def test_products_of_random_censuses(a, b):
+    assert_product_invariants(a, b)
+
+
+def test_product_of_a_layered_census_and_the_cusp():
+    layered = load_file(DATA / "layered-5x4.json").census.base
+    cusp = load_entry("cusp-linear").census.base
+    product = assert_product_invariants(layered, cusp)
+    assert len(product.poset.strata) == 2 * len(layered.poset.strata)
+    assert global_euler_obstruction(cusp) == 2

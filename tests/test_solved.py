@@ -42,13 +42,10 @@ from strat_euler import (
     eta,
     eu_weight,
     indicator_of_space,
-    invert_unitriangular,
     list_entries,
     load_document,
     load_entry,
     load_file,
-    restrict_fibered,
-    restrict_to_closure,
     solve_bdk,
     solve_unknown,
     standard_check_lines,
@@ -56,10 +53,12 @@ from strat_euler import (
 )
 from strat_euler.catalog import evaluate_expected_key
 from strat_euler.cli import main
+from strat_euler.fibered import restrict_fibered
+from strat_euler.obstruction import invert_unitriangular
 from strat_euler.records import replace
-from strat_euler.strata import SolvedCensus
+from strat_euler.strata import SolvedCensus, restrict_to_closure
 
-from conftest import censuses, censuses_with_functions, fibered_censuses
+from conftest import censuses, censuses_with_functions, faulted_doc, fibered_censuses
 from oracles import closure_coefficients, closure_sums, eta_closure_matrix, eta_entry
 
 DATA = Path(__file__).with_name("data")
@@ -666,21 +665,6 @@ def test_ambient_obstruction_mismatch_is_a_failed_row(tmp_path):
 
 
 # --- the obstruction routes with absent links, recorded from the table ---
-
-
-def faulted_doc(spec):
-    """A fixture or ``tests/data`` census with some links dropped, and the
-    equidimensional flag or the polar block replaced where ``spec`` says."""
-    if spec["file"].startswith("wide"):
-        doc = json.loads((DATA / spec["file"]).read_text())
-    else:
-        doc = json.loads(json.dumps(load_entry(spec["file"][: -len(".json")]).raw))
-    drop = [tuple(p) for p in spec.get("drop", [])]
-    doc["links"] = [l for l in doc["links"] if (l["at"], l["in_closure"]) not in drop]
-    for key in ("equidimensional", "polar"):
-        if key in spec:
-            doc[key] = spec[key]
-    return doc
 
 
 def missing_link_calls():
