@@ -6,11 +6,14 @@ noted next to each number) and frozen.  ``run_all`` recomputes every
 expected value and every applicable identity on every entry; the catalog
 passing is the package's end-to-end self-test.
 
-The battery of checks, :func:`standard_check_lines`, derives its identity
-rows from the registry in ``fibered`` (which values, which weights, which
-counts), and builds every row, identity, point formula or polar
-cross-check alike, through :func:`checked_row`: compare the two sides, or
-SKIP when the census lacks the data.
+The battery of checks, :func:`standard_check_lines`, makes every row of
+``check``.  It derives its identity rows from the registry in ``fibered``
+(which values, which weights, which counts).  Every verifier returns its
+two sides (lhs, rhs); ``fibered.check_identity`` alone wraps them in a row,
+which the battery reads back through ``CheckLine.sides``.  The battery
+names each row once and builds it, identity, point formula, polar
+cross-check or slicing step alike, through :func:`checked_row`: compare the
+two sides, or SKIP when the census lacks the data.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     MissingLinkEntry,
     MissingPolarData,
     NotEquidimensional,
+    PointNotInClosure,
     SchemaError,
     UnknownEntry,
     UnknownStratum,
@@ -44,7 +48,7 @@ from .fibration import (
     total_lambda_infinity,
 )
 from .obstruction import check_bdk_point_formula, global_euler_obstruction
-from .polar import brasselet_from_polar, infinity_from_polar, stv_global_eu
+from .polar import brasselet_from_polar, hyperplane_step, infinity_from_polar, stv_global_eu
 from .records import record
 from .reports import CheckLine, row_detail
 from .strata import StratifiedCensus, chi_global, indicator_of_space
@@ -76,6 +80,12 @@ def _eu_of_space_at(census: StratifiedCensus, stratum_id: str) -> int:
     return column.value(stratum_id)
 
 
+def _polar(bundle: CensusBundle):
+    if bundle.polar is None:
+        raise InsufficientData(["polar"])
+    return bundle.polar
+
+
 def evaluate_expected_key(bundle: CensusBundle, key: str):
     """Recompute the invariant an expected key names.
 
@@ -97,22 +107,12 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
     if key == "irregular_values":
         return detect_irregular_values(census)
     if key == "stv_sum":
-        if bundle.polar is None:
-            raise InsufficientData(["polar"])
-        return stv_global_eu(census, bundle.polar).lhs
-    if key == "B_generic":
-        return brasselet(census, GENERIC, eu_weight(census))
-    if key == "B_polar_generic":
-        if bundle.polar is None:
-            raise InsufficientData(["polar"])
-        return brasselet_from_polar(census, bundle.polar, GENERIC)
-    if key.startswith("B_polar_at_") and len(key) > len("B_polar_at_"):
-        if bundle.polar is None:
-            raise InsufficientData(["polar"])
-        return brasselet_from_polar(census, bundle.polar, key[len("B_polar_at_"):])
+        return stv_global_eu(census, _polar(bundle))[0]
+    key = {"B_generic": "B_at_generic", "B_polar_generic": "B_polar_at_generic"}.get(key, key)
     for prefix, run in (
         ("eu_x_at_", lambda arg: _eu_of_space_at(base, arg)),
         ("B_at_", lambda arg: brasselet(census, arg, eu_weight(census))),
+        ("B_polar_at_", lambda arg: brasselet_from_polar(census, _polar(bundle), arg)),
         ("eu_f_at_", lambda arg: eu_of_f_at(census, arg)),
         ("lambda_at_", lambda arg: lambda_infinity(census, arg)),
         ("binf_at_", lambda arg: brasselet_infinity(census, arg, eu_weight(census))),
@@ -144,6 +144,7 @@ SKIPPABLE_ERRORS = (
     NotEquidimensional,
     MissingLinkEntry,
     MissingPolarData,
+    PointNotInClosure,
 )
 
 
@@ -169,7 +170,9 @@ def checked_row(
     return CheckLine.compare(name, lhs, rhs, detail)
 
 
-def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
+def standard_check_lines(
+    bundle: CensusBundle, slice_bundle: CensusBundle | None = None
+) -> list[CheckLine]:
     """Every applicable check on one bundle, in a fixed deterministic order.
 
     The identity rows follow the registry (``fibered.IDENTITIES``): each
@@ -179,7 +182,8 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
     counts at weight 1 and the function is declared general.  Identities
     whose data is absent produce SKIP rows rather than failures.  Polar
     data, when declared, is cross-checked against the census route to the
-    same numbers.
+    same numbers.  Given the census of a generic hyperplane slice, the
+    slicing step is checked last, at each special value.
     """
     census = bundle.census
     base = census.base
@@ -189,9 +193,7 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
         if base.poset.stratum(sid).dim == 0:
             lines.append(
                 checked_row(
-                    "bdk_point_formula",
-                    f"at={sid}",
-                    lambda: check_bdk_point_formula(base, sid).sides,
+                    "bdk_point_formula", f"at={sid}", lambda: check_bdk_point_formula(base, sid)
                 )
             )
 
@@ -224,14 +226,10 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
                 )
             )
 
-    if bundle.polar is not None:
-        polar = bundle.polar
+    polar = bundle.polar
+    if polar is not None:
         if polar.alpha is not None:
-            lines.append(
-                checked_row(
-                    "stv_global_eu", "", lambda: stv_global_eu(census, polar).sides
-                )
-            )
+            lines.append(checked_row("stv_global_eu", "", lambda: stv_global_eu(census, polar)))
         for a in values + [GENERIC]:
             lines.append(
                 checked_row(
@@ -252,6 +250,19 @@ def standard_check_lines(bundle: CensusBundle) -> list[CheckLine]:
                         infinity_from_polar(census, polar, a),
                         brasselet_infinity(census, a, eu_weight(census)),
                     ),
+                )
+            )
+
+    if slice_bundle is not None:
+        for a in values:
+            if polar is None:
+                lines.append(CheckLine.skip("hyperplane_step", f"a={a}", "missing: polar"))
+                continue
+            lines.append(
+                checked_row(
+                    "hyperplane_step",
+                    f"a={a}",
+                    lambda: hyperplane_step(census, polar, slice_bundle.census, a),
                 )
             )
     return lines

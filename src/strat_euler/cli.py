@@ -30,7 +30,7 @@ _COLORS = {"OK": "\x1b[32m", "FAIL": "\x1b[31m", "SKIP": "\x1b[33m"}
 
 
 def _emit(line, stream) -> None:
-    # a CheckLine, or an expected-value row of a catalog run
+    # a battery row, or an expected-value row of a catalog run
     text = line.line()
     if _use_color(stream):
         text = _COLORS.get(line.status, "") + text + "\x1b[0m"
@@ -45,33 +45,14 @@ def _cmd_check(args) -> int:
     from .census_io import load_file
 
     bundle = load_file(args.census)
-    lines = standard_check_lines(bundle)
-    if args.hyperplane is not None:
-        lines.extend(_hyperplane_lines(bundle, load_file(args.hyperplane)))
+    slice_bundle = None if args.hyperplane is None else load_file(args.hyperplane)
+    lines = standard_check_lines(bundle, slice_bundle)
     for line in lines:
         _emit(line, sys.stdout)
     failed = sum(1 for l in lines if l.status == "FAIL")
     skipped = sum(1 for l in lines if l.status == "SKIP")
     print(f"{len(lines)} checks, {failed} failed, {skipped} skipped")
     return 1 if failed else 0
-
-
-def _hyperplane_lines(bundle, slice_bundle) -> list:
-    from .catalog import checked_row
-    from .polar import hyperplane_step
-    from .reports import CheckLine
-
-    values = bundle.census.special_values
-    if bundle.polar is None:
-        return [CheckLine.skip("hyperplane_step", f"a={a}", "missing: polar") for a in values]
-    return [
-        checked_row(
-            "hyperplane_step",
-            f"a={a}",
-            lambda: hyperplane_step(bundle.census, bundle.polar, slice_bundle.census, a).sides,
-        )
-        for a in values
-    ]
 
 
 def _cmd_compute(args) -> int:

@@ -34,6 +34,7 @@ from .fibration import (
     eu_weight,
     lambda_infinity,
     local_fiber_defect,
+    signed_count_balance,
     total_brasselet_infinity,
 )
 from .obstruction import global_euler_obstruction
@@ -83,21 +84,6 @@ def restrict_fibered(census: FiberedCensus, stratum_id: str) -> FiberedCensus:
 # --- identity verifiers ------------------------------------------------
 
 
-def _signed_count_balance(
-    census: FiberedCensus,
-    alpha: StratumConstructibleFunction,
-    counts: Mapping[str, int],
-) -> int:
-    total = 0
-    for sid in census.base.poset.ids():
-        n = counts.get(sid, 0)
-        if n == 0:
-            continue
-        d = census.base.poset.stratum(sid).dim
-        total += (-1 if d % 2 else 1) * n * eta(census.base, sid, alpha)
-    return total
-
-
 def _morse_totals(census: FiberedCensus, excluding_value: str | None = None) -> dict[str, int]:
     return {
         sid: census.morse_total(sid, excluding_value)
@@ -119,7 +105,8 @@ def _milnor_totals(census: FiberedCensus) -> dict[str, int]:
     for q in census.critical_points:
         for sid, n in (q.milnor_numbers or {}).items():
             out[sid] = out.get(sid, 0) + n
-    return out
+    # in stratum order, as the Morse totals
+    return {sid: out[sid] for sid in census.base.poset.ids() if sid in out}
 
 
 def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]]:
@@ -175,7 +162,7 @@ def _prop_brasselet_vs_fiber_eu(census, a, w, counts, fiber) -> tuple[int, int]:
 
 def _generic_fiber(census, a, w, counts, fiber) -> tuple[int, int]:
     lhs = chi_global(census.base, w) - brasselet(census, GENERIC, w)
-    rhs = _signed_count_balance(census, w, counts) - total_brasselet_infinity(census, w)
+    rhs = signed_count_balance(census, w, counts) - total_brasselet_infinity(census, w)
     return lhs, rhs
 
 
@@ -192,7 +179,7 @@ def _prop_any_value(census, a, w, counts, fiber) -> tuple[int, int]:
     counts = _morse_totals(census, excluding_value=a)
     lhs = chi_global(census.base, w) - brasselet(census, a, w)
     rhs = (
-        _signed_count_balance(census, w, counts)
+        signed_count_balance(census, w, counts)
         - total_brasselet_infinity(census, w)
         + brasselet_infinity(census, a, w)
     )
@@ -282,10 +269,12 @@ def check_identity(
     fiber-obstruction comparison additionally needs the census of the fiber
     itself via ``fiber_census``.  ``use_milnor`` switches the generic-fiber
     balance to Milnor numbers, which requires the function to be declared
-    general, and applies only to the identities that take counts.  The
-    arguments are checked in that order: value, whether counts apply, fiber
-    census, counts, weight.  Data deficiencies raise InsufficientData; a row
-    with differing sides is an honest verification failure, not an error.
+    general, and applies only to the identities that take counts.  An
+    argument the identity does not take (a value, counts, a weight) is
+    refused.  The arguments are checked in that order: value, whether counts
+    apply, whether a weight applies, fiber census, counts, weight.  Data
+    deficiencies raise InsufficientData; a row with differing sides is an
+    honest verification failure, not an error.
     """
     entry = IDENTITIES.get(identity)
     if entry is None:
@@ -294,8 +283,14 @@ def check_identity(
         if at is None:
             raise IdentityArgumentError(f"identity {identity!r} needs a target value")
         census.require_label(at)
+    elif at is not None:
+        raise IdentityArgumentError(f"identity {identity!r} takes no target value")
     if use_milnor and not entry.counts:
         raise IdentityArgumentError("milnor counts do not apply to this identity")
+    if alpha is not None and entry.weight != "alpha":
+        raise IdentityArgumentError(
+            f"identity {identity!r} takes no weight; its weight is {entry.weight}"
+        )
     if entry.fiber and fiber_census is None:
         raise InsufficientData([f"fiber_census.{at}"])
     counts = None

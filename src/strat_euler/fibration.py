@@ -268,6 +268,21 @@ def detect_irregular_values(census: FiberedCensus) -> list[str]:
     return sorted(flagged)
 
 
+def signed_count_balance(
+    census: FiberedCensus, alpha: StratumConstructibleFunction, counts: Mapping[str, int]
+) -> int:
+    """The sum over strata of (-1)^dim times the count times eta of alpha,
+    taken in the order of ``counts``, which decides the absent link raised
+    first."""
+    total = 0
+    for sid, n in counts.items():
+        if n == 0:
+            continue
+        d = census.base.poset.stratum(sid).dim
+        total += (-1 if d % 2 else 1) * n * eta(census.base, sid, alpha)
+    return total
+
+
 def local_fiber_defect(census: FiberedCensus, point_id: str) -> int:
     """Drop of the local fiber's chi at a critical point.
 
@@ -275,15 +290,8 @@ def local_fiber_defect(census: FiberedCensus, point_id: str) -> int:
     the constant function 1; equals 1 minus the chi of the local fiber of
     the function at the point.
     """
-    q = census.point(point_id)
-    one = indicator_of_space(census.base)
-    total = 0
-    for sid, n in q.morse_counts.items():
-        if n == 0:
-            continue
-        d = census.base.poset.stratum(sid).dim
-        total += (-1 if d % 2 else 1) * n * eta(census.base, sid, one)
-    return total
+    counts = census.point(point_id).morse_counts
+    return signed_count_balance(census, indicator_of_space(census.base), counts)
 
 
 def eu_of_function_local(census: FiberedCensus, point_id: str, closure_of: str) -> int:

@@ -1,8 +1,9 @@
 """The one result record: a row of a verification run.
 
-Identity verifiers, the check battery and the command line all produce
-:class:`CheckLine` rows; a compared row carries both sides of its identity,
-a skipped one the reason it was skipped.
+Verifiers return the two sides of their identity; ``check_identity`` and
+the check battery make :class:`CheckLine` rows of them, which the command
+line prints.  A compared row carries both sides, a skipped one the reason it
+was skipped.
 """
 
 from __future__ import annotations

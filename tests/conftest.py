@@ -62,7 +62,8 @@ def edited(case):
 
 def faulted_doc(spec):
     """A fixture or ``tests/data`` census with some links dropped, and the
-    equidimensional flag or the polar block replaced where ``spec`` says."""
+    equidimensional flag or the polar block replaced where ``spec`` says (a
+    ``null`` polar block removes it)."""
     if spec["file"].startswith("wide"):
         doc = json.loads((DATA / spec["file"]).read_text())
     else:
@@ -72,6 +73,8 @@ def faulted_doc(spec):
     for key in ("equidimensional", "polar"):
         if key in spec:
             doc[key] = spec[key]
+    if doc.get("polar", ()) is None:
+        del doc["polar"]
     return doc
 
 

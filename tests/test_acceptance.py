@@ -185,8 +185,8 @@ def test_criterion_08_polar_cross_checks():
     ok = True
     for name in ("node-linear", "cusp-linear", "triple-point-linear"):
         bundle = load_entry(name)
-        r = stv_global_eu(bundle.census, bundle.polar)
-        ok = ok and r.ok and r.rhs == global_euler_obstruction(bundle.census.base)
+        lhs, rhs = stv_global_eu(bundle.census, bundle.polar)
+        ok = ok and lhs == rhs == global_euler_obstruction(bundle.census.base)
     matched = 0
     for bundle in all_bundles():
         if bundle.polar is None:

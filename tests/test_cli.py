@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from strat_euler import IDENTITIES, CensusError, IdentityArgumentError, check_identity, load_entry
+from strat_euler import (
+    IDENTITIES,
+    CensusError,
+    IdentityArgumentError,
+    check_identity,
+    eu_weight,
+    load_entry,
+)
 from strat_euler.catalog import _fixture_dir
 from strat_euler.cli import build_parser, main
 
@@ -301,20 +308,39 @@ def test_identity_argument_errors_are_census_errors(tmp_path, capsys, extra, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("identity", [name for name, e in IDENTITIES.items() if not e.counts])
-def test_milnor_counts_are_refused_where_no_counts_are_taken(tmp_path, capsys, identity):
-    """Only the identities that take counts can take Milnor counts; every
-    other one refuses them instead of computing with the Morse counts."""
-    message = "milnor counts do not apply to this identity"
+def refused_arguments():
+    """Every identity with each argument it does not take."""
+    for name, entry in IDENTITIES.items():
+        if entry.values is None:
+            yield name, "at"
+        if not entry.counts:
+            yield name, "milnor"
+        if entry.weight != "alpha":
+            yield name, "alpha"
+
+
+@pytest.mark.parametrize("identity, argument", list(refused_arguments()))
+def test_an_argument_the_identity_does_not_take_is_refused(tmp_path, capsys, identity, argument):
+    """A value, Milnor counts or a weight is refused by every identity that
+    does not take it, instead of being ignored: no row is labelled with a
+    value it never read, and no answer is computed with the Morse counts or
+    the fixed weight in place of what was asked for."""
+    entry = IDENTITIES[identity]
+    message = {
+        "at": f"identity {identity!r} takes no target value",
+        "milnor": "milnor counts do not apply to this identity",
+        "alpha": f"identity {identity!r} takes no weight; its weight is {entry.weight}",
+    }[argument]
     bundle = load_entry("cusp-linear")
-    at = None if IDENTITIES[identity].values is None else "0"
+    at = "nonsense" if argument == "at" else None if entry.values is None else "0"
     with pytest.raises(IdentityArgumentError) as exc:
         check_identity(
             bundle.census,
             identity,
             at=at,
+            alpha=eu_weight(bundle.census) if argument == "alpha" else None,
             fiber_census=bundle.fiber_censuses.get(at),
-            use_milnor=True,
+            use_milnor=argument == "milnor",
         )
     assert str(exc.value) == message
     doc = json.loads(json.dumps(bundle.raw))
@@ -322,7 +348,8 @@ def test_milnor_counts_are_refused_where_no_counts_are_taken(tmp_path, capsys, i
     path = tmp_path / "blanked.json"
     path.write_text(json.dumps(doc))
     argv = ["solve", str(path), "--identity", identity, "--unknown", "fiber_chi.V2.generic"]
-    argv += ["--use-milnor"] + ([] if at is None else ["--at", at])
+    argv += [] if at is None else ["--at", at]
+    argv += {"at": [], "milnor": ["--use-milnor"], "alpha": ["--alpha", "eu"]}[argument]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -351,3 +378,55 @@ def test_check_output_matches_the_recorded_lines(case, capsys):
     code = main(argv)
     assert capsys.readouterr().out.splitlines() == case["lines"]
     assert code == case["exit"]
+
+
+# --- a critical point off the closure of the regular part ----------------
+
+
+def test_a_point_off_the_regular_closure_skips_its_local_terms(tmp_path, capsys):
+    """A critical point on an isolated point stratum has no local term on
+    the regular part's closure: the rows that need one SKIP, naming the
+    point, and every other row is still checked."""
+    doc = json.loads(json.dumps(load_entry("node-linear").raw))
+    doc["equidimensional"] = False
+    doc["strata"].append({"id": "W", "dim": 0, "chi": 1})
+    fib = doc["fibration"]
+    fib["fiber_chi"]["W"] = {"0": 1, "generic": 0}
+    fib["critical_points"].append({"id": "qw", "stratum": "W", "value": "0", "morse_counts": {"W": 1}})
+    path = tmp_path / "off-closure.json"
+    path.write_text(json.dumps(doc))
+    loose = "SKIP (census 'node-linear' is not declared equidimensional)"
+    off = "SKIP (critical point 'qw' does not lie in the closure of 'V2')"
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "\n".join(
+            [
+                "bdk_point_formula [at=V1]: LHS=1 RHS=1 OK",
+                "bdk_point_formula [at=W]: LHS=1 RHS=1 OK",
+                f"prop_brasselet_vs_fiber_eu [a=0]: {loose}",
+                "bdk_global_1 [a=0, alpha=1]: LHS=2 RHS=2 OK",
+                "bdk_global_1 [a=generic, alpha=1]: LHS=2 RHS=2 OK",
+                "thm_generic_fiber: LHS=0 RHS=0 OK",
+                "thm_generic_fiber [counts=milnor]: SKIP (missing census data: "
+                "critical_points.qw.milnor_numbers)",
+                "cor_constructible [alpha=1]: LHS=0 RHS=0 OK",
+                f"cor_equi: {loose}",
+                "bdk_global_2 [alpha=1]: LHS=0 RHS=0 OK",
+                "bdk_global_3 [a=0, alpha=1]: LHS=0 RHS=0 OK",
+                "prop_any_value [a=0, alpha=1]: LHS=0 RHS=0 OK",
+                f"cor_generic_vs_any [a=0]: {loose}",
+                "value_consistency [a=0]: LHS=2 RHS=2 OK",
+                f"stv_global_eu: {loose}",
+                f"polar_vs_fiber [a=0]: {off}",
+                f"polar_vs_fiber [a=generic]: {loose}",
+                f"polar_vs_infinity [a=0]: {loose}",
+                "18 checks, 0 failed, 8 skipped",
+                "",
+            ]
+        ),
+        "",
+    )
+    # with a slice, its row comes last: the slicing step reads the weight Eu
+    assert main(["check", str(path), "--hyperplane", fixture_path("node-linear")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [f"hyperplane_step [a=0]: {loose}", "19 checks, 0 failed, 9 skipped"]

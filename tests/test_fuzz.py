@@ -1,0 +1,132 @@
+"""A seeded mutation fuzzer for the exit-code contract of the command line.
+
+Each mutant is a shipped fixture or ``tests/data/layered-5x4.json`` with a
+few random edits: a key or an item dropped, a value retyped, an item or a
+value duplicated, a list reversed.  Each mutant runs through ``check`` (with
+and without a hyperplane slice), ``compute --what eu-table|brasselet|binf``
+and ``solve``.  Every call must end in exit 0, 1 or 2 with no exception
+escaping ``cli.main``, and a census that loads must get its rows: ``check``
+exits 0 or 1 on it, whatever its optional fields hold.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+from strat_euler import IDENTITIES, list_entries, load_entry
+from strat_euler.census_io import load_file
+from strat_euler.cli import main
+from strat_euler.errors import CensusError
+
+from conftest import DATA
+
+SEED = 20261018
+MUTANTS = 200  # six calls each
+RETYPED = (None, True, -1, 7, 1.5, "x", "", [], {}, [["x"]], {"x": 1})
+
+
+def base_documents():
+    docs = [load_entry(name).raw for name in list_entries()]
+    return docs + [json.loads((DATA / "layered-5x4.json").read_text())]
+
+
+def slots(doc):
+    """Every (container, key) pair of a JSON document, the root excluded."""
+    out = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            out.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return out
+
+
+def mutate(doc, rng):
+    """Apply one random edit in place and name it."""
+    node, key = rng.choice(slots(doc))
+    value = node[key]
+    kind = rng.choice(("drop", "retype", "duplicate", "reverse"))
+    if kind == "drop":
+        del node[key]
+    elif kind == "retype":
+        node[key] = rng.choice([v for v in RETYPED if type(v) is not type(value)])
+    elif kind == "duplicate" and isinstance(node, list):
+        node.insert(key, json.loads(json.dumps(value)))
+    elif kind == "duplicate":
+        node[rng.choice(list(node))] = json.loads(json.dumps(value))
+    elif isinstance(value, (list, dict)):
+        node[key] = value[::-1] if isinstance(value, list) else dict(reversed(value.items()))
+    else:
+        kind = "noop"
+    return f"{kind} {key!r}"
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        return main(argv)
+
+
+def loads(path) -> bool:
+    try:
+        load_file(path)
+    except (CensusError, ValueError):
+        return False
+    return True
+
+
+def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
+    rng = random.Random(SEED)
+    bases = base_documents()
+    slices = []
+    for i, doc in enumerate(bases):
+        slices.append(tmp_path / f"slice-{i}.json")
+        slices[-1].write_text(json.dumps(doc))
+    path = tmp_path / "mutant.json"
+    codes, problems = [], []
+    for m in range(MUTANTS):
+        base = rng.randrange(len(bases))
+        doc = json.loads(json.dumps(bases[base]))
+        edits = [mutate(doc, rng) for _ in range(rng.randint(1, 3))]
+        fib = bases[base].get("fibration", {})
+        labels = list(fib.get("special_values", [])) + ["generic", "nonsense"]
+        sid = rng.choice([s["id"] for s in bases[base]["strata"]])
+        label = rng.choice(labels)
+        # the slot solve asks for is blanked where the mutant still has it
+        with contextlib.suppress(KeyError, TypeError, IndexError):
+            del doc["fibration"]["fiber_chi"][sid][label]
+        path.write_text(json.dumps(doc))
+        slot = f"fiber_chi.{sid}.{label}"
+        solve = ["solve", str(path), "--identity", rng.choice(list(IDENTITIES)), "--unknown", slot]
+        solve += rng.choice([[], ["--at", rng.choice(labels)]])
+        solve += rng.choice([[], ["--alpha", "eu"]]) + rng.choice([[], [], ["--use-milnor"]])
+        calls = [
+            ["check", str(path)],
+            ["check", str(path), "--hyperplane", str(rng.choice(slices))],
+            ["compute", str(path), "--what", "eu-table"],
+            ["compute", str(path), "--what", "brasselet", "--at", rng.choice(labels)],
+            ["compute", str(path), "--what", "binf", "--at", rng.choice(labels)],
+            solve,
+        ]
+        loaded = loads(path)
+        for argv in calls:
+            where = f"mutant {m} of base {base} ({'; '.join(edits)}): "
+            where += " ".join(argv[:1] + argv[2:])
+            try:
+                code = run(argv)
+            except Exception as exc:  # the contract under test: nothing escapes
+                problems.append(f"{where}: {type(exc).__name__}: {exc}")
+                continue
+            codes.append(code)
+            if code not in (0, 1, 2):
+                problems.append(f"{where}: exit {code}")
+            elif argv[0] == "check" and loaded and code == 2:
+                problems.append(f"{where}: a census that loads got no rows")
+    assert not problems, "\n".join(problems[:20])
+    assert len(codes) >= 1000
+    # the mutants reach both sides of the contract
+    assert {0, 2} <= set(codes)

@@ -117,7 +117,7 @@ def test_compute_loads_neither_the_identities_nor_the_catalog(what):
     code, modules = imported_by("compute", fixture("broughton"), "--what", *what)
     assert code == 0
     assert "fibration" in modules
-    assert not modules & {"fibered", "catalog", "simplicial", "euler_calculus"}
+    assert not modules & {"fibered", "catalog", "reports", "simplicial", "euler_calculus"}
 
 
 def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path):

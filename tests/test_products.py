@@ -47,7 +47,8 @@ def assert_product_invariants(a, b):
     )
     for s in product.poset.strata:
         if s.dim == 0:
-            assert check_bdk_point_formula(product, s.id).ok
+            lhs, rhs = check_bdk_point_formula(product, s.id)
+            assert lhs == rhs
     return product
 
 
