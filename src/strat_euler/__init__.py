@@ -19,8 +19,6 @@ __version__ = "0.1.0"
 # module -> the public names it contributes
 _EXPORTS = {
     "catalog": (
-        "CatalogReport",
-        "EntryReport",
         "ExpectedResult",
         "evaluate_expected_key",
         "load_entry",
@@ -62,6 +60,7 @@ _EXPORTS = {
         "random_weighted_map",
     ),
     "fibered": (
+        "CheckLine",
         "IDENTITIES",
         "IDENTITY_NAMES",
         "STRUCTURAL_IDENTITIES",
@@ -99,7 +98,6 @@ _EXPORTS = {
         "infinity_from_polar",
         "stv_global_eu",
     ),
-    "reports": ("CheckLine",),
     "simplicial": (
         "DIMENSION_CAP",
         "Simplex",

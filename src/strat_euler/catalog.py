@@ -3,8 +3,10 @@
 Each catalog entry is a census file shipped with the package whose expected
 invariants were derived independently (by hand or by an elementary oracle
 noted next to each number) and frozen.  ``run_all`` recomputes every
-expected value and every applicable identity on every entry; the catalog
-passing is the package's end-to-end self-test.
+expected value and every applicable identity on every entry and returns
+each entry's rows, an :class:`ExpectedResult` per expected value and then
+the battery's ``CheckLine`` rows; the catalog passing is the package's
+end-to-end self-test.
 
 The battery of checks, :func:`standard_check_lines`, makes every row of
 ``check``.  It derives its identity rows from the registry in ``fibered``
@@ -34,7 +36,7 @@ from .errors import (
     UnknownEntry,
     UnknownStratum,
 )
-from .fibered import IDENTITIES, check_identity
+from .fibered import IDENTITIES, CheckLine, check_identity, row_detail
 from .fibration import (
     GENERIC,
     brasselet,
@@ -50,7 +52,6 @@ from .fibration import (
 from .obstruction import check_bdk_point_formula, global_euler_obstruction
 from .polar import brasselet_from_polar, hyperplane_step, infinity_from_polar, stv_global_eu
 from .records import record
-from .reports import CheckLine, row_detail
 from .strata import StratifiedCensus, chi_global, indicator_of_space
 
 
@@ -273,63 +274,34 @@ def standard_check_lines(
 
 @record
 class ExpectedResult:
+    """One expected-value row of a catalog run."""
+
     key: str
     want: object
     got: object
 
     @property
-    def ok(self) -> bool:
-        return self.want == self.got
-
-    @property
     def status(self) -> str:
-        return "OK" if self.ok else "FAIL"
+        return "OK" if self.want == self.got else "FAIL"
 
     def line(self) -> str:
         return f"expected {self.key}: want={self.want!r} got={self.got!r} {self.status}"
 
 
-@record
-class EntryReport:
-    name: str
-    expected: tuple[ExpectedResult, ...]
-    checks: tuple[CheckLine, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.expected) and all(
-            c.status != "FAIL" for c in self.checks
-        )
-
-
-@record
-class CatalogReport:
-    entries: tuple[EntryReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def summary(self) -> str:
-        good = sum(1 for e in self.entries if e.ok)
-        return f"{good}/{len(self.entries)} catalog entries verified"
-
-
-def run_entry(bundle: CensusBundle) -> EntryReport:
+def run_entry(bundle: CensusBundle) -> list[ExpectedResult | CheckLine]:
+    """The rows of one entry: its expected values in key order, then the
+    battery."""
     validate_entry(bundle)
-    results = []
-    for key in sorted(bundle.expected):
-        want = bundle.expected[key]
-        got = evaluate_expected_key(bundle, key)
-        results.append(ExpectedResult(key=key, want=want, got=got))
-    return EntryReport(
-        name=bundle.name,
-        expected=tuple(results),
-        checks=tuple(standard_check_lines(bundle)),
-    )
+    expected = [
+        ExpectedResult(key=key, want=bundle.expected[key], got=evaluate_expected_key(bundle, key))
+        for key in sorted(bundle.expected)
+    ]
+    return expected + standard_check_lines(bundle)
 
 
-def run_all(names: list[str] | None = None) -> CatalogReport:
+def run_all(names: list[str] | None = None) -> list[tuple[str, list]]:
+    """(census name, rows) of each named entry, in the order given; all of
+    them when no names are given."""
     if names is None:
         names = list_entries()
-    return CatalogReport(entries=tuple(run_entry(load_entry(n)) for n in names))
+    return [(bundle.name, run_entry(bundle)) for bundle in map(load_entry, names)]

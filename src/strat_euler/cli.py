@@ -20,21 +20,20 @@ from .errors import CensusError
 # compile no census module, `compute` neither the identities nor the catalog
 
 
-def _use_color(stream) -> bool:
-    if os.environ.get("STRAT_EULER_COLOR", "") == "0":
-        return False
-    return hasattr(stream, "isatty") and stream.isatty()
-
-
 _COLORS = {"OK": "\x1b[32m", "FAIL": "\x1b[31m", "SKIP": "\x1b[33m"}
 
 
-def _emit(line, stream) -> None:
-    # a battery row, or an expected-value row of a catalog run
-    text = line.line()
-    if _use_color(stream):
-        text = _COLORS.get(line.status, "") + text + "\x1b[0m"
-    print(text, file=stream)
+def _print_rows(rows) -> int:
+    """Print rows of ``check`` or of a catalog entry, colored on a terminal
+    unless STRAT_EULER_COLOR=0; return how many failed."""
+    out = sys.stdout
+    color = os.environ.get("STRAT_EULER_COLOR", "") != "0" and out.isatty()
+    for row in rows:
+        text = row.line()
+        if color:
+            text = _COLORS.get(row.status, "") + text + "\x1b[0m"
+        print(text, file=out)
+    return sum(1 for row in rows if row.status == "FAIL")
 
 
 # --- subcommands --------------------------------------------------------
@@ -47,9 +46,7 @@ def _cmd_check(args) -> int:
     bundle = load_file(args.census)
     slice_bundle = None if args.hyperplane is None else load_file(args.hyperplane)
     lines = standard_check_lines(bundle, slice_bundle)
-    for line in lines:
-        _emit(line, sys.stdout)
-    failed = sum(1 for l in lines if l.status == "FAIL")
+    failed = _print_rows(lines)
     skipped = sum(1 for l in lines if l.status == "SKIP")
     print(f"{len(lines)} checks, {failed} failed, {skipped} skipped")
     return 1 if failed else 0
@@ -70,6 +67,10 @@ def _cmd_compute(args) -> int:
     bundle = load_file(args.census)
     census = bundle.census
     what = args.what
+    takes_at = what not in ("eu-table", "eu-global", "detect-irregular")
+    if (args.at is None) == takes_at:
+        print(f"error: --what {what} {'needs' if takes_at else 'takes no'} --at", file=sys.stderr)
+        return 2
     if what == "eu-table":
         table = solve_bdk(census.base)
         print("local obstruction values (rows: strata, columns: stratum closures)")
@@ -82,9 +83,6 @@ def _cmd_compute(args) -> int:
         for label in detect_irregular_values(census):
             print(label)
         return 0
-    if args.at is None:
-        print(f"error: --what {what} needs --at", file=sys.stderr)
-        return 2
     at = resolve_value_label(census, args.at)
     if at != args.at:
         print(
@@ -152,6 +150,9 @@ def _cmd_fubini(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.names:
+            print("error: catalog list takes no entry names", file=sys.stderr)
+            return 2
         from .documents import list_entries
 
         for name in list_entries():
@@ -159,13 +160,13 @@ def _cmd_catalog(args) -> int:
         return 0
     from .catalog import run_all
 
-    report = run_all(args.names or None)
-    for entry in report.entries:
-        print(f"== {entry.name} ==")
-        for line in entry.expected + entry.checks:
-            _emit(line, sys.stdout)
-    print(report.summary())
-    return 0 if report.ok else 1
+    entries = run_all(args.names or None)
+    verified = 0
+    for name, rows in entries:
+        print(f"== {name} ==")
+        verified += not _print_rows(rows)
+    print(f"{verified}/{len(entries)} catalog entries verified")
+    return 0 if verified == len(entries) else 1
 
 
 # --- parser -------------------------------------------------------------

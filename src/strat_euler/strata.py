@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import copy
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     InsufficientData,
@@ -184,10 +184,6 @@ class StratumPoset:
         self.stratum(a), self.stratum(b)
         return a == b or (a, b) in self.relations
 
-    def down_set(self, stratum_id: str) -> list[str]:
-        """Ids of strata in the closure of the given one, itself included."""
-        return [i for i in self.ids() if i == stratum_id or self.lt(i, stratum_id)]
-
     def linear_extension(self) -> list[str]:
         return list(self._order)
 
@@ -211,10 +207,6 @@ class LinkTable:
             return self.entries[(lower, upper)]
         except KeyError:
             raise MissingLinkEntry(lower, upper) from None
-
-    def restricted(self, keep: Iterable[str]) -> "LinkTable":
-        keep = set(keep)
-        return LinkTable({p: v for p, v in self.entries.items() if p[0] in keep and p[1] in keep})
 
 
 @record
@@ -576,17 +568,16 @@ def restrict_to_closure(census: StratifiedCensus, stratum_id: str) -> Stratified
     route the tests hold it against.
     """
     poset = census.poset
-    keep = poset.down_set(stratum_id)
+    poset.stratum(stratum_id)  # an unknown id raises here
+    keep = [i for i in poset.ids() if i == stratum_id or (i, stratum_id) in poset.relations]
     keep_set = set(keep)
     strata = tuple(
         replace(poset.stratum(i), is_regular_part=(i == stratum_id)) for i in keep
     )
-    relations = frozenset(
-        (a, b) for (a, b) in poset.relations if a in keep_set and b in keep_set
-    )
+    relations = frozenset(p for p in poset.relations if keep_set.issuperset(p))
     return StratifiedCensus(
         name=f"{census.name}|closure({stratum_id})",
         poset=StratumPoset(strata, relations),
-        links=census.links.restricted(keep_set),
+        links=LinkTable({p: v for p, v in census.links.entries.items() if keep_set.issuperset(p)}),
         equidimensional=True,
     )

@@ -23,6 +23,11 @@ from strat_euler import (
 )
 
 
+def down_set(poset: StratumPoset, stratum_id: str) -> list[str]:
+    """Ids of strata in the closure of the given one, itself included."""
+    return [i for i in poset.ids() if i == stratum_id or poset.lt(i, stratum_id)]
+
+
 def eta_entry(census: StratifiedCensus, at: str, closure_of: str) -> int:
     """eta of the closure indicator 1_{cl(V_j)} evaluated at the stratum ``at``."""
     if at == closure_of:

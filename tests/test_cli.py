@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -15,8 +16,11 @@ from strat_euler import (
     eu_weight,
     load_entry,
 )
+from strat_euler import catalog
 from strat_euler.catalog import _fixture_dir
 from strat_euler.cli import build_parser, main
+
+from conftest import edited
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,6 +103,20 @@ def test_compute_subcommands(capsys):
 
     assert main(["compute", fixture_path("broughton"), "--what", "detect-irregular"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+@pytest.mark.parametrize("what", ["eu-table", "eu-global", "detect-irregular"])
+def test_compute_refuses_an_at_its_invariant_does_not_take(tmp_path, capsys, what):
+    """A value given to an invariant of the whole space is refused, not
+    ignored; a malformed census still reports its own error first."""
+    for at in ("0", "nonsense"):
+        argv = ["compute", fixture_path("cusp-linear"), "--what", what, "--at", at]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: --what {what} takes no --at\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["compute", str(bad), "--what", what, "--at", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: $: not valid JSON: ")
 
 
 def test_compute_falls_back_to_generic_with_a_note(capsys):
@@ -209,6 +227,9 @@ def test_catalog_subcommand(capsys):
 
     assert main(["catalog", "run", "missing-name"]) == 2
     assert "error:" in capsys.readouterr().err
+
+    assert main(["catalog", "list", "extra"]) == 2
+    assert capsys.readouterr() == ("", "error: catalog list takes no entry names\n")
 
 
 def test_console_process_has_no_color_when_disabled():
@@ -430,3 +451,57 @@ def test_a_point_off_the_regular_closure_skips_its_local_terms(tmp_path, capsys)
     assert main(["check", str(path), "--hyperplane", fixture_path("node-linear")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == [f"hyperplane_step [a=0]: {loose}", "19 checks, 0 failed, 9 skipped"]
+
+
+# --- catalog run and the colored rows, pinned ----------------------------
+
+CATALOG_PINS = json.loads((DATA / "catalog_outputs.json").read_text())
+
+
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def run_pinned(call, catalog_dir, monkeypatch):
+    """stdout, stderr and exit code of one pinned call through ``main``.
+
+    The pinned catalog is written to ``catalog_dir``, which ``{catalog}`` in
+    the argv names and which ``catalog run`` reads its entries from where
+    the call says so; ``{data}`` names ``tests/data``.  The stdout is a
+    terminal where the call says so, with STRAT_EULER_COLOR unset or set
+    as the call gives it."""
+    for name, case in CATALOG_PINS["catalog"].items():
+        (catalog_dir / f"{name}.json").write_text(json.dumps(edited(case)))
+    if call["catalog"]:
+        monkeypatch.setattr(catalog, "_fixture_dir", lambda: catalog_dir)
+    if call["color"] is None:
+        monkeypatch.delenv("STRAT_EULER_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("STRAT_EULER_COLOR", call["color"])
+    out, err = (Terminal() if call["tty"] else io.StringIO()), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    argv = [
+        arg.replace("{catalog}", str(catalog_dir)).replace("{data}", str(DATA))
+        for arg in call["argv"]
+    ]
+    code = main(argv)
+    return out.getvalue().split("\n"), err.getvalue(), code
+
+
+def pinned_call_id(call):
+    argv = " ".join(call["argv"]).replace("{data}/", "").replace("{catalog}/", "")
+    tty = "" if not call["tty"] else "-tty" if call["color"] is None else "-tty-color0"
+    return argv + ("-catalog" if call["catalog"] else "") + tty
+
+
+@pytest.mark.parametrize("call", CATALOG_PINS["calls"], ids=pinned_call_id)
+def test_catalog_run_and_colored_rows_match_the_recording(call, tmp_path, monkeypatch):
+    """``catalog run`` on every fixture, on a repeated name, on an unknown
+    name after a known one, and on a catalog holding a wrong expected value
+    and an entry whose census name is not its file name; and the rows of
+    ``check`` and ``catalog run`` on a terminal, colored unless
+    STRAT_EULER_COLOR=0: stdout, stderr and exit code, byte for byte."""
+    got = run_pinned(call, tmp_path, monkeypatch)
+    assert got == (call["stdout"], call["stderr"], call["exit"])

@@ -117,7 +117,7 @@ def test_compute_loads_neither_the_identities_nor_the_catalog(what):
     code, modules = imported_by("compute", fixture("broughton"), "--what", *what)
     assert code == 0
     assert "fibration" in modules
-    assert not modules & {"fibered", "catalog", "reports", "simplicial", "euler_calculus"}
+    assert not modules & {"fibered", "catalog", "simplicial", "euler_calculus"}
 
 
 def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path):
@@ -209,11 +209,9 @@ UNREACHED = {
     ),
     "strata.LabeledMatrix.entry": "library API, the README's example reads the table with it",
     "strata.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
-    "reports.CheckLine.ok": "library API, named in the README",
+    "fibered.CheckLine.ok": "library API, named in the README; perfbench/run.py reads it",
     "fibration.FiberedCensus.validate": "library API: checks a census built in code",
     "strata.restrict_to_closure": "oracle for the solved closure columns; the benchmark traces it",
-    "strata.LinkTable.restricted": "part of restrict_to_closure",
-    "strata.StratumPoset.down_set": "part of restrict_to_closure",
     "fibered.restrict_fibered": "oracle for the solved closure columns; the benchmark traces it",
     "obstruction.invert_unitriangular": "oracle: the dense inverse; the benchmark traces it",
 }

@@ -26,6 +26,7 @@ from strat_euler.strata import _transitive_closure, restrict_to_closure
 from conftest import censuses_with_functions
 from oracles import (
     closure_coefficients,
+    down_set,
     eta_closure_matrix,
     function_from_closure_coefficients,
 )
@@ -176,8 +177,8 @@ def test_closure_matches_a_fixpoint_oracle(seed):
 
 def test_down_set_and_extension_on_the_diamond():
     p = diamond_poset()
-    assert set(p.down_set("top")) == {"bot", "midA", "midB", "top"}
-    assert set(p.down_set("midA")) == {"bot", "midA"}
+    assert set(down_set(p, "top")) == {"bot", "midA", "midB", "top"}
+    assert set(down_set(p, "midA")) == {"bot", "midA"}
     ext = p.linear_extension()
     assert ext == ["bot", "midA", "midB", "top"]
 
