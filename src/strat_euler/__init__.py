@@ -51,13 +51,20 @@ _EXPORTS = {
         "UnknownValueLabel",
     ),
     "euler_calculus": (
+        "DIMENSION_CAP",
+        "Simplex",
+        "SimplicialComplex",
         "SimplicialConstructibleFunction",
         "SimplicialMap",
+        "SimplexSubset",
         "check_fubini",
+        "chi",
+        "chi_c",
+        "complex_from_json",
         "integrate",
         "integrate_all",
         "pushforward",
-        "random_weighted_map",
+        "whole",
     ),
     "fibered": (
         "CheckLine",
@@ -97,16 +104,6 @@ _EXPORTS = {
         "hyperplane_step",
         "infinity_from_polar",
         "stv_global_eu",
-    ),
-    "simplicial": (
-        "DIMENSION_CAP",
-        "Simplex",
-        "SimplicialComplex",
-        "SimplexSubset",
-        "chi",
-        "chi_c",
-        "complex_from_json",
-        "whole",
     ),
     "strata": (
         "LabeledMatrix",

@@ -32,7 +32,6 @@ from .errors import (
     MissingPolarData,
     NotEquidimensional,
     PointNotInClosure,
-    SchemaError,
     UnknownEntry,
     UnknownStratum,
 )
@@ -56,15 +55,11 @@ from .strata import StratifiedCensus, chi_global, indicator_of_space
 
 
 def load_entry(name: str) -> CensusBundle:
-    try:
-        doc = read_json(_fixture_dir().joinpath(f"{name}.json"))
-    except SchemaError as exc:
-        if not isinstance(exc.__cause__, OSError):
-            raise
-        raise UnknownEntry(
-            f"no catalog entry {name!r}; available: {', '.join(list_entries())}"
-        ) from None
-    return load_document(doc)
+    """The shipped census ``name``; any other name, a path too, is an UnknownEntry."""
+    names = list_entries(_fixture_dir())
+    if name not in names:
+        raise UnknownEntry(f"no catalog entry {name!r}; available: {', '.join(names)}")
+    return load_document(read_json(_fixture_dir() / f"{name}.json"))
 
 
 # --- expected-value evaluation -----------------------------------------
@@ -125,7 +120,7 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
 
 
 def validate_entry(bundle: CensusBundle) -> None:
-    """Catalog hygiene: every expected number parses to an operation and
+    """Catalog hygiene: the entry declares expected values, and each one
     carries a nonempty derivation note."""
     if not bundle.expected:
         raise ValueError(f"catalog entry {bundle.name!r} declares no expected values")

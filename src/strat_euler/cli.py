@@ -229,10 +229,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
     except (CensusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        # the reader is gone: the flush at exit writes what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,22 +1,158 @@
-"""Euler calculus on simplicial complexes: weights, integration, pushforward.
+"""Euler calculus on finite simplicial complexes: chi_c, weights,
+integration, pushforward.
 
-A constructible function here is an integer weight per open simplex.  Its
-integral against chi_c is a finite signed sum, so every identity in this
-module is exact arithmetic. The pushforward along a simplicial map is defined
-fiberwise per open target simplex, and the projection formula (Fubini) then
-holds on the nose, not just up to homotopy.  The randomized test suite treats
-that as the ground truth the stratified layer must reproduce.
+A complex is a face-closed set of simplices whose vertices are opaque labels
+in a total order; a constructible set is a subset of its open simplices, and
+chi_c counts them with the sign (-1)^dim.  A constructible function is an
+integer weight per open simplex, so every integral is a finite signed sum.
+The pushforward along a simplicial map is defined fiberwise per open target
+simplex, and the projection formula (Fubini) then holds exactly.  The
+randomized tests treat that as ground truth.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from itertools import combinations
+from typing import Any, Iterable, Iterator, Mapping
 
 from .documents import read_json
-from .errors import CensusError, HostMismatch, InvalidMap, MemberNotInHost, SchemaError
-from .simplicial import (
-    Simplex, SimplicialComplex, SimplexSubset, complex_from_json, validate, whole
+from .errors import (
+    CensusError, FaceClosureViolation, HostMismatch, InvalidMap, MemberNotInHost, SchemaError
 )
+from .records import record
+
+# Parse-time cap on simplex dimension; keeps adversarial JSON from blowing up
+# the powerset walk in faces().
+DIMENSION_CAP = 8
+
+
+@record
+class Simplex:
+    """An abstract simplex: a strictly increasing tuple of vertex labels."""
+
+    vertices: tuple[Any, ...]
+
+    def __post_init__(self):
+        vs = tuple(self.vertices)
+        object.__setattr__(self, "vertices", vs)
+        if not vs:
+            raise ValueError("a simplex needs at least one vertex")
+        for a, b in zip(vs, vs[1:]):
+            try:
+                ok = a < b
+            except TypeError as exc:
+                raise ValueError(f"vertex labels are not comparable: {a!r}, {b!r}") from exc
+            if not ok:
+                raise ValueError(f"vertices must be strictly increasing, got {vs!r}")
+
+    @classmethod
+    def of(cls, *vertices: Any) -> "Simplex":
+        """Build a simplex from vertices in any order (duplicates are an error)."""
+        return cls(tuple(sorted(vertices)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.vertices) - 1
+
+    def faces(self) -> Iterator["Simplex"]:
+        """All nonempty faces, the simplex itself included."""
+        for k in range(1, len(self.vertices) + 1):
+            for sub in combinations(self.vertices, k):
+                yield Simplex(sub)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.vertices)
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __repr__(self) -> str:
+        return "<" + ",".join(map(repr, self.vertices)) + ">"
+
+
+@record
+class SimplicialComplex:
+    """A finite set of simplices, expected to be closed under taking faces.
+
+    The constructor stores exactly what it is given; :func:`validate` checks
+    face closure and raises :class:`FaceClosureViolation` when it fails.  Use
+    :meth:`closed` to face-close a generating set.
+    """
+
+    simplices: frozenset[Simplex]
+
+    def __post_init__(self):
+        object.__setattr__(self, "simplices", frozenset(self.simplices))
+
+    @classmethod
+    def closed(cls, generators: Iterable[Simplex]) -> "SimplicialComplex":
+        """The smallest complex containing the given simplices."""
+        out: set[Simplex] = set()
+        for g in generators:
+            out.update(g.faces())
+        return cls(frozenset(out))
+
+    @property
+    def vertices(self) -> frozenset:
+        return frozenset(v for s in self.simplices for v in s)
+
+    def __contains__(self, s: Simplex) -> bool:
+        return s in self.simplices
+
+    def __len__(self) -> int:
+        return len(self.simplices)
+
+
+def validate(complex_: SimplicialComplex) -> None:
+    """Check face closure; every face of a member must be a member."""
+    have = complex_.simplices
+    for s in have:
+        for f in s.faces():
+            if f not in have:
+                raise FaceClosureViolation(f"{s!r} is present but its face {f!r} is not")
+
+
+@record
+class SimplexSubset:
+    """A set of open simplices of a host complex, not required to be face-closed.
+
+    Models a locally closed (or merely constructible) union of open cells.
+    Membership in the host is enforced here, at construction.
+    """
+
+    host: SimplicialComplex
+    members: frozenset[Simplex]
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.members))
+        for m in self.members:
+            if m not in self.host:
+                raise MemberNotInHost(f"{m!r} is not a simplex of the host complex")
+
+    def __contains__(self, s: Simplex) -> bool:
+        return s in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def whole(complex_: SimplicialComplex) -> SimplexSubset:
+    """The subset consisting of every open simplex of the complex."""
+    return SimplexSubset(complex_, complex_.simplices)
+
+
+def chi_c(subset: SimplexSubset) -> int:
+    """Compactly-supported Euler characteristic: sum of (-1)^dim over members.
+
+    Exact on constructible sets and additive over disjoint unions, which is
+    the property every oracle in this package leans on.
+    """
+    return sum(-1 if s.dim % 2 else 1 for s in subset.members)
+
+
+def chi(complex_: SimplicialComplex) -> int:
+    """Euler characteristic of a finite complex (chi = chi_c here)."""
+    return chi_c(whole(complex_))
 
 
 class SimplicialConstructibleFunction:
@@ -132,32 +268,35 @@ def check_fubini(f: SimplicialMap, alpha: SimplicialConstructibleFunction) -> tu
     return lhs, rhs
 
 
-def random_weighted_map(rng) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
-    """A random simplicial map with random integer weights on its source,
-    drawn from ``rng`` (a ``random.Random``) for randomized Fubini sweeps.
+# JSON input.  A complex is {"simplices": [[v, ...], ...]} with each
+# vertex list strictly increasing; out-of-order input is an error, not
+# something we quietly repair.
 
-    The source is the closure of one to four simplices on two to eight
-    vertices, kept to at most 30 simplices; vertices map into four target
-    vertices and the target is the image; weights lie in -5..5.
-    """
-    n_vertices = rng.randint(2, 8)
-    generators = []
-    for _ in range(rng.randint(1, 4)):
-        size = rng.randint(1, min(4, n_vertices))
-        generators.append(Simplex.of(*rng.sample(range(n_vertices), size)))
-    src = SimplicialComplex.closed(generators)
-    # keep sources small; drop generators until under the size cap
-    while len(src.simplices) > 30:
-        generators.pop()
-        src = SimplicialComplex.closed(generators)
-    mapping = {v: rng.randint(0, 3) for v in sorted(src.vertices)}
-    dst = SimplicialComplex.closed(
-        Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
+def _simplex_from_json(item: Any, where: str) -> Simplex:
+    if not isinstance(item, list) or not item:
+        raise SchemaError(where, "expected a nonempty list of vertices")
+    for v in item:
+        if not isinstance(v, (int, str)) or isinstance(v, bool):
+            raise SchemaError(where, f"vertex {v!r} is not an integer or string")
+    if len(item) - 1 > DIMENSION_CAP:
+        raise SchemaError(where, f"dimension {len(item) - 1} exceeds cap {DIMENSION_CAP}")
+    try:
+        return Simplex(tuple(item))
+    except ValueError as exc:
+        raise SchemaError(where, str(exc)) from exc
+
+
+def complex_from_json(obj: Any, path: str = "$") -> SimplicialComplex:
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
+    if "simplices" not in obj:
+        raise SchemaError(path, "missing key 'simplices'")
+    raw = obj["simplices"]
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}.simplices", "expected a list")
+    return SimplicialComplex(
+        frozenset(_simplex_from_json(item, f"{path}.simplices[{i}]") for i, item in enumerate(raw))
     )
-    weights = SimplicialConstructibleFunction(
-        src, {s: rng.randint(-5, 5) for s in src.simplices}
-    )
-    return SimplicialMap(src, dst, mapping), weights
 
 
 def load_bundle(path) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
@@ -203,13 +342,15 @@ def load_bundle(path) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
         where = f"$.weights[{i}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(where, "expected [simplex, weight]")
-        simplex_obj = complex_from_json({"simplices": [pair[0]]}, where)
-        (simplex,) = simplex_obj.simplices
+        simplex = _simplex_from_json(pair[0], f"{where}[0]")
         if not isinstance(pair[1], int) or isinstance(pair[1], bool):
             raise SchemaError(f"{where}[1]", "weight must be an integer")
+        if simplex not in src:
+            raise SchemaError(f"{where}[0]", f"{simplex!r} carries a weight but is not in the host")
         weights[simplex] = pair[1]
 
     try:
-        return SimplicialMap(src, dst, vmap), SimplicialConstructibleFunction(src, weights)
+        fmap = SimplicialMap(src, dst, vmap)
     except CensusError as exc:
         raise SchemaError("$", str(exc)) from exc
+    return fmap, SimplicialConstructibleFunction(src, weights)

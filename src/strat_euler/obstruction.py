@@ -62,7 +62,6 @@ def solve_bdk(census: StratifiedCensus) -> LabeledMatrix:
     for it.
     """
     solved = census.solved
-    solved.require_links()
     columns = range(len(solved.order))
     return LabeledMatrix(
         solved.order, tuple(tuple(row.get(j, 0) for j in columns) for row in solved.rows[1])

@@ -117,6 +117,34 @@ def weighted_maps(draw):
     return SimplicialMap(src, dst, mapping), weights
 
 
+def random_weighted_map(rng):
+    """A random simplicial map with random integer weights on its source,
+    drawn from ``rng`` (a ``random.Random``) for seeded Fubini sweeps.
+
+    The source is the closure of one to four simplices on two to eight
+    vertices, kept to at most 30 simplices; vertices map into four target
+    vertices and the target is the image; weights lie in -5..5.
+    """
+    n_vertices = rng.randint(2, 8)
+    generators = []
+    for _ in range(rng.randint(1, 4)):
+        size = rng.randint(1, min(4, n_vertices))
+        generators.append(Simplex.of(*rng.sample(range(n_vertices), size)))
+    src = SimplicialComplex.closed(generators)
+    # keep sources small; drop generators until under the size cap
+    while len(src.simplices) > 30:
+        generators.pop()
+        src = SimplicialComplex.closed(generators)
+    mapping = {v: rng.randint(0, 3) for v in sorted(src.vertices)}
+    dst = SimplicialComplex.closed(
+        Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
+    )
+    weights = SimplicialConstructibleFunction(
+        src, {s: rng.randint(-5, 5) for s in src.simplices}
+    )
+    return SimplicialMap(src, dst, mapping), weights
+
+
 @st.composite
 def censuses(draw, max_strata=5):
     """A valid stratified census whose regular part dominates every stratum."""

@@ -30,7 +30,6 @@ from strat_euler import (
     lambda_infinity,
     list_entries,
     load_entry,
-    random_weighted_map,
     solve_bdk,
     solve_unknown,
     stv_global_eu,
@@ -39,7 +38,7 @@ from strat_euler import (
 from strat_euler.obstruction import invert_unitriangular
 from strat_euler.strata import restrict_to_closure
 
-from conftest import blank_field
+from conftest import blank_field, random_weighted_map
 
 
 def report(tag, ok, detail=""):

@@ -12,6 +12,7 @@ from strat_euler import (
     validate_entry,
 )
 from strat_euler import catalog
+from strat_euler.documents import _fixture_dir
 
 
 def test_listing_is_sorted_and_complete():
@@ -44,6 +45,27 @@ def test_an_unreadable_entry_is_a_schema_error_at_the_root(tmp_path, monkeypatch
     )
     with pytest.raises(UnknownEntry):
         load_entry("absent")
+
+
+def test_a_name_that_is_a_path_is_unknown_even_where_the_file_exists(tmp_path, monkeypatch):
+    """Only the census files in the catalog directory are entries: a
+    relative or absolute path to a census elsewhere is refused, while a
+    malformed file in the catalog still reports its own schema error."""
+    catalog_dir = tmp_path / "catalog"
+    catalog_dir.mkdir()
+    monkeypatch.setattr(catalog, "_fixture_dir", lambda: catalog_dir)
+    zk2 = (_fixture_dir() / "zk-2.json").read_bytes()
+    (tmp_path / "outside.json").write_bytes(zk2)
+    (catalog_dir / "inside.json").write_bytes(zk2)
+    (catalog_dir / "malformed.json").write_text("{}")
+    assert load_entry("inside").name == "zk-2"
+    for name in ("../outside", str(tmp_path / "outside")):
+        with pytest.raises(UnknownEntry) as exc:
+            load_entry(name)
+        assert str(exc.value) == f"no catalog entry {name!r}; available: inside, malformed"
+    with pytest.raises(SchemaError) as exc:
+        load_entry("malformed")
+    assert str(exc.value) == "$.strata: expected a list, got NoneType"
 
 
 def test_every_entry_validates_with_notes():

@@ -216,6 +216,61 @@ def test_fubini_bundle(tmp_path, capsys):
     assert main(["fubini", str(f)]) == 2
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([[[1, 0], 2]], "vertices must be strictly increasing, got (1, 0)"),
+        ([[[7], 2]], "<7> carries a weight but is not in the host"),
+    ],
+    ids=["unsorted", "foreign"],
+)
+def test_fubini_weight_errors_name_the_simplex_in_the_document(tmp_path, capsys, weights, message):
+    bundle = {
+        "complex_src": {"simplices": [[0], [1], [0, 1]]},
+        "complex_dst": {"simplices": [[0]]},
+        "vertex_map": {"0": 0, "1": 0},
+        "weights": weights,
+    }
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(bundle))
+    assert main(["fubini", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: $.weights[0][0]: {message}\n")
+
+
+def test_catalog_run_refuses_a_path_out_of_the_catalog(tmp_path, capsys):
+    (tmp_path / "evil.json").write_bytes((_fixture_dir() / "zk-2.json").read_bytes())
+    name = os.path.relpath(tmp_path / "evil", _fixture_dir())
+    assert main(["catalog", "run", name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: no catalog entry {name!r}; available: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("catalog", "run"), ("check", "zk-2"), ("compute", "zk-2", "--what", "eu-global")],
+    ids=lambda args: args[0],
+)
+def test_a_closed_stdout_exits_2_without_a_traceback(args):
+    """The reader of stdout is gone before the first write: bad output, not
+    a failed identity, and no traceback from the write or the exit flush."""
+    args = [fixture_path(arg) if arg == "zk-2" else arg for arg in args]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "strat_euler", *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to standard output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_catalog_subcommand(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out

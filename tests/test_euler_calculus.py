@@ -92,9 +92,3 @@ def test_fubini_holds_for_random_maps(setup):
     m, alpha = setup
     lhs, rhs = check_fubini(m, alpha)
     assert lhs == rhs
-
-
-@given(weighted_maps())
-def test_pushforward_integrates_to_the_same_total(setup):
-    m, alpha = setup
-    assert integrate_all(pushforward(m, alpha)) == integrate_all(alpha)

@@ -117,7 +117,7 @@ def test_compute_loads_neither_the_identities_nor_the_catalog(what):
     code, modules = imported_by("compute", fixture("broughton"), "--what", *what)
     assert code == 0
     assert "fibration" in modules
-    assert not modules & {"fibered", "catalog", "simplicial", "euler_calculus"}
+    assert not modules & {"fibered", "catalog", "euler_calculus"}
 
 
 def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path):
@@ -133,14 +133,14 @@ def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path)
     ):
         code, modules = imported_by(*args)
         assert code == 0, args
-        assert not modules & {"catalog", "simplicial", "euler_calculus"}, args
+        assert not modules & {"catalog", "euler_calculus"}, args
 
 
 def test_check_leaves_the_simplicial_layer_out():
     code, modules = imported_by("check", fixture("node-linear"))
     assert code == 0
     assert "catalog" in modules
-    assert not modules & {"simplicial", "euler_calculus"}
+    assert "euler_calculus" not in modules
 
 
 # imports the command line, then runs each argv of argv[1] through
@@ -197,15 +197,17 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
 # --- every function in src/ is run by some command, or kept for a reason ---
 
 SRC = Path(strat_euler.__file__).parent
-SWEEP_SCRIPT = Path(__file__).parents[1] / "scripts" / "fubini_sweep.py"
 
 # the functions no call of the sweep reaches, each with the reason it stays
 UNREACHED = {
-    "simplicial.chi_c": "oracle: the tests check integrate and pushforward against it",
-    "simplicial.chi": "oracle: chi_c of the whole complex, for the additivity tests",
+    "euler_calculus.chi_c": "oracle: the tests check integrate and pushforward against it",
+    "euler_calculus.chi": "oracle: chi_c of the whole complex, for the additivity tests",
     "euler_calculus.SimplicialMap.fiber": "oracle: the preimage the pushforward tests count",
+    "euler_calculus.SimplicialComplex.closed": (
+        "library API: the tests build their complexes from generators with it"
+    ),
     "euler_calculus.SimplicialConstructibleFunction.items": (
-        "library API; scripts/fubini_sweep.py prints it on a mismatch"
+        "library API: the weights a function carries, for callers that print them"
     ),
     "strata.LabeledMatrix.entry": "library API, the README's example reads the table with it",
     "strata.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
@@ -295,13 +297,12 @@ def sweep_calls(tmp_path):
     return calls
 
 
-# runs each argv of the JSON file argv[1] through cli.main, then the Fubini
-# sweep script argv[2], with a profiler on from before the package is
-# imported; prints where each function called under the directory argv[3]
-# starts
+# runs each argv of the JSON file argv[1] through cli.main, with a profiler
+# on from before the package is imported; prints where each function called
+# under the directory argv[2] starts
 REACHED_BY = """
-import contextlib, io, json, runpy, sys
-calls_file, script, src = sys.argv[1:]
+import contextlib, io, json, sys
+calls_file, src = sys.argv[1:]
 with open(calls_file) as f:
     calls = json.load(f)
 reached = set()
@@ -315,7 +316,6 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     import strat_euler.cli
     for argv in calls:
         strat_euler.cli.main(argv)
-    runpy.run_path(script, run_name="fubini_sweep")["main"](["--count", "20"])
 sys.setprofile(None)
 print(json.dumps(sorted(reached)))
 """
@@ -323,13 +323,13 @@ print(json.dumps(sorted(reached)))
 
 def test_every_function_in_src_is_reached_or_allowed(tmp_path):
     """Runs every subcommand on the fixtures and the recorded malformed
-    inputs, then the randomized Fubini sweep, under a profiler: a function
-    of the package that none of them reaches has to be in UNREACHED, with
-    its reason, and every name there has to exist and stay unreached."""
+    inputs under a profiler: a function of the package that none of them
+    reaches has to be in UNREACHED, with its reason, and every name there
+    has to exist and stay unreached."""
     calls = tmp_path / "calls.json"
     calls.write_text(json.dumps(sweep_calls(tmp_path)))
     run = subprocess.run(
-        [sys.executable, "-c", REACHED_BY, str(calls), str(SWEEP_SCRIPT), str(SRC)],
+        [sys.executable, "-c", REACHED_BY, str(calls), str(SRC)],
         capture_output=True,
         text=True,
         check=True,

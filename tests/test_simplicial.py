@@ -14,7 +14,7 @@ from strat_euler import (
     complex_from_json,
     whole,
 )
-from strat_euler.simplicial import validate
+from strat_euler.euler_calculus import validate
 
 from conftest import closed_complexes
 
