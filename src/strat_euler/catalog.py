@@ -56,10 +56,10 @@ from .strata import StratifiedCensus, chi_global, indicator_of_space
 
 def load_entry(name: str) -> CensusBundle:
     """The shipped census ``name``; any other name, a path too, is an UnknownEntry."""
-    names = list_entries(_fixture_dir())
-    if name not in names:
-        raise UnknownEntry(f"no catalog entry {name!r}; available: {', '.join(names)}")
-    return load_document(read_json(_fixture_dir() / f"{name}.json"))
+    path = _fixture_dir() / f"{name}.json"
+    if path.name != f"{name}.json" or not path.is_file():
+        raise UnknownEntry(f"no catalog entry {name!r}; available: {', '.join(list_entries())}")
+    return load_document(read_json(path))
 
 
 # --- expected-value evaluation -----------------------------------------

@@ -40,10 +40,10 @@ def _fixture_dir() -> Path:
     return Path(__file__).with_name("fixtures")
 
 
-def list_entries(directory: Path | None = None) -> list[str]:
-    """Sorted names of the censuses in ``directory`` (default: the shipped ones)."""
+def list_entries() -> list[str]:
+    """Names of the shipped censuses, sorted."""
     return sorted(
         p.name[: -len(".json")]
-        for p in (directory or _fixture_dir()).iterdir()
+        for p in _fixture_dir().iterdir()
         if p.name.endswith(".json")
     )

@@ -11,7 +11,7 @@ from strat_euler import (
     standard_check_lines,
     validate_entry,
 )
-from strat_euler import catalog
+from strat_euler import catalog, documents
 from strat_euler.documents import _fixture_dir
 
 
@@ -53,8 +53,9 @@ def test_a_name_that_is_a_path_is_unknown_even_where_the_file_exists(tmp_path, m
     malformed file in the catalog still reports its own schema error."""
     catalog_dir = tmp_path / "catalog"
     catalog_dir.mkdir()
-    monkeypatch.setattr(catalog, "_fixture_dir", lambda: catalog_dir)
     zk2 = (_fixture_dir() / "zk-2.json").read_bytes()
+    monkeypatch.setattr(catalog, "_fixture_dir", lambda: catalog_dir)
+    monkeypatch.setattr(documents, "_fixture_dir", lambda: catalog_dir)
     (tmp_path / "outside.json").write_bytes(zk2)
     (catalog_dir / "inside.json").write_bytes(zk2)
     (catalog_dir / "malformed.json").write_text("{}")
