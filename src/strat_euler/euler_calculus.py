@@ -48,7 +48,11 @@ class Simplex:
     @classmethod
     def of(cls, *vertices: Any) -> "Simplex":
         """Build a simplex from vertices in any order (duplicates are an error)."""
-        return cls(tuple(sorted(vertices)))
+        try:
+            return cls(tuple(sorted(vertices)))
+        except TypeError:
+            labels = ", ".join(sorted(map(repr, vertices)))
+            raise ValueError(f"vertex labels are not comparable: {labels}") from None
 
     @property
     def dim(self) -> int:
@@ -226,7 +230,10 @@ class SimplicialMap:
             if v not in self.vertex_map:
                 raise InvalidMap(f"vertex {v!r} has no image")
         for s in source.simplices:
-            t = self.image(s)
+            try:
+                t = self.image(s)
+            except ValueError as exc:
+                raise InvalidMap(f"image of {s!r} is not a simplex: {exc}") from None
             if t not in target:
                 raise InvalidMap(f"image {t!r} of {s!r} is not a simplex of the target")
 
@@ -320,19 +327,17 @@ def load_bundle(path) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
     raw_map = obj["vertex_map"]
     if not isinstance(raw_map, dict):
         raise SchemaError("$.vertex_map", "expected an object")
-    vertices = src.vertices
+    # a key is a source vertex's own spelling; a string vertex wins over the
+    # integer it spells
+    vertex_of = {str(v): v for v in src.vertices if isinstance(v, int)}
+    vertex_of.update((v, v) for v in src.vertices if isinstance(v, str))
     vmap = {}
     for k, tgt in raw_map.items():
-        if k in vertices:
-            v = k
-        else:
-            try:
-                v = int(k)
-            except ValueError:
-                raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source") from None
-            if v not in vertices:
-                raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source")
-        vmap[v] = tgt
+        if k not in vertex_of:
+            raise SchemaError(f"$.vertex_map.{k}", "not a vertex of the source")
+        if not isinstance(tgt, (int, str)) or isinstance(tgt, bool):
+            raise SchemaError(f"$.vertex_map.{k}", f"image {tgt!r} is not an integer or string")
+        vmap[vertex_of[k]] = tgt
 
     raw_weights = obj["weights"]
     if not isinstance(raw_weights, list):

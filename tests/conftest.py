@@ -11,20 +11,21 @@ from pathlib import Path
 
 from hypothesis import assume, settings, strategies as st
 
-from strat_euler import (
-    GENERIC,
-    FiberedCensus,
-    FieldPath,
-    LinkTable,
+from strat_euler.catalog import load_entry
+from strat_euler.euler_calculus import (
+    Simplex,
     SimplicialComplex,
     SimplicialConstructibleFunction,
     SimplicialMap,
-    Simplex,
+)
+from strat_euler.fibered import FieldPath
+from strat_euler.fibration import GENERIC, FiberedCensus
+from strat_euler.strata import (
+    LinkTable,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
-    load_entry,
 )
 
 DATA = Path(__file__).with_name("data")

@@ -11,8 +11,8 @@ form from its factors'.
 
 from typing import Callable, Mapping
 
-from strat_euler import (
-    FiberedCensus,
+from strat_euler.fibration import FiberedCensus
+from strat_euler.strata import (
     LabeledMatrix,
     LinkTable,
     StratifiedCensus,

@@ -11,32 +11,28 @@ import time
 
 import pytest
 
-from strat_euler import (
+from strat_euler.catalog import load_entry
+from strat_euler.documents import list_entries
+from strat_euler.errors import NotSolvable
+from strat_euler.euler_calculus import check_fubini
+from strat_euler.fibered import IDENTITY_NAMES, STRUCTURAL_IDENTITIES, check_identity, solve_unknown
+from strat_euler.fibration import (
     GENERIC,
-    IDENTITY_NAMES,
-    NotSolvable,
-    STRUCTURAL_IDENTITIES,
-    StratumConstructibleFunction,
-    check_fubini,
-    check_identity,
-    chi_global,
-    detect_irregular_values,
-    eta,
-    eu_weight,
     brasselet,
-    brasselet_from_polar,
-    global_euler_obstruction,
-    indicator_of_space,
+    detect_irregular_values,
+    eu_weight,
     lambda_infinity,
-    list_entries,
-    load_entry,
-    solve_bdk,
-    solve_unknown,
-    stv_global_eu,
     total_lambda_infinity,
 )
-from strat_euler.obstruction import invert_unitriangular
-from strat_euler.strata import restrict_to_closure
+from strat_euler.obstruction import global_euler_obstruction, invert_unitriangular, solve_bdk
+from strat_euler.polar import brasselet_from_polar, stv_global_eu
+from strat_euler.strata import (
+    StratumConstructibleFunction,
+    chi_global,
+    eta,
+    indicator_of_space,
+    restrict_to_closure,
+)
 
 from conftest import blank_field, random_weighted_map
 

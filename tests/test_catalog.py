@@ -1,18 +1,16 @@
 import pytest
 
-from strat_euler import (
-    SchemaError,
-    UnknownEntry,
+from strat_euler import catalog, documents
+from strat_euler.catalog import (
     evaluate_expected_key,
-    list_entries,
     load_entry,
     run_all,
     run_entry,
     standard_check_lines,
     validate_entry,
 )
-from strat_euler import catalog, documents
-from strat_euler.documents import _fixture_dir
+from strat_euler.documents import _fixture_dir, list_entries
+from strat_euler.errors import SchemaError, UnknownEntry
 
 
 def test_listing_is_sorted_and_complete():

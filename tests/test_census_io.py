@@ -6,23 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from strat_euler import (
-    GENERIC,
-    FiberedCensus,
-    FieldPath,
-    LinkTable,
-    SchemaError,
-    StratifiedCensus,
-    Stratum,
-    StratumPoset,
-    apply_field_to_raw,
-    list_entries,
-    load_document,
-    load_entry,
-    load_file,
-)
-from strat_euler.catalog import _fixture_dir
+from strat_euler.catalog import load_entry
+from strat_euler.census_io import apply_field_to_raw, load_document, load_file
 from strat_euler.cli import main
+from strat_euler.documents import _fixture_dir, list_entries
+from strat_euler.errors import SchemaError
+from strat_euler.fibered import FieldPath
+from strat_euler.fibration import GENERIC, FiberedCensus
+from strat_euler.strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
 from conftest import edited
 

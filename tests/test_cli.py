@@ -8,17 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from strat_euler import (
-    IDENTITIES,
-    CensusError,
-    IdentityArgumentError,
-    check_identity,
-    eu_weight,
-    load_entry,
-)
 from strat_euler import catalog
-from strat_euler.catalog import _fixture_dir
+from strat_euler.catalog import load_entry
 from strat_euler.cli import build_parser, main
+from strat_euler.documents import _fixture_dir
+from strat_euler.errors import CensusError, IdentityArgumentError
+from strat_euler.fibered import IDENTITIES, check_identity
+from strat_euler.fibration import eu_weight
 
 from conftest import edited
 
@@ -235,6 +231,60 @@ def test_fubini_weight_errors_name_the_simplex_in_the_document(tmp_path, capsys,
     f.write_text(json.dumps(bundle))
     assert main(["fubini", str(f)]) == 2
     assert capsys.readouterr() == ("", f"error: $.weights[0][0]: {message}\n")
+
+
+def fubini_on(tmp_path, bundle):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(bundle))
+    return main(["fubini", str(f)])
+
+
+@pytest.mark.parametrize(
+    "image",
+    [[], {}, None, True, 1.0],
+    ids=["list", "object", "null", "true", "float"],
+)
+def test_fubini_refuses_an_image_that_is_not_an_integer_or_string(tmp_path, capsys, image):
+    bundle = json.loads((DATA / "bundle.json").read_text())
+    bundle["vertex_map"]["0"] = image
+    assert fubini_on(tmp_path, bundle) == 2
+    assert capsys.readouterr() == (
+        "", f"error: $.vertex_map.0: image {image!r} is not an integer or string\n"
+    )
+
+
+def test_fubini_refuses_an_image_mixing_labels_that_do_not_compare(tmp_path, capsys):
+    bundle = json.loads((DATA / "bundle.json").read_text())
+    bundle["complex_dst"]["simplices"].append(["a"])
+    bundle["vertex_map"]["0"] = "a"
+    assert fubini_on(tmp_path, bundle) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: $: image of <0,1> is not a simplex: vertex labels are not comparable: 'a', 1\n",
+    )
+
+
+@pytest.mark.parametrize("alias", ["02", "+2", " 2", "2_0"])
+def test_fubini_refuses_a_key_that_only_parses_to_a_source_vertex(tmp_path, capsys, alias):
+    bundle = json.loads((DATA / "bundle.json").read_text())
+    bundle["vertex_map"][alias] = 1
+    assert fubini_on(tmp_path, bundle) == 2
+    assert capsys.readouterr() == ("", f"error: $.vertex_map.{alias}: not a vertex of the source\n")
+
+
+def test_fubini_reads_a_key_as_a_string_vertex_first(tmp_path, capsys):
+    bundle = {
+        "complex_src": {"simplices": [["2"], [2]]},
+        "complex_dst": {"simplices": [[0]]},
+        "vertex_map": {"2": 0},
+        "weights": [[["2"], 1]],
+    }
+    assert fubini_on(tmp_path, bundle) == 2
+    assert capsys.readouterr() == ("", "error: $: vertex 2 has no image\n")
+    bundle["complex_src"]["simplices"] = [["2"], ["a"]]
+    bundle["vertex_map"]["a"] = 0
+    assert fubini_on(tmp_path, bundle) == 0
+    assert capsys.readouterr().out == "lhs = 1\nrhs = 1\nOK\n"
 
 
 def test_catalog_run_refuses_a_path_out_of_the_catalog(tmp_path, capsys):

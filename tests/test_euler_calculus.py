@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given
 
-from strat_euler import (
-    HostMismatch,
-    InvalidMap,
+from strat_euler.errors import HostMismatch, InvalidMap
+from strat_euler.euler_calculus import (
     Simplex,
     SimplexSubset,
     SimplicialComplex,

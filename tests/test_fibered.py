@@ -4,36 +4,40 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from strat_euler import (
-    GENERIC,
-    IDENTITIES,
-    FieldPath,
-    IDENTITY_NAMES,
-    STRUCTURAL_IDENTITIES,
+from strat_euler.catalog import load_entry
+from strat_euler.census_io import load_document
+from strat_euler.errors import (
     InsufficientData,
     NotSolvable,
     PointNotInClosure,
-    StratumConstructibleFunction,
     UnknownCriticalPoint,
     UnknownStratum,
     UnknownValueLabel,
-    brasselet,
+)
+from strat_euler.fibered import (
+    IDENTITIES,
+    IDENTITY_NAMES,
+    STRUCTURAL_IDENTITIES,
+    FieldPath,
     check_identity,
+    restrict_fibered,
+    solve_unknown,
+)
+from strat_euler.fibration import (
+    GENERIC,
+    brasselet,
     detect_irregular_values,
     eu_of_f_at,
     eu_of_function_local,
     eu_weight,
     lambda_infinity,
-    load_document,
-    load_entry,
     local_fiber_defect,
     resolve_value_label,
-    solve_unknown,
     total_brasselet_infinity,
     total_lambda_infinity,
 )
-from strat_euler.fibered import restrict_fibered
 from strat_euler.records import replace
+from strat_euler.strata import StratumConstructibleFunction
 
 from conftest import blank_field, fibered_censuses
 

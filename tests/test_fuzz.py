@@ -7,6 +7,12 @@ and without a hyperplane slice), ``compute --what eu-table|brasselet|binf``
 and ``solve``.  Every call must end in exit 0, 1 or 2 with no exception
 escaping ``cli.main``, and a census that loads must get its rows: ``check``
 exits 0 or 1 on it, whatever its optional fields hold.
+
+A second run mutates ``fubini`` map bundles (``tests/data/bundle.json`` and
+a few seeded ``random_weighted_map`` bundles) with the same edits, a key of
+the vertex map aliasing a source vertex and an image retyped.  The
+projection formula holds exactly on every map that loads, so each call must
+exit 0 or 2, and an aliased key must exit 2.
 """
 
 import contextlib
@@ -14,12 +20,14 @@ import io
 import json
 import random
 
-from strat_euler import IDENTITIES, list_entries, load_entry
+from strat_euler.catalog import load_entry
 from strat_euler.census_io import load_file
 from strat_euler.cli import main
+from strat_euler.documents import list_entries
 from strat_euler.errors import CensusError
+from strat_euler.fibered import IDENTITIES
 
-from conftest import DATA
+from conftest import DATA, random_weighted_map
 
 SEED = 20261018
 MUTANTS = 200  # six calls each
@@ -129,4 +137,70 @@ def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
     assert not problems, "\n".join(problems[:20])
     assert len(codes) >= 1000
     # the mutants reach both sides of the contract
+    assert {0, 2} <= set(codes)
+
+
+BUNDLE_MUTANTS = 600
+BUNDLE_SEEDS = range(4)
+
+
+def bundle_document(fmap, alpha):
+    """A seeded map and weight written out as a fubini bundle."""
+    def simplices(complex_):
+        return sorted(list(s.vertices) for s in complex_.simplices)
+
+    return {
+        "complex_src": {"simplices": simplices(fmap.source)},
+        "complex_dst": {"simplices": simplices(fmap.target)},
+        "vertex_map": {str(v): t for v, t in sorted(fmap.vertex_map.items())},
+        "weights": sorted([list(s.vertices), w] for s, w in alpha.items()),
+    }
+
+
+def mutate_bundle(doc, rng):
+    """One edit of ``mutate``, or a vertex-map image retyped."""
+    vmap = doc.get("vertex_map")
+    if isinstance(vmap, dict) and vmap and rng.random() < 0.25:
+        key = rng.choice(list(vmap))
+        vmap[key] = rng.choice(RETYPED + (-1, 9, "a"))
+        return f"image {key!r}"
+    return mutate(doc, rng)
+
+
+def alias(doc, rng):
+    """Add a key that int() reads as the integer of an existing key but that
+    spells no vertex, or None when the vertex map has no integer key left."""
+    vmap = doc.get("vertex_map")
+    keys = [k for k in vmap if k.isdigit()] if isinstance(vmap, dict) else []
+    if not keys:
+        return None
+    key = rng.choice(keys)
+    vmap[rng.choice(("0", "+", " ")) + key] = vmap[key] if rng.random() < 0.5 else 0
+    return f"alias {key!r}"
+
+
+def test_mutated_bundles_keep_the_exit_code_contract(tmp_path):
+    rng = random.Random(SEED)
+    bases = [json.loads((DATA / "bundle.json").read_text())]
+    bases += [bundle_document(*random_weighted_map(random.Random(s))) for s in BUNDLE_SEEDS]
+    path = tmp_path / "mutant.json"
+    codes, problems = [], []
+    for m in range(BUNDLE_MUTANTS):
+        base = rng.randrange(len(bases))
+        doc = json.loads(json.dumps(bases[base]))
+        edits = [mutate_bundle(doc, rng) for _ in range(rng.randint(0, 2))]
+        # the alias comes last, so no later edit can drop it
+        aliased = rng.random() < 0.25 and alias(doc, rng)
+        edits += [aliased] if aliased else []
+        path.write_text(json.dumps(doc))
+        where = f"mutant {m} of base {base} ({'; '.join(edits)})"
+        try:
+            code = run(["fubini", str(path)])
+        except Exception as exc:  # the contract under test: nothing escapes
+            problems.append(f"{where}: {type(exc).__name__}: {exc}")
+            continue
+        codes.append(code)
+        if code not in (0, 2) or (aliased and code != 2):
+            problems.append(f"{where}: exit {code}")
+    assert not problems, "\n".join(problems[:20])
     assert {0, 2} <= set(codes)

@@ -3,26 +3,27 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from strat_euler import (
+from strat_euler.catalog import load_entry
+from strat_euler.documents import list_entries
+from strat_euler.errors import NotAPointStratum, NotEquidimensional
+from strat_euler.obstruction import (
+    check_bdk_point_formula,
+    eu_function_of_space,
+    global_euler_obstruction,
+    invert_unitriangular,
+    solve_bdk,
+)
+from strat_euler.strata import (
     LabeledMatrix,
     LinkTable,
-    NotAPointStratum,
-    NotEquidimensional,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
-    check_bdk_point_formula,
     chi_global,
     eta,
-    eu_function_of_space,
-    global_euler_obstruction,
-    list_entries,
-    load_entry,
-    solve_bdk,
+    restrict_to_closure,
 )
-from strat_euler.obstruction import invert_unitriangular
-from strat_euler.strata import restrict_to_closure
 
 from conftest import censuses
 

@@ -1,19 +1,16 @@
 import pytest
 
-from strat_euler import (
-    GENERIC,
-    MissingPolarData,
+from strat_euler.catalog import load_entry
+from strat_euler.documents import list_entries
+from strat_euler.errors import MissingPolarData
+from strat_euler.fibration import GENERIC, brasselet, brasselet_infinity, eu_weight
+from strat_euler.obstruction import global_euler_obstruction
+from strat_euler.polar import (
     PolarData,
-    brasselet,
     brasselet_from_polar,
-    brasselet_infinity,
-    eu_weight,
     hyperplane_step,
     infinity_from_polar,
-    list_entries,
-    load_entry,
     stv_global_eu,
-    global_euler_obstruction,
 )
 
 
@@ -124,7 +121,8 @@ def test_hyperplane_step_needs_positive_dimension():
 
 
 def _dim_zero_census():
-    from strat_euler import FiberedCensus, LinkTable, StratifiedCensus, Stratum, StratumPoset
+    from strat_euler.fibration import FiberedCensus
+    from strat_euler.strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
     base = StratifiedCensus(
         "pt",

@@ -11,16 +11,11 @@ from pathlib import Path
 
 from hypothesis import given
 
-from strat_euler import (
-    check_bdk_point_formula,
-    chi_global,
-    global_euler_obstruction,
-    indicator_of_space,
-    list_entries,
-    load_entry,
-    load_file,
-    solve_bdk,
-)
+from strat_euler.catalog import load_entry
+from strat_euler.census_io import load_file
+from strat_euler.documents import list_entries
+from strat_euler.obstruction import check_bdk_point_formula, global_euler_obstruction, solve_bdk
+from strat_euler.strata import chi_global, indicator_of_space
 
 from conftest import censuses
 from oracles import census_product

@@ -1,20 +1,18 @@
 import pytest
 from hypothesis import given
 
-from strat_euler import (
+from strat_euler.errors import FaceClosureViolation, MemberNotInHost, SchemaError
+from strat_euler.euler_calculus import (
     DIMENSION_CAP,
-    FaceClosureViolation,
-    MemberNotInHost,
-    SchemaError,
     Simplex,
     SimplexSubset,
     SimplicialComplex,
     chi,
     chi_c,
     complex_from_json,
+    validate,
     whole,
 )
-from strat_euler.euler_calculus import validate
 
 from conftest import closed_complexes
 

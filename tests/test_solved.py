@@ -21,42 +21,40 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from strat_euler import (
-    GENERIC,
+from strat_euler.catalog import evaluate_expected_key, load_entry, standard_check_lines
+from strat_euler.census_io import load_document, load_file
+from strat_euler.cli import main
+from strat_euler.documents import list_entries
+from strat_euler.errors import (
     AmbientObstructionMismatch,
-    FiberedCensus,
     InsufficientData,
+    MissingLinkEntry,
+    UnknownStratum,
+)
+from strat_euler.fibered import check_identity, restrict_fibered, solve_unknown
+from strat_euler.fibration import (
+    GENERIC,
+    FiberedCensus,
+    brasselet,
+    brasselet_infinity,
+    eu_weight,
+    total_brasselet_infinity,
+)
+from strat_euler.obstruction import check_bdk_point_formula, invert_unitriangular, solve_bdk
+from strat_euler.records import replace
+from strat_euler.strata import (
     LabeledMatrix,
     LinkTable,
-    MissingLinkEntry,
+    SolvedCensus,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
-    UnknownStratum,
-    brasselet,
-    brasselet_infinity,
-    check_bdk_point_formula,
-    check_identity,
     chi_global,
     eta,
-    eu_weight,
     indicator_of_space,
-    list_entries,
-    load_document,
-    load_entry,
-    load_file,
-    solve_bdk,
-    solve_unknown,
-    standard_check_lines,
-    total_brasselet_infinity,
+    restrict_to_closure,
 )
-from strat_euler.catalog import evaluate_expected_key
-from strat_euler.cli import main
-from strat_euler.fibered import restrict_fibered
-from strat_euler.obstruction import invert_unitriangular
-from strat_euler.records import replace
-from strat_euler.strata import SolvedCensus, restrict_to_closure
 
 from conftest import censuses, censuses_with_functions, faulted_doc, fibered_censuses
 from oracles import (

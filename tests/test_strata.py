@@ -7,21 +7,20 @@ import sys
 import pytest
 from hypothesis import given
 
-from strat_euler import (
-    InsufficientData,
+from strat_euler.catalog import load_entry
+from strat_euler.errors import InsufficientData, MissingLinkEntry, UnknownStratum
+from strat_euler.strata import (
     LinkTable,
-    MissingLinkEntry,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
-    UnknownStratum,
+    _transitive_closure,
     chi_global,
     eta,
     indicator_of_space,
-    load_entry,
+    restrict_to_closure,
 )
-from strat_euler.strata import _transitive_closure, restrict_to_closure
 
 from conftest import censuses_with_functions
 from oracles import (
@@ -66,7 +65,8 @@ def test_poset_rejects_cycles_and_dim_violations():
 
 LOAD_EACH = """
 import json, sys
-from strat_euler import SchemaError, load_document
+from strat_euler.census_io import load_document
+from strat_euler.errors import SchemaError
 for doc in json.loads(sys.argv[1]):
     try:
         load_document(doc)
