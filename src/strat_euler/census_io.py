@@ -10,14 +10,16 @@ derivation notes (used by the catalog).  Schema violations raise
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .documents import read_json
 from .errors import NotSolvable, SchemaError
 from .fibration import CriticalPoint, FiberedCensus
-from .polar import PolarData
 from .records import field, record
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
+
+if TYPE_CHECKING:
+    from .polar import PolarData
 
 
 def _mistyped(obj: Any, kind: type, path: str, what: str) -> SchemaError:
@@ -204,6 +206,10 @@ def _fibration_from_json(
 
 
 def _polar_from_json(obj: Any, path: str, top_dim: int) -> PolarData:
+    # imported here: `compute` and `solve` on a census without a polar block
+    # never compile the polar layer
+    from .polar import PolarData
+
     _expect(obj, dict, path, "an object")
     raw_gamma = obj.get("gamma", {})
     _expect(raw_gamma, dict, f"{path}.gamma", "an object")

@@ -11,6 +11,7 @@ STRAT_EULER_COLOR=0.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -244,5 +245,12 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry: ``python -m strat_euler`` and the ``strat-euler``
+    script.  Every full collection of the cyclic GC would walk the objects
+    start-up made (the interpreter's, the site hooks', this module's) again,
+    though they live until exit anyway; frozen here, a collection walks only
+    what the command allocates.  ``main`` leaves the GC state alone, so
+    tests and library callers keep theirs."""
+    gc.freeze()
+    return main()

@@ -107,10 +107,21 @@ class SimplicialComplex:
         return len(self.simplices)
 
 
+def _label_key(v: Any) -> tuple:
+    # integer and string labels may share a complex: integers come first
+    return (isinstance(v, str), v)
+
+
+def _in_order(simplices: Iterable[Simplex]) -> list[Simplex]:
+    """Simplices by dimension, then by label: a total order free of the hash
+    seed, so an error names the same simplex on every run."""
+    return sorted(simplices, key=lambda s: (s.dim, [_label_key(v) for v in s.vertices]))
+
+
 def validate(complex_: SimplicialComplex) -> None:
     """Check face closure; every face of a member must be a member."""
     have = complex_.simplices
-    for s in have:
+    for s in _in_order(have):
         for f in s.faces():
             if f not in have:
                 raise FaceClosureViolation(f"{s!r} is present but its face {f!r} is not")
@@ -226,10 +237,10 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.vertex_map = dict(vertex_map)
-        for v in source.vertices:
+        for v in sorted(source.vertices, key=_label_key):
             if v not in self.vertex_map:
                 raise InvalidMap(f"vertex {v!r} has no image")
-        for s in source.simplices:
+        for s in _in_order(source.simplices):
             try:
                 t = self.image(s)
             except ValueError as exc:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from strat_euler import catalog
+from strat_euler import catalog, cli
 from strat_euler.catalog import load_entry
 from strat_euler.cli import build_parser, main
 from strat_euler.documents import _fixture_dir
@@ -16,7 +17,7 @@ from strat_euler.errors import CensusError, IdentityArgumentError
 from strat_euler.fibered import IDENTITIES, check_identity
 from strat_euler.fibration import eu_weight
 
-from conftest import edited
+from conftest import edited, faulted_doc
 
 DATA = Path(__file__).parent / "data"
 
@@ -285,6 +286,67 @@ def test_fubini_reads_a_key_as_a_string_vertex_first(tmp_path, capsys):
     bundle["vertex_map"]["a"] = 0
     assert fubini_on(tmp_path, bundle) == 0
     assert capsys.readouterr().out == "lhs = 1\nrhs = 1\nOK\n"
+
+
+# sources whose bad vertices and simplices hash differently under each seed:
+# the error names the first in label order, integers before strings
+SEEDED_BUNDLES = [
+    (
+        [["e"], ["d"], ["c"], ["b"], ["a"]], [["x"]], {},
+        "error: $: vertex 'a' has no image",
+    ),
+    (
+        [["d"], ["c"], ["b"], ["a"]], [["x"]], dict.fromkeys("abcd", "y"),
+        "error: $: image <'y'> of <'a'> is not a simplex of the target",
+    ),
+    (
+        [["g", "h"], ["e", "f"], ["c", "d"], ["a", "b"]], [["x"]], {},
+        "error: $.complex_src: <'a','b'> is present but its face <'a'> is not",
+    ),
+    (
+        [["b"], [3], ["a"], [1]], [["x"]], {},
+        "error: $: vertex 1 has no image",
+    ),
+]
+
+# runs `fubini` through cli.main on each file named in argv[1:], printing the
+# exit code and the error line of each
+FUBINI_EACH = """
+import contextlib, io, sys
+from strat_euler.cli import main
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["fubini", path])
+    print(code, err.getvalue(), end="")
+"""
+
+
+def test_fubini_errors_are_the_same_under_every_hash_seed(tmp_path):
+    paths = []
+    for i, (src, dst, vertex_map, _error) in enumerate(SEEDED_BUNDLES):
+        path = tmp_path / f"{i}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "complex_src": {"simplices": src},
+                    "complex_dst": {"simplices": dst},
+                    "vertex_map": vertex_map,
+                    "weights": [],
+                }
+            )
+        )
+        paths.append(str(path))
+    want = "".join(f"2 {error}\n" for *_, error in SEEDED_BUNDLES)
+    for seed in ("0", "1", "2", "3"):
+        run = subprocess.run(
+            [sys.executable, "-c", FUBINI_EACH, *paths],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert run.stdout == want, f"PYTHONHASHSEED={seed}"
 
 
 def test_catalog_run_refuses_a_path_out_of_the_catalog(tmp_path, capsys):
@@ -610,3 +672,72 @@ def test_catalog_run_and_colored_rows_match_the_recording(call, tmp_path, monkey
     STRAT_EULER_COLOR=0: stdout, stderr and exit code, byte for byte."""
     got = run_pinned(call, tmp_path, monkeypatch)
     assert got == (call["stdout"], call["stderr"], call["exit"])
+
+
+# --- the process entry ---------------------------------------------------
+
+
+def test_main_leaves_the_gc_as_it_finds_it(capsys):
+    """Only the process entry freezes: tests, the benchmark's in-process
+    rounds and library callers keep their GC state through ``main``."""
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["check", fixture_path("node-linear")]) == 0
+    assert main(["fubini", str(DATA / "bundle.json")]) == 0
+    assert main(["check", "/nonexistent/file.json"]) == 2
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_run_freezes_the_start_up_heap_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    assert cli.run() == 7
+    assert calls == ["freeze", "main"]
+
+
+def process_calls():
+    """(argv, files to write, stdout lines, stderr lines, exit code) of the
+    recorded calls a process of its own can replay: every pinned ``check``,
+    every pinned ``catalog`` call on the shipped catalog with stdout not a
+    terminal, and the first missing-link call of each kind and exit code."""
+    calls = []
+    for case in json.loads((DATA / "check_outputs.json").read_text()):
+        argv = ["check", census_path(case["census"])]
+        if case["hyperplane"]:
+            argv += ["--hyperplane", census_path(case["hyperplane"])]
+        calls.append((argv, {}, case["lines"], [], case["exit"]))
+    for call in CATALOG_PINS["calls"]:
+        if not (call["catalog"] or call["tty"]):
+            stdout = "\n".join(call["stdout"]).splitlines()
+            calls.append((call["argv"], {}, stdout, call["stderr"].splitlines(), call["exit"]))
+    kinds = set()
+    for case in json.loads((DATA / "missing_link_calls.json").read_text()):
+        kind = (tuple(a for a in case["argv"] if a.startswith("-")), case["argv"][0], case["exit"])
+        if kind not in kinds:
+            kinds.add(kind)
+            files = {arg: case[arg[1:-1]] for arg in ("{census}", "{hyperplane}") if arg in case["argv"]}
+            calls.append((case["argv"], files, case["stdout"], case["stderr"], case["exit"]))
+    return calls
+
+
+def process_call_id(call):
+    argv, _files, _out, _err, code = call
+    return " ".join(Path(arg).name for arg in argv) + f" -> {code}"
+
+
+@pytest.mark.parametrize("call", process_calls(), ids=process_call_id)
+def test_a_process_replays_the_recorded_calls(call, tmp_path):
+    """``python -m strat_euler`` runs through the freezing entry: stdout,
+    stderr and the exit code, line for line, as recorded in-process."""
+    argv, files, stdout, stderr, code = call
+    for arg, spec in files.items():
+        path = tmp_path / f"{arg[1:-1]}.json"
+        path.write_text(json.dumps(faulted_doc(spec)))
+        argv = [str(path) if a == arg else a for a in argv]
+    proc = run_cli(*argv)
+    assert (proc.stdout.splitlines(), proc.stderr.splitlines(), proc.returncode) == (
+        stdout,
+        stderr,
+        code,
+    )

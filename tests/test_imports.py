@@ -127,6 +127,27 @@ def test_compute_and_solve_leave_the_catalog_and_simplicial_layers_out(tmp_path)
         assert not modules & {"catalog", "euler_calculus"}, args
 
 
+def test_polar_is_loaded_only_for_a_census_with_a_polar_block(tmp_path):
+    """census_io imports the polar layer for a document's polar block:
+    compute and solve on the layered census (none) leave it out, compute on
+    broughton (one) loads it, and check always runs the polar rows."""
+    layered = str(DATA / "layered-5x4.json")
+    doc = json.loads((DATA / "layered-5x4.json").read_text())
+    del doc["fibration"]["fiber_chi"]["T"]["generic"]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(doc))
+    for args, loaded in (
+        (("compute", layered, "--what", "eu-table"), False),
+        (("compute", layered, "--what", "eu-global"), False),
+        (("solve", str(gap), "--identity", "cor_equi", "--unknown", "fiber_chi.T.generic"), False),
+        (("compute", fixture("broughton"), "--what", "eu-global"), True),
+        (("check", layered), True),
+    ):
+        code, modules = imported_by(*args)
+        assert code in (0, 1), args
+        assert ("polar" in modules) == loaded, args
+
+
 def test_check_leaves_the_simplicial_layer_out():
     code, modules = imported_by("check", fixture("node-linear"))
     assert code == 0
@@ -288,14 +309,15 @@ def sweep_calls(tmp_path):
     return calls
 
 
-# runs each argv of the JSON file argv[1] through cli.main, with a profiler
-# on from before the package is imported; prints where each function called
-# under the directory argv[2] starts
+# runs each argv of the JSON file argv[1] through cli.main, the last one
+# through the process entry, with a profiler on from before the package is
+# imported; prints where each function called under the directory argv[2]
+# starts
 REACHED_BY = """
 import contextlib, io, json, sys
 calls_file, src = sys.argv[1:]
 with open(calls_file) as f:
-    calls = json.load(f)
+    *calls, last = json.load(f)
 reached = set()
 
 def profile(frame, event, _arg):
@@ -307,6 +329,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     import strat_euler.cli
     for argv in calls:
         strat_euler.cli.main(argv)
+    sys.argv[1:] = last
+    strat_euler.cli.run()
 sys.setprofile(None)
 print(json.dumps(sorted(reached)))
 """
