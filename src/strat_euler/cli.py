@@ -247,10 +247,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """The process entry: ``python -m strat_euler`` and the ``strat-euler``
-    script.  Every full collection of the cyclic GC would walk the objects
-    start-up made (the interpreter's, the site hooks', this module's) again,
-    though they live until exit anyway; frozen here, a collection walks only
-    what the command allocates.  ``main`` leaves the GC state alone, so
-    tests and library callers keep theirs."""
+    script.  Every full collection of the cyclic GC, four of them at exit,
+    would walk the objects start-up made (the interpreter's, the site
+    hooks', this module's) again, though they live until exit anyway;
+    frozen here, a collection walks only what the command allocates.
+    ``main`` leaves the GC state alone, so tests and library callers keep
+    theirs."""
     gc.freeze()
     return main()
+
+
+if __name__ == "__main__":
+    sys.exit(run())
