@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """The process entry: ``python -m strat_euler`` and the ``strat-euler``
-    script.  Every full collection of the cyclic GC, four of them at exit,
+    script.  Every full collection of the cyclic GC, those at exit included,
     would walk the objects start-up made (the interpreter's, the site
     hooks', this module's) again, though they live until exit anyway;
     frozen here, a collection walks only what the command allocates.
