@@ -10,10 +10,10 @@ STRAT_EULER_COLOR=0.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import CensusError
 
@@ -170,66 +170,134 @@ def _cmd_catalog(args) -> int:
     return 0 if verified == len(entries) else 1
 
 
-# --- parser -------------------------------------------------------------
+# --- the command line ---------------------------------------------------
+
+# each subcommand's handler, help and arguments, the arguments as
+# ``add_argument`` takes them and in its order: build_parser gives them to
+# argparse, and read_plain reads the command lines that need nothing more
+_COMMANDS = {
+    "check": (_cmd_check, "run every applicable identity on a census file", [
+        ("census", {"help": "census JSON file"}),
+        ("--hyperplane", {
+            "default": None,
+            "help": "census of a generic hyperplane slice; adds the slicing-step checks",
+        }),
+    ]),
+    "compute": (_cmd_compute, "compute one invariant of a census file", [
+        ("census", {}),
+        ("--what", {
+            "required": True,
+            "choices": ["eu-table", "eu-global", "brasselet", "lambda", "binf", "detect-irregular"],
+        }),
+        ("--at", {"default": None, "help": "target value label (or 'generic')"}),
+    ]),
+    "solve": (_cmd_solve, "recover one absent census slot from an identity", [
+        ("census", {}),
+        ("--identity", {"required": True}),
+        ("--unknown", {"required": True, "help": "dotted field path, e.g. fiber_chi.V2.0"}),
+        ("--at", {"default": None}),
+        ("--alpha", {"choices": ["1", "eu"], "default": "1"}),
+        ("--use-milnor", {"action": "store_true"}),
+        ("--emit-completed", {
+            "default": None,
+            "metavar": "OUT",
+            "help": "write the census with the solved slot filled in to this file",
+        }),
+    ]),
+    "fubini": (_cmd_fubini, "check the projection formula on a map bundle", [
+        ("bundle", {"help": "JSON with complex_src, complex_dst, vertex_map, weights"}),
+    ]),
+    "catalog": (_cmd_catalog, "list or re-verify the shipped census library", [
+        ("action", {"choices": ["run", "list"]}),
+        ("names", {"nargs": "*", "help": "entry names (default: all)"}),
+    ]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser of the command line.  Importing argparse and
+    building the parser take about 5 ms, so only the command lines
+    read_plain declines come here: help, abbreviations, ``--opt=value`` and
+    usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="strat-euler",
         description="exact invariants of stratified censuses, and their cross-checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run every applicable identity on a census file")
-    p.add_argument("census", help="census JSON file")
-    p.add_argument(
-        "--hyperplane",
-        default=None,
-        help="census of a generic hyperplane slice; adds the slicing-step checks",
-    )
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("compute", help="compute one invariant of a census file")
-    p.add_argument("census")
-    p.add_argument(
-        "--what",
-        required=True,
-        choices=["eu-table", "eu-global", "brasselet", "lambda", "binf", "detect-irregular"],
-    )
-    p.add_argument("--at", default=None, help="target value label (or 'generic')")
-    p.set_defaults(run=_cmd_compute)
-
-    p = sub.add_parser("solve", help="recover one absent census slot from an identity")
-    p.add_argument("census")
-    p.add_argument("--identity", required=True)
-    p.add_argument("--unknown", required=True, help="dotted field path, e.g. fiber_chi.V2.0")
-    p.add_argument("--at", default=None)
-    p.add_argument("--alpha", choices=["1", "eu"], default="1")
-    p.add_argument("--use-milnor", action="store_true")
-    p.add_argument(
-        "--emit-completed",
-        default=None,
-        metavar="OUT",
-        help="write the census with the solved slot filled in to this file",
-    )
-    p.set_defaults(run=_cmd_solve)
-
-    p = sub.add_parser("fubini", help="check the projection formula on a map bundle")
-    p.add_argument("bundle", help="JSON with complex_src, complex_dst, vertex_map, weights")
-    p.set_defaults(run=_cmd_fubini)
-
-    p = sub.add_parser("catalog", help="list or re-verify the shipped census library")
-    p.add_argument("action", choices=["run", "list"])
-    p.add_argument("names", nargs="*", help="entry names (default: all)")
-    p.set_defaults(run=_cmd_catalog)
-
+    for command, (handler, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(run=handler)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse makes of a plain command line, or None.  Plain is: the
+    subcommand spelled out, then its positionals, and each option spelled
+    out at most once, every required one present, each value not starting
+    with ``-`` and in its choices.  Anything else (help, ``--``, an
+    abbreviation, ``--opt=value``, a repeated option, a usage error) is for
+    argparse to read."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _summary, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "run": handler}
+    options = {}
+    for name, spec in arguments:
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, spec
+            values[dest] = spec.get("default", False if "action" in spec else None)
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, spec = options.pop(token)
+        if "action" in spec:
+            value = True
+        else:
+            value = next(tokens, "-")  # no value reads as an option
+            if value.startswith("-") or value not in spec.get("choices", [value]):
+                return None
+        values[dest] = value
+    if any(spec.get("required") for _dest, spec in options.values()):
+        return None
+    for name, spec in arguments:
+        if name.startswith("-"):
+            continue
+        if spec.get("nargs") == "*":
+            values[name], positionals = positionals, []
+        elif positionals and positionals[0] in spec.get("choices", positionals[:1]):
+            values[name] = positionals.pop(0)
+        else:
+            return None
+    if positionals:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]):
+    """argparse's reading of a command line read_plain declines.  Help
+    exits with its text still in stdout's buffer: flushed here, a closed
+    stdout is reported like any command's."""
     try:
+        return build_parser().parse_args(argv)
+    except SystemExit:
+        sys.stdout.flush()
+        raise
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = read_plain(argv) or _parse(argv)
         code = args.run(args)
         sys.stdout.flush()
     except (CensusError, ValueError) as exc:

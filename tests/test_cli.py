@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -8,16 +9,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strat_euler import catalog, cli
 from strat_euler.catalog import load_entry
-from strat_euler.cli import build_parser, main
+from strat_euler.cli import build_parser, main, read_plain
 from strat_euler.documents import _fixture_dir
 from strat_euler.errors import CensusError, IdentityArgumentError
 from strat_euler.fibered import IDENTITIES, check_identity
 from strat_euler.fibration import eu_weight
 
 from conftest import edited, faulted_doc
+from test_imports import sweep_calls
 
 DATA = Path(__file__).parent / "data"
 
@@ -358,6 +361,29 @@ def test_catalog_run_refuses_a_path_out_of_the_catalog(tmp_path, capsys):
     assert err.startswith(f"error: no catalog entry {name!r}; available: ")
 
 
+def into_a_closed_pipe(args, env=None):
+    """``python -m strat_euler ARGS`` with the read end of its stdout closed
+    before it starts, so no pipe buffer can absorb the output."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "strat_euler", *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write)
+
+
+def assert_reported_closed_stdout(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to standard output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [("catalog", "run"), ("check", "zk-2"), ("compute", "zk-2", "--what", "eu-global")],
@@ -367,20 +393,17 @@ def test_a_closed_stdout_exits_2_without_a_traceback(args):
     """The reader of stdout is gone before the first write: bad output, not
     a failed identity, and no traceback from the write or the exit flush."""
     args = [fixture_path(arg) if arg == "zk-2" else arg for arg in args]
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "strat_euler", *args],
-            stdout=write,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    finally:
-        os.close(write)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot write to standard output: ")
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert_reported_closed_stdout(into_a_closed_pipe(args))
+
+
+@pytest.mark.parametrize("args", [("-h",), ("check", "-h")], ids=" ".join)
+def test_help_into_a_closed_stdout_exits_2_without_a_traceback(args):
+    """argparse writes help into stdout's buffer and exits: the buffer is
+    flushed before the exit goes through, so the closed stdout is reported
+    like any command's, not left to the interpreter's exit (status 120).
+    Unbuffered, argparse itself drops the failed write."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    assert_reported_closed_stdout(into_a_closed_pipe(args, env))
 
 
 def test_catalog_subcommand(capsys):
@@ -406,9 +429,45 @@ def test_console_process_has_no_color_when_disabled():
     assert proc.stdout.endswith("0 skipped\n")
 
 
-def test_module_invocation_reports_usage_errors():
-    proc = run_cli("compute", fixture_path("zk-2"))
-    assert proc.returncode != 0
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("nope",),
+        ("check",),
+        ("compute", "zk-2"),
+        ("compute", "zk-2", "--what", "nope"),
+        ("check", "zk-2", "--nope"),
+        ("check", "zk-2", "--hyperplane"),
+    ],
+    ids=["no-command", "unknown-command", "missing-positional", "missing-what", "bad-choice",
+         "unknown-option", "missing-value"],
+)
+def test_module_invocation_reports_usage_errors(args):
+    """argparse's usage line and one error line on stderr, nothing on
+    stdout, exit 2."""
+    proc = run_cli(*(fixture_path(arg) if arg == "zk-2" else arg for arg in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: strat-euler")
+    assert proc.stderr.endswith("\n")
+    assert ": error: " in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("-h",), ("check", "-h")], ids=" ".join)
+def test_help_is_printed_on_stdout(args):
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: strat-euler")
+
+
+def test_an_abbreviated_option_reads_as_the_option(capsys):
+    census, hyperplane = fixture_path("broughton"), fixture_path("broughton-slice")
+    assert main(["check", census, "--hyperplane", hyperplane]) == 0
+    spelled = capsys.readouterr()
+    assert main(["check", census, "--hyper", hyperplane]) == 0
+    assert capsys.readouterr() == spelled
 
 
 @pytest.mark.parametrize("command", ["check", "fubini"])
@@ -741,3 +800,100 @@ def test_a_process_replays_the_recorded_calls(call, tmp_path):
         stderr,
         code,
     )
+
+
+# --- the plain reader agrees with argparse -------------------------------
+
+# subcommands and near misses; every option string, abbreviated and with
+# =value; help and the tokens argparse reads specially; choice values and
+# others
+WORDS = [
+    "check", "compute", "solve", "fubini", "catalog", "chec", "checks", "Check", "catalogs",
+    "--hyperplane", "--what", "--at", "--identity", "--unknown", "--alpha", "--use-milnor",
+    "--emit-completed", "--hyper", "--h", "--wh", "--a", "--al", "--id", "--unk", "--use",
+    "--emit", "--what=eu-table", "--what=nope", "--at=0", "--alpha=eu", "--hyperplane=s.json",
+    "--use-milnor=1", "--emit-completed=out.json",
+    "-h", "--help", "--", "-", "-1", "", "-x y",
+    "eu-table", "eu-global", "brasselet", "lambda", "binf", "detect-irregular", "1", "eu",
+    "run", "list", "nope", "2", "0", "generic", "c.json", "zk-2",
+]
+
+# one command line of each shape the reader accepts, to edit
+PLAIN = [
+    ["check", "c.json"],
+    ["check", "c.json", "--hyperplane", "s.json"],
+    ["compute", "c.json", "--what", "binf", "--at", "0"],
+    ["compute", "--what", "eu-table", "c.json"],
+    ["solve", "c.json", "--identity", "cor_equi", "--unknown", "chi.V1", "--at", "0",
+     "--alpha", "eu", "--use-milnor", "--emit-completed", "out.json"],
+    ["fubini", "b.json"],
+    ["catalog", "run", "zk-2", "zk-2"],
+    ["catalog", "list"],
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A list of words, or a plain command line with up to three words
+    inserted, deleted or replaced."""
+    word = st.sampled_from(WORDS)
+    if draw(st.booleans()):
+        return draw(st.lists(word, max_size=8))
+    argv = list(draw(st.sampled_from(PLAIN)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            argv.insert(i, draw(word))
+        elif i < len(argv):
+            argv[i : i + 1] = [] if edit == "delete" else [draw(word)]
+    return argv
+
+
+def argparse_reading(argv):
+    """``vars`` of what argparse makes of ARGV, None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=600)
+@given(command_lines())
+def test_the_plain_reader_agrees_with_argparse(argv):
+    """The reader declines, or reads every attribute as argparse does; it
+    declines every command line argparse refuses or answers with help."""
+    plain = read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_reading(argv)
+
+
+def test_the_plain_reader_accepts_the_traffic(tmp_path):
+    """A reader that declined the calls the tests and the benchmark make
+    would pass every other test and save nothing: it reads the sweep of
+    tests/test_imports.py, the recorded missing-link calls and each shape of
+    call the benchmark makes, as argparse does."""
+    calls = sweep_calls(tmp_path)
+    calls += [case["argv"] for case in json.loads((DATA / "missing_link_calls.json").read_text())]
+    calls += [
+        ["catalog", "run"],
+        ["catalog", "list"],
+        ["check", "zk-2.json"],
+        ["check", "broughton.json", "--hyperplane", "broughton-slice.json"],
+        ["compute", "zk-2.json", "--what", "eu-table"],
+        ["compute", "zk-2.json", "--what", "eu-global"],
+        ["compute", "zk-2.json", "--what", "detect-irregular"],
+        ["compute", "cusp-linear.json", "--what", "brasselet", "--at", "v1"],
+        ["compute", "zk-2.json", "--what", "lambda", "--at", "0"],
+        ["compute", "zk-2.json", "--what", "binf", "--at", "generic"],
+        ["solve", "zk-2-without-chi.V1.json", "--identity", "thm_generic_fiber",
+         "--unknown", "chi.V1"],
+        ["solve", "layered-10x9-without-fiber_chi.T.generic.json", "--identity", "cor_equi",
+         "--unknown", "fiber_chi.T.generic"],
+        ["fubini", "bundle-0.json"],
+    ]
+    for argv in calls:
+        plain = read_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == argparse_reading(argv), argv

@@ -155,16 +155,20 @@ def test_check_leaves_the_simplicial_layer_out():
     assert "euler_calculus" not in modules
 
 
+# the standard modules no well-formed call needs: dataclasses and the
+# inspect module it loads; argparse, and the gettext and locale it loads
+UNNEEDED = ("argparse", "dataclasses", "gettext", "inspect", "locale")
+
 # imports the command line, then runs each argv of argv[1] through
-# cli.main, printing after each step whether dataclasses or inspect has been
-# loaded since start-up (a site hook may load them before the package runs)
+# cli.main, printing after each step which of argv[2] have been loaded since
+# start-up (a site hook may load them before the package runs)
 LOADS_AFTER_EACH = """
 import contextlib, io, json, sys
 at_start = set(sys.modules)
 import strat_euler.cli
 
 def loaded():
-    return sorted(m for m in ("dataclasses", "inspect") if m in set(sys.modules) - at_start)
+    return sorted(m for m in json.loads(sys.argv[2]) if m in set(sys.modules) - at_start)
 
 print(json.dumps(["import", 0, loaded()]))
 for args in json.loads(sys.argv[1]):
@@ -175,7 +179,9 @@ for args in json.loads(sys.argv[1]):
 
 def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
     """Importing dataclasses (and the inspect module it loads) would cost
-    every call start-up time for nothing the package needs."""
+    every call start-up time for nothing the package needs; so would
+    argparse (and gettext and locale) on a command line the plain reader
+    reads.  An abbreviated option still goes to argparse."""
     doc = load_entry("zk-3").raw
     del doc["fibration"]["fiber_chi"]["V1"]["generic"]
     gap = tmp_path / "gap.json"
@@ -187,15 +193,19 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
         ["catalog", "run"],
         ["catalog", "list"],
         ["fubini", str(DATA / "bundle.json")],
+        ["check", fixture("broughton"), "--hyperplane", fixture("broughton-slice")],
+        ["compute", fixture("broughton"), "--what", "binf", "--at", "0"],
+        ["check", fixture("broughton"), "--hyper", fixture("broughton-slice")],
     ]
     run = subprocess.run(
-        [sys.executable, "-c", LOADS_AFTER_EACH, json.dumps(calls)],
+        [sys.executable, "-c", LOADS_AFTER_EACH, json.dumps(calls), json.dumps(UNNEEDED)],
         capture_output=True,
         text=True,
         check=True,
     )
     steps = [json.loads(line) for line in run.stdout.splitlines()]
-    assert steps == [
+    *plain, abbreviated = steps
+    assert plain == [
         ["import", 0, []],
         ["check", 0, []],
         ["compute", 0, []],
@@ -203,7 +213,11 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
         ["catalog", 0, []],
         ["catalog", 0, []],
         ["fubini", 0, []],
+        ["check", 0, []],
+        ["compute", 0, []],
     ]
+    assert abbreviated[:2] == ["check", 0]
+    assert "argparse" in abbreviated[2]
 
 
 # --- every function in src/ is run by some command, or kept for a reason ---
@@ -309,6 +323,18 @@ def sweep_calls(tmp_path):
     return calls
 
 
+def argparse_calls():
+    """Command lines the plain reader leaves to argparse: usage errors (exit
+    2), help (exit 0) and an abbreviated option."""
+    census = fixture("zk-2")
+    return [
+        ["check"],
+        ["compute", census, "--what", "nope"],
+        ["check", census, "--hyper", census],
+        ["-h"],
+    ]
+
+
 # runs each argv of the JSON file argv[1] through cli.main, the last one
 # through the process entry, with a profiler on from before the package is
 # imported; prints where each function called under the directory argv[2]
@@ -328,7 +354,10 @@ sys.setprofile(profile)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     import strat_euler.cli
     for argv in calls:
-        strat_euler.cli.main(argv)
+        try:
+            strat_euler.cli.main(argv)
+        except SystemExit:  # argparse's exit after help or a usage error
+            pass
     sys.argv[1:] = last
     strat_euler.cli.run()
 sys.setprofile(None)
@@ -338,11 +367,12 @@ print(json.dumps(sorted(reached)))
 
 def test_every_function_in_src_is_reached_or_allowed(tmp_path):
     """Runs every subcommand on the fixtures and the recorded malformed
-    inputs under a profiler: a function of the package that none of them
-    reaches has to be in UNREACHED, with its reason, and every name there
-    has to exist and stay unreached."""
+    inputs, and the command lines only argparse reads, under a profiler: a
+    function of the package that none of them reaches has to be in
+    UNREACHED, with its reason, and every name there has to exist and stay
+    unreached."""
     calls = tmp_path / "calls.json"
-    calls.write_text(json.dumps(sweep_calls(tmp_path)))
+    calls.write_text(json.dumps(argparse_calls() + sweep_calls(tmp_path)))
     run = subprocess.run(
         [sys.executable, "-c", REACHED_BY, str(calls), str(SRC)],
         capture_output=True,
