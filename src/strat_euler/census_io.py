@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .documents import read_json
-from .errors import NotSolvable, SchemaError
+from .errors import CensusError, NotSolvable, SchemaError
 from .fibration import CriticalPoint, FiberedCensus
 from .records import field, record
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
@@ -127,7 +127,7 @@ def _census_from_json(obj: Any, path: str, default_name: str) -> StratifiedCensu
             name=name, poset=poset, links=LinkTable(entries), equidimensional=flag
         )
         census.validate()
-    except ValueError as exc:
+    except (CensusError, ValueError) as exc:
         raise SchemaError(path, str(exc)) from exc
     return census
 
@@ -200,7 +200,10 @@ def _fibration_from_json(
         )
         # the base was validated by _census_from_json
         census.validate_fibration()
-    except ValueError as exc:
+    except SchemaError:
+        # a column's own error, already at its path
+        raise
+    except (CensusError, ValueError) as exc:
         raise SchemaError(path, str(exc)) from exc
     return census
 

@@ -284,14 +284,21 @@ def read_plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse(argv: list[str]):
-    """argparse's reading of a command line read_plain declines.  Help
-    exits with its text still in stdout's buffer: flushed here, a closed
-    stdout is reported like any command's."""
+    """argparse's reading of a command line read_plain declines.  argparse
+    drops the error of its own write to stdout, which loses help into a
+    closed unbuffered stdout; so it writes into a buffer, and the help is
+    written and flushed here, where a closed stdout is reported like any
+    command's."""
+    import contextlib
+    import io
+
+    text = io.StringIO()
     try:
-        return build_parser().parse_args(argv)
-    except SystemExit:
+        with contextlib.redirect_stdout(text):
+            return build_parser().parse_args(argv)
+    finally:
+        sys.stdout.write(text.getvalue())
         sys.stdout.flush()
-        raise
 
 
 def main(argv: list[str] | None = None) -> int:

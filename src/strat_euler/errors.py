@@ -32,7 +32,7 @@ class FaceClosureViolation(CensusError):
 
 
 class MemberNotInHost(CensusError):
-    """A subset names a simplex that its host complex does not contain."""
+    """A weight names a simplex that its host complex does not contain."""
 
 
 class HostMismatch(CensusError):

@@ -1,13 +1,12 @@
-"""Euler calculus on finite simplicial complexes: chi_c, weights,
-integration, pushforward.
+"""Euler calculus on finite simplicial complexes: weights, their integral,
+pushforward.
 
 A complex is a face-closed set of simplices whose vertices are opaque labels
-in a total order; a constructible set is a subset of its open simplices, and
-chi_c counts them with the sign (-1)^dim.  A constructible function is an
-integer weight per open simplex, so every integral is a finite signed sum.
-The pushforward along a simplicial map is defined fiberwise per open target
-simplex, and the projection formula (Fubini) then holds exactly.  The
-randomized tests treat that as ground truth.
+in a total order.  A constructible function is an integer weight per open
+simplex, and its integral against chi_c is the finite sum of each weight
+times (-1)^dim.  The pushforward along a simplicial map is defined fiberwise
+per open target simplex, and the projection formula (Fubini) then holds
+exactly.  The randomized tests treat that as ground truth.
 """
 
 from __future__ import annotations
@@ -79,22 +78,13 @@ class SimplicialComplex:
     """A finite set of simplices, expected to be closed under taking faces.
 
     The constructor stores exactly what it is given; :func:`validate` checks
-    face closure and raises :class:`FaceClosureViolation` when it fails.  Use
-    :meth:`closed` to face-close a generating set.
+    face closure and raises :class:`FaceClosureViolation` when it fails.
     """
 
     simplices: frozenset[Simplex]
 
     def __post_init__(self):
         object.__setattr__(self, "simplices", frozenset(self.simplices))
-
-    @classmethod
-    def closed(cls, generators: Iterable[Simplex]) -> "SimplicialComplex":
-        """The smallest complex containing the given simplices."""
-        out: set[Simplex] = set()
-        for g in generators:
-            out.update(g.faces())
-        return cls(frozenset(out))
 
     @property
     def vertices(self) -> frozenset:
@@ -125,49 +115,6 @@ def validate(complex_: SimplicialComplex) -> None:
         for f in s.faces():
             if f not in have:
                 raise FaceClosureViolation(f"{s!r} is present but its face {f!r} is not")
-
-
-@record
-class SimplexSubset:
-    """A set of open simplices of a host complex, not required to be face-closed.
-
-    Models a locally closed (or merely constructible) union of open cells.
-    Membership in the host is enforced here, at construction.
-    """
-
-    host: SimplicialComplex
-    members: frozenset[Simplex]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for m in self.members:
-            if m not in self.host:
-                raise MemberNotInHost(f"{m!r} is not a simplex of the host complex")
-
-    def __contains__(self, s: Simplex) -> bool:
-        return s in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def whole(complex_: SimplicialComplex) -> SimplexSubset:
-    """The subset consisting of every open simplex of the complex."""
-    return SimplexSubset(complex_, complex_.simplices)
-
-
-def chi_c(subset: SimplexSubset) -> int:
-    """Compactly-supported Euler characteristic: sum of (-1)^dim over members.
-
-    Exact on constructible sets and additive over disjoint unions, which is
-    the property every oracle in this package leans on.
-    """
-    return sum(-1 if s.dim % 2 else 1 for s in subset.members)
-
-
-def chi(complex_: SimplicialComplex) -> int:
-    """Euler characteristic of a finite complex (chi = chi_c here)."""
-    return chi_c(whole(complex_))
 
 
 class SimplicialConstructibleFunction:
@@ -205,20 +152,10 @@ class SimplicialConstructibleFunction:
         return f"SimplicialConstructibleFunction({len(self._weights)} nonzero weights)"
 
 
-def integrate(f: SimplicialConstructibleFunction, region: SimplexSubset) -> int:
-    """Integral of f against chi_c over a constructible region of its host."""
-    if region.host != f.host:
-        raise HostMismatch("region lives on a different host complex")
-    total = 0
-    for s in region.members:
-        v = f(s)
-        if v:
-            total += v * (-1 if s.dim % 2 else 1)
-    return total
-
-
 def integrate_all(f: SimplicialConstructibleFunction) -> int:
-    return integrate(f, whole(f.host))
+    """Integral of f against chi_c over its whole host: each weight counts
+    with the sign (-1)^dim of its simplex."""
+    return sum(-v if s.dim % 2 else v for s, v in f.items())
 
 
 class SimplicialMap:
@@ -250,11 +187,6 @@ class SimplicialMap:
 
     def image(self, s: Simplex) -> Simplex:
         return Simplex.of(*set(self.vertex_map[v] for v in s))
-
-    def fiber(self, t: Simplex) -> SimplexSubset:
-        """Open simplices of the source mapping onto exactly the open simplex t."""
-        members = frozenset(s for s in self.source.simplices if self.image(s) == t)
-        return SimplexSubset(self.source, members)
 
 
 def pushforward(

@@ -12,12 +12,7 @@ from pathlib import Path
 from hypothesis import assume, settings, strategies as st
 
 from strat_euler.catalog import load_entry
-from strat_euler.euler_calculus import (
-    Simplex,
-    SimplicialComplex,
-    SimplicialConstructibleFunction,
-    SimplicialMap,
-)
+from strat_euler.euler_calculus import Simplex, SimplicialConstructibleFunction, SimplicialMap
 from strat_euler.fibered import FieldPath
 from strat_euler.fibration import GENERIC, FiberedCensus
 from strat_euler.strata import (
@@ -27,6 +22,8 @@ from strat_euler.strata import (
     StratumConstructibleFunction,
     StratumPoset,
 )
+
+from oracles import closed
 
 DATA = Path(__file__).with_name("data")
 
@@ -89,7 +86,7 @@ def closed_complexes(draw, max_vertices=7, max_generators=4, max_gen_size=4, max
             max_size=max_generators,
         )
     )
-    cx = SimplicialComplex.closed(Simplex.of(*g) for g in gens)
+    cx = closed(Simplex.of(*g) for g in gens)
     assume(len(cx.simplices) <= max_simplices)
     return cx
 
@@ -107,9 +104,7 @@ def weighted_maps(draw):
         st.lists(st.integers(0, 3), min_size=len(src_verts), max_size=len(src_verts))
     )
     mapping = dict(zip(src_verts, targets))
-    dst = SimplicialComplex.closed(
-        Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
-    )
+    dst = closed(Simplex.of(*{mapping[v] for v in s}) for s in src.simplices)
     cells = sorted(src.simplices, key=lambda s: (s.dim, s.vertices))
     values = draw(
         st.lists(st.integers(-5, 5), min_size=len(cells), max_size=len(cells))
@@ -131,15 +126,13 @@ def random_weighted_map(rng):
     for _ in range(rng.randint(1, 4)):
         size = rng.randint(1, min(4, n_vertices))
         generators.append(Simplex.of(*rng.sample(range(n_vertices), size)))
-    src = SimplicialComplex.closed(generators)
+    src = closed(generators)
     # keep sources small; drop generators until under the size cap
     while len(src.simplices) > 30:
         generators.pop()
-        src = SimplicialComplex.closed(generators)
+        src = closed(generators)
     mapping = {v: rng.randint(0, 3) for v in sorted(src.vertices)}
-    dst = SimplicialComplex.closed(
-        Simplex.of(*{mapping[v] for v in s}) for s in src.simplices
-    )
+    dst = closed(Simplex.of(*{mapping[v] for v in s}) for s in src.simplices)
     weights = SimplicialConstructibleFunction(
         src, {s: rng.randint(-5, 5) for s in src.simplices}
     )

@@ -1,4 +1,5 @@
-"""Test-only routes to the closure basis and the eta matrix, and products.
+"""Test-only routes to the closure basis and the eta matrix, products, and
+the simplicial oracles.
 
 No command runs these, so they live with the tests rather than in the
 package, where every command-line call would compile them.  Each is written
@@ -6,11 +7,14 @@ out from its definition with ``StratumPoset.lt`` and the link table,
 independently of ``census.solved``, except :func:`closure_sums`, which
 adds up the solved closure columns one closure at a time.
 :func:`census_product` builds a census whose invariants are known in closed
-form from its factors'.
+form from its factors'.  :func:`chi_c` and :func:`fiber` count open
+simplices one by one, independently of ``euler_calculus.integrate_all``
+and ``pushforward``.
 """
 
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
+from strat_euler.euler_calculus import Simplex, SimplicialComplex, SimplicialMap
 from strat_euler.fibration import FiberedCensus
 from strat_euler.strata import (
     LabeledMatrix,
@@ -21,6 +25,27 @@ from strat_euler.strata import (
     StratumPoset,
     eta,
 )
+
+
+def closed(generators: Iterable[Simplex]) -> SimplicialComplex:
+    """The smallest complex containing the given simplices."""
+    out: set[Simplex] = set()
+    for g in generators:
+        out.update(g.faces())
+    return SimplicialComplex(frozenset(out))
+
+
+def chi_c(simplices: Iterable[Simplex]) -> int:
+    """Compactly-supported Euler characteristic of a union of open
+    simplices: the sum of (-1)^dim over them.  Exact on constructible sets
+    and additive over disjoint unions."""
+    return sum(-1 if s.dim % 2 else 1 for s in simplices)
+
+
+def fiber(f: SimplicialMap, t: Simplex) -> frozenset[Simplex]:
+    """The open simplices of the source that map onto exactly the open
+    simplex t."""
+    return frozenset(s for s in f.source.simplices if f.image(s) == t)
 
 
 def down_set(poset: StratumPoset, stratum_id: str) -> list[str]:
@@ -132,4 +157,29 @@ def census_product(a: StratifiedCensus, b: StratifiedCensus) -> StratifiedCensus
         StratumPoset(strata, frozenset(links)),
         LinkTable(links),
         equidimensional=a.equidimensional and b.equidimensional,
+    )
+
+
+def pulled_back(g: FiberedCensus, y: StratifiedCensus) -> FiberedCensus:
+    """The census of f = g o pr_1 on X x Y, from the census of g on X and
+    the census of Y.
+
+    The fiber of f over c is g^-1(c) x Y, so its piece in the stratum S*T
+    is the piece of g's fiber in S times T: fiber_chi[S*T][c] is
+    fiber_chi[S][c] * chi(T), and likewise at infinity.  Over a critical
+    point of g lies a whole copy of Y, so f declares no critical points.
+    """
+
+    def columns(table):
+        return {
+            f"{sid}*{t.id}": {c: v * t.chi for c, v in col.items()}
+            for sid, col in table.items()
+            for t in y.poset.strata
+        }
+
+    return FiberedCensus(
+        census_product(g.base, y),
+        special_values=g.special_values,
+        fiber_chi=columns(g.fiber_chi),
+        infinity_chi=columns(g.infinity_chi),
     )

@@ -245,6 +245,14 @@ def loader_case_id(case):
     return f"{case['base']}:{edits}"
 
 
+def test_every_recorded_loader_error_names_its_location():
+    """An unknown stratum, value label or closure is reported at the path of
+    the block that declares it, like every other loader error."""
+    for case in loader_error_cases():
+        for line in case["stderr"]:
+            assert line.startswith("error: $"), loader_case_id(case)
+
+
 @pytest.mark.parametrize("case", loader_error_cases(), ids=loader_case_id)
 def test_malformed_documents_report_the_recorded_error(case, tmp_path):
     """``check`` on a document with one or two malformed fields: every type,

@@ -396,13 +396,15 @@ def test_a_closed_stdout_exits_2_without_a_traceback(args):
     assert_reported_closed_stdout(into_a_closed_pipe(args))
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args", [("-h",), ("check", "-h")], ids=" ".join)
-def test_help_into_a_closed_stdout_exits_2_without_a_traceback(args):
-    """argparse writes help into stdout's buffer and exits: the buffer is
-    flushed before the exit goes through, so the closed stdout is reported
-    like any command's, not left to the interpreter's exit (status 120).
-    Unbuffered, argparse itself drops the failed write."""
+def test_help_into_a_closed_stdout_exits_2_without_a_traceback(args, unbuffered):
+    """Help into a closed stdout is reported like any command's output:
+    buffered, not left to the interpreter's exit flush (status 120);
+    unbuffered, not dropped by argparse's own write (status 0)."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     assert_reported_closed_stdout(into_a_closed_pipe(args, env))
 
 

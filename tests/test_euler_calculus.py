@@ -4,47 +4,43 @@ from hypothesis import given
 from strat_euler.errors import HostMismatch, InvalidMap
 from strat_euler.euler_calculus import (
     Simplex,
-    SimplexSubset,
-    SimplicialComplex,
     SimplicialConstructibleFunction,
     SimplicialMap,
     check_fubini,
-    chi_c,
-    integrate,
     integrate_all,
     pushforward,
-    whole,
 )
 
 from conftest import weighted_maps
+from oracles import chi_c, closed, fiber
 
 
 def square_to_edge():
     # unit square on vertices 0..3 (0 ~ (0,0), 1 ~ (0,1), 2 ~ (1,0), 3 ~ (1,1)),
     # staircase-triangulated, projected onto the first coordinate
-    src = SimplicialComplex.closed([Simplex.of(0, 1, 3), Simplex.of(0, 2, 3)])
-    dst = SimplicialComplex.closed([Simplex.of(0, 1)])
+    src = closed([Simplex.of(0, 1, 3), Simplex.of(0, 2, 3)])
+    dst = closed([Simplex.of(0, 1)])
     return SimplicialMap(src, dst, {0: 0, 1: 0, 2: 1, 3: 1})
 
 
 def test_indicator_integrates_to_chi_c():
-    cx = SimplicialComplex.closed([Simplex.of(0, 1), Simplex.of(1, 2)])
+    cx = closed([Simplex.of(0, 1), Simplex.of(1, 2)])
     one = SimplicialConstructibleFunction(cx, {s: 1 for s in cx.simplices})
-    assert integrate_all(one) == 1
-    edge = SimplexSubset(cx, frozenset({Simplex.of(0, 1)}))
-    assert integrate(one, edge) == -1
+    assert integrate_all(one) == chi_c(cx.simplices) == 1
+    edge = SimplicialConstructibleFunction(cx, {Simplex.of(0, 1): 1})
+    assert integrate_all(edge) == chi_c([Simplex.of(0, 1)]) == -1
 
 
-def test_integrate_rejects_foreign_region():
-    cx = SimplicialComplex.closed([Simplex.of(0, 1)])
-    other = SimplicialComplex.closed([Simplex.of(0, 1, 2)])
-    f = SimplicialConstructibleFunction(cx, {s: 1 for s in cx.simplices})
+def test_pushforward_rejects_a_weight_on_another_complex():
+    proj = square_to_edge()
+    other = closed([Simplex.of(0, 1, 2)])
+    f = SimplicialConstructibleFunction(other, {s: 1 for s in other.simplices})
     with pytest.raises(HostMismatch):
-        integrate(f, whole(other))
+        pushforward(proj, f)
 
 
 def test_integration_is_linear():
-    cx = SimplicialComplex.closed([Simplex.of(0, 1)])
+    cx = closed([Simplex.of(0, 1)])
     f = SimplicialConstructibleFunction(cx, {Simplex.of(0): 2, Simplex.of(0, 1): -1})
     g = SimplicialConstructibleFunction(cx, {s: 3 * v for s, v in f.items()})
     sum_fg = SimplicialConstructibleFunction(cx, {s: f(s) + g(s) for s in cx.simplices})
@@ -52,15 +48,15 @@ def test_integration_is_linear():
 
 
 def test_map_must_cover_every_vertex():
-    cx = SimplicialComplex.closed([Simplex.of(0, 1)])
-    dst = SimplicialComplex.closed([Simplex.of(0)])
+    cx = closed([Simplex.of(0, 1)])
+    dst = closed([Simplex.of(0)])
     with pytest.raises(InvalidMap):
         SimplicialMap(cx, dst, {0: 0})
 
 
 def test_map_image_must_land_in_target():
-    cx = SimplicialComplex.closed([Simplex.of(0, 1)])
-    dst = SimplicialComplex.closed([Simplex.of(0), Simplex.of(1)])
+    cx = closed([Simplex.of(0, 1)])
+    dst = closed([Simplex.of(0), Simplex.of(1)])
     with pytest.raises(InvalidMap):
         SimplicialMap(cx, dst, {0: 0, 1: 1})
 
@@ -70,11 +66,11 @@ def test_projection_pushforward_counts_fiber_chi():
     one = SimplicialConstructibleFunction(proj.source, {s: 1 for s in proj.source.simplices})
     push = pushforward(proj, one)
     # the preimage of a vertex is a closed interval, chi_c = 1
-    assert push(Simplex.of(0)) == chi_c(proj.fiber(Simplex.of(0))) == 1
-    assert push(Simplex.of(1)) == chi_c(proj.fiber(Simplex.of(1))) == 1
+    assert push(Simplex.of(0)) == chi_c(fiber(proj, Simplex.of(0))) == 1
+    assert push(Simplex.of(1)) == chi_c(fiber(proj, Simplex.of(1))) == 1
     # over the open edge the value is per point; the whole strip multiplies
     # it by chi_c of the open edge
-    strip = proj.fiber(Simplex.of(0, 1))
+    strip = fiber(proj, Simplex.of(0, 1))
     assert chi_c(strip) == push(Simplex.of(0, 1)) * -1
     assert push(Simplex.of(0, 1)) == 1
     assert integrate_all(push) == 1
@@ -82,8 +78,22 @@ def test_projection_pushforward_counts_fiber_chi():
 
 def test_fiber_of_projection_is_the_preimage_strip():
     proj = square_to_edge()
-    strip = proj.fiber(Simplex.of(0, 1))
+    strip = fiber(proj, Simplex.of(0, 1))
     assert chi_c(strip) == -1
+
+
+@given(weighted_maps())
+def test_integral_is_the_walk_over_every_host_simplex(setup):
+    """The integral of a weight, and of its pushforward, against the signed
+    count of every open simplex of the host, zero weights included; and the
+    pushforward on each open target simplex against its fiber."""
+    m, alpha = setup
+    push = pushforward(m, alpha)
+    for f in (alpha, push):
+        assert integrate_all(f) == sum(f(s) * chi_c([s]) for s in f.host.simplices)
+    for t in m.target.simplices:
+        over_t = sum(alpha(s) * chi_c([s]) for s in fiber(m, t))
+        assert push(t) * chi_c([t]) == over_t
 
 
 @given(weighted_maps())

@@ -226,15 +226,6 @@ SRC = Path(strat_euler.__file__).parent
 
 # the functions no call of the sweep reaches, each with the reason it stays
 UNREACHED = {
-    "euler_calculus.chi_c": "oracle: the tests check integrate and pushforward against it",
-    "euler_calculus.chi": "oracle: chi_c of the whole complex, for the additivity tests",
-    "euler_calculus.SimplicialMap.fiber": "oracle: the preimage the pushforward tests count",
-    "euler_calculus.SimplicialComplex.closed": (
-        "library API: the tests build their complexes from generators with it"
-    ),
-    "euler_calculus.SimplicialConstructibleFunction.items": (
-        "library API: the weights a function carries, for callers that print them"
-    ),
     "strata.LabeledMatrix.entry": "library API, the README's example reads the table with it",
     "strata.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
     "fibered.CheckLine.ok": "library API, named in the README; perfbench/run.py reads it",

@@ -4,7 +4,9 @@ The census of X x Y is built from the censuses of X and Y alone
 (``oracles.census_product``), so its invariants are known in closed form:
 the local obstruction table is the Kronecker product of the factors'
 tables, and the global obstruction and the Euler characteristic multiply.
-None of that is read from the solver's own output on the product.
+A function g on X pulled back to X x Y (``oracles.pulled_back``) has the
+fibers of g times Y, so its Brasselet numbers are g's times Eu(Y).  None of
+that is read from the solver's own output on the product.
 """
 
 from pathlib import Path
@@ -14,11 +16,13 @@ from hypothesis import given
 from strat_euler.catalog import load_entry
 from strat_euler.census_io import load_file
 from strat_euler.documents import list_entries
+from strat_euler.fibered import check_identity
+from strat_euler.fibration import GENERIC, brasselet, brasselet_infinity, eu_weight
 from strat_euler.obstruction import check_bdk_point_formula, global_euler_obstruction, solve_bdk
 from strat_euler.strata import chi_global, indicator_of_space
 
-from conftest import censuses
-from oracles import census_product
+from conftest import censuses, fibered_censuses
+from oracles import census_product, pulled_back
 
 DATA = Path(__file__).with_name("data")
 
@@ -65,3 +69,34 @@ def test_product_of_a_layered_census_and_the_cusp():
     product = assert_product_invariants(layered, cusp)
     assert len(product.poset.strata) == 2 * len(layered.poset.strata)
     assert global_euler_obstruction(cusp) == 2
+
+
+def assert_pulled_back_invariants(g, y):
+    """f = g o pr_1 on X x Y against g: at every value the Brasselet number
+    and its correction at infinity, weighted by the obstruction, are g's
+    times the global obstruction of Y, and the bdk_global rows hold."""
+    f = pulled_back(g, y)
+    f.validate()
+    eu_y = global_euler_obstruction(y)
+    for c in g.special_values + (GENERIC,):
+        assert brasselet(f, c, eu_weight(f)) == brasselet(g, c, eu_weight(g)) * eu_y
+        assert brasselet_infinity(f, c, eu_weight(f)) == (
+            brasselet_infinity(g, c, eu_weight(g)) * eu_y
+        )
+    for alpha in (None, eu_weight(f)):
+        for c in f.special_values + (GENERIC,):
+            assert check_identity(f, "bdk_global_1", at=c, alpha=alpha).ok
+        for c in f.special_values:
+            assert check_identity(f, "bdk_global_3", at=c, alpha=alpha).ok
+        assert check_identity(f, "bdk_global_2", alpha=alpha).ok
+
+
+@given(fibered_censuses(), censuses())
+def test_pulled_back_functions_on_random_products(g, y):
+    assert_pulled_back_invariants(g, y)
+
+
+def test_pulled_back_fixture_functions_on_a_layered_census():
+    layered = load_file(DATA / "layered-5x4.json").census.base
+    for name in list_entries():
+        assert_pulled_back_invariants(load_entry(name).census, layered)

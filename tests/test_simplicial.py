@@ -5,26 +5,22 @@ from strat_euler.errors import FaceClosureViolation, MemberNotInHost, SchemaErro
 from strat_euler.euler_calculus import (
     DIMENSION_CAP,
     Simplex,
-    SimplexSubset,
     SimplicialComplex,
-    chi,
-    chi_c,
+    SimplicialConstructibleFunction,
     complex_from_json,
     validate,
-    whole,
 )
 
 from conftest import closed_complexes
+from oracles import chi_c, closed
 
 
 def edge_complex():
-    return SimplicialComplex.closed([Simplex.of(0, 1)])
+    return closed([Simplex.of(0, 1)])
 
 
 def circle_complex():
-    return SimplicialComplex.closed(
-        [Simplex.of(0, 1), Simplex.of(1, 2), Simplex.of(0, 2)]
-    )
+    return closed([Simplex.of(0, 1), Simplex.of(1, 2), Simplex.of(0, 2)])
 
 
 def test_simplex_rejects_bad_vertex_tuples():
@@ -53,25 +49,21 @@ def test_validate_catches_missing_face():
 
 
 def test_closed_interval_chi():
-    cx = edge_complex()
-    assert chi_c(whole(cx)) == 1
-    assert chi(cx) == 1
+    assert chi_c(edge_complex().simplices) == 1
 
 
 def test_circle_chi_c_vanishes():
-    assert chi(circle_complex()) == 0
+    assert chi_c(circle_complex().simplices) == 0
 
 
 def test_open_edge_versus_closure():
-    cx = edge_complex()
-    interior = SimplexSubset(cx, frozenset({Simplex.of(0, 1)}))
-    assert chi_c(interior) == -1
+    assert chi_c([Simplex.of(0, 1)]) == -1
 
 
-def test_subset_member_must_live_in_host():
+def test_weight_must_live_in_host():
     cx = edge_complex()
     with pytest.raises(MemberNotInHost):
-        SimplexSubset(cx, frozenset({Simplex.of(5)}))
+        SimplicialConstructibleFunction(cx, {Simplex.of(5): 1})
 
 
 @given(closed_complexes())
@@ -82,9 +74,9 @@ def test_closed_generators_validate(cx):
 @given(closed_complexes())
 def test_chi_c_is_additive_over_a_partition(cx):
     cells = sorted(cx.simplices, key=lambda s: (s.dim, s.vertices))
-    half = frozenset(cells[: len(cells) // 2])
-    rest = frozenset(cells) - half
-    assert chi_c(SimplexSubset(cx, half)) + chi_c(SimplexSubset(cx, rest)) == chi(cx)
+    half = cells[: len(cells) // 2]
+    rest = cells[len(cells) // 2 :]
+    assert chi_c(half) + chi_c(rest) == chi_c(cx.simplices)
 
 
 def test_json_rejects_unsorted_vertices():
