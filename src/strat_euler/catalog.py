@@ -1,12 +1,10 @@
-"""Curated census library and the harness that re-verifies all of it.
+"""The battery of checks, the ``check`` subcommand, and the catalog entries.
 
 Each catalog entry is a census file shipped with the package whose expected
 invariants were derived independently (by hand or by an elementary oracle
-noted next to each number) and frozen.  ``run_all`` recomputes every
-expected value and every applicable identity on every entry and returns
-each entry's rows, an :class:`ExpectedResult` per expected value and then
-the battery's ``CheckLine`` rows; the catalog passing is the package's
-end-to-end self-test.
+noted next to each number) and frozen.  :func:`load_entry` loads one, and
+:func:`evaluate_expected_key` recomputes the invariant an expected key
+names; ``catalog_run`` re-verifies the whole catalog with them.
 
 The battery of checks, :func:`standard_check_lines`, makes every row of
 ``check``.  It derives its identity rows from the registry in ``fibered``
@@ -20,11 +18,13 @@ two sides, or SKIP when the census lacks the data.
 
 from __future__ import annotations
 
+import os
+import sys
+from collections.abc import Callable
 from itertools import product
-from typing import Callable
 
-from .census_io import CensusBundle, load_document
-from .documents import _fixture_dir, list_entries, read_json
+from .census_io import CensusBundle, load_document, load_file
+from .documents import _fixture_dir, read_json
 from .errors import (
     AmbientObstructionMismatch,
     InsufficientData,
@@ -33,53 +33,33 @@ from .errors import (
     NotEquidimensional,
     PointNotInClosure,
     UnknownEntry,
-    UnknownStratum,
+    formatting,
 )
-from .fibered import IDENTITIES, CheckLine, check_identity, row_detail
-from .fibration import (
-    GENERIC,
-    brasselet,
-    brasselet_infinity,
-    detect_irregular_values,
-    eu_of_f_at,
-    eu_weight,
-    lambda_infinity,
+from .fibered import (
+    IDENTITIES,
+    CheckLine,
+    check_identity,
     local_fiber_defect,
+    row_detail,
     total_brasselet_infinity,
-    total_lambda_infinity,
 )
+from .fibration import GENERIC, brasselet, brasselet_infinity, eu_weight, lambda_infinity
 from .obstruction import check_bdk_point_formula, global_euler_obstruction
 from .polar import brasselet_from_polar, hyperplane_step, infinity_from_polar, stv_global_eu
-from .records import record
-from .strata import StratifiedCensus, chi_global, indicator_of_space
+from .strata import chi_global, indicator_of_space
 
 
 def load_entry(name: str) -> CensusBundle:
     """The shipped census ``name``; any other name, a path too, is an UnknownEntry."""
     path = _fixture_dir() / f"{name}.json"
     if path.name != f"{name}.json" or not path.is_file():
+        from .entries import list_entries
+
         raise UnknownEntry(f"no catalog entry {name!r}; available: {', '.join(list_entries())}")
     return load_document(read_json(path))
 
 
 # --- expected-value evaluation -----------------------------------------
-
-
-def _eu_of_space_at(census: StratifiedCensus, stratum_id: str) -> int:
-    # the column of the last closure in (dim, id) order, zero off its
-    # down-set; an absent link anywhere raises ahead of an unknown id
-    solved = census.solved
-    solved.require_links()
-    column = solved.eu_function(solved.order[-1])
-    if stratum_id not in solved.index:
-        raise UnknownStratum(f"no stratum {stratum_id!r} in the table")
-    return column.value(stratum_id)
-
-
-def _polar(bundle: CensusBundle):
-    if bundle.polar is None:
-        raise InsufficientData(["polar"])
-    return bundle.polar
 
 
 def evaluate_expected_key(bundle: CensusBundle, key: str):
@@ -90,6 +70,10 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
     eu_f_at_<value>, eu_f_at_generic, lambda_at_<value>, binf_at_<value>,
     defect_at_<point>, B_polar_at_<value>, B_polar_generic.
     """
+    # the invariants only these keys read live with the runs that read them
+    from .catalog_run import _eu_of_space_at, _polar, eu_of_f_at, total_lambda_infinity
+    from .compute import detect_irregular_values
+
     census = bundle.census
     base = census.base
     if key == "eu_global":
@@ -117,19 +101,6 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
         if key.startswith(prefix) and len(key) > len(prefix):
             return run(key[len(prefix):])
     raise ValueError(f"expected key {key!r} does not name an implemented invariant")
-
-
-def validate_entry(bundle: CensusBundle) -> None:
-    """Catalog hygiene: the entry declares expected values, and each one
-    carries a nonempty derivation note."""
-    if not bundle.expected:
-        raise ValueError(f"catalog entry {bundle.name!r} declares no expected values")
-    for key in bundle.expected:
-        if key not in bundle.derivation_notes or not bundle.derivation_notes[key].strip():
-            raise ValueError(
-                f"catalog entry {bundle.name!r}: expected key {key!r} has no "
-                "derivation note"
-            )
 
 
 # --- the standard battery of identity checks ---------------------------
@@ -264,39 +235,32 @@ def standard_check_lines(
     return lines
 
 
-# --- whole-catalog runs ------------------------------------------------
+# --- the rows as printed, and the check subcommand ---------------------
+
+_COLORS = {"OK": "\x1b[32m", "FAIL": "\x1b[31m", "SKIP": "\x1b[33m"}
 
 
-@record
-class ExpectedResult:
-    """One expected-value row of a catalog run."""
-
-    key: str
-    want: object
-    got: object
-
-    @property
-    def status(self) -> str:
-        return "OK" if self.want == self.got else "FAIL"
-
-    def line(self) -> str:
-        return f"expected {self.key}: want={self.want!r} got={self.got!r} {self.status}"
+def rows_text(rows) -> str:
+    """The lines of rows of ``check`` or of a catalog entry, colored on a
+    terminal unless STRAT_EULER_COLOR=0."""
+    color = os.environ.get("STRAT_EULER_COLOR", "") != "0" and sys.stdout.isatty()
+    lines = []
+    with formatting():
+        for row in rows:
+            text = row.line()
+            if color:
+                text = _COLORS.get(row.status, "") + text + "\x1b[0m"
+            lines.append(text + "\n")
+    return "".join(lines)
 
 
-def run_entry(bundle: CensusBundle) -> list[ExpectedResult | CheckLine]:
-    """The rows of one entry: its expected values in key order, then the
-    battery."""
-    validate_entry(bundle)
-    expected = [
-        ExpectedResult(key=key, want=bundle.expected[key], got=evaluate_expected_key(bundle, key))
-        for key in sorted(bundle.expected)
-    ]
-    return expected + standard_check_lines(bundle)
-
-
-def run_all(names: list[str] | None = None) -> list[tuple[str, list]]:
-    """(census name, rows) of each named entry, in the order given; all of
-    them when no names are given."""
-    if names is None:
-        names = list_entries()
-    return [(bundle.name, run_entry(bundle)) for bundle in map(load_entry, names)]
+def cmd_check(args) -> int:
+    """The ``check`` subcommand: every row of the battery, then a count."""
+    bundle = load_file(args.census)
+    slice_bundle = None if args.hyperplane is None else load_file(args.hyperplane)
+    rows = standard_check_lines(bundle, slice_bundle)
+    failed = sum(1 for row in rows if row.status == "FAIL")
+    skipped = sum(1 for row in rows if row.status == "SKIP")
+    text = rows_text(rows)
+    sys.stdout.write(f"{text}{len(rows)} checks, {failed} failed, {skipped} skipped\n")
+    return 1 if failed else 0

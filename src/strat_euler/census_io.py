@@ -4,13 +4,14 @@ One file describes one space: strata, frontier order, link data, and
 optionally the fibration block of one function on it, polar intersection
 data, censuses of special fibers, and expected invariants with their
 derivation notes (used by the catalog).  Schema violations raise
-:class:`SchemaError` carrying a JSON-path-like location.
+:class:`SchemaError` carrying a JSON-path-like location.  The polar block
+is read by ``polar.polar_from_json``, imported only for a document that
+has one.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
 
 from .documents import read_json
 from .errors import CensusError, NotSolvable, SchemaError
@@ -18,16 +19,13 @@ from .fibration import CriticalPoint, FiberedCensus
 from .records import field, record
 from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
-if TYPE_CHECKING:
-    from .polar import PolarData
 
-
-def _mistyped(obj: Any, kind: type, path: str, what: str) -> SchemaError:
+def _mistyped(obj: object, kind: type, path: str, what: str) -> SchemaError:
     got = "a boolean" if kind is int and isinstance(obj, bool) else type(obj).__name__
     return SchemaError(path, f"expected {what}, got {got}")
 
 
-def _bad_ident(obj: Any, path: str, what: str) -> SchemaError:
+def _bad_ident(obj: object, path: str, what: str) -> SchemaError:
     # the error for a value that is not a nonempty, dot-free string
     if not isinstance(obj, str):
         return _mistyped(obj, str, path, what)
@@ -37,19 +35,19 @@ def _bad_ident(obj: Any, path: str, what: str) -> SchemaError:
     return SchemaError(path, f"{what} must not contain '.'")
 
 
-def _expect(obj: Any, kind: type, path: str, what: str) -> Any:
+def _expect(obj: object, kind: type, path: str, what: str) -> object:
     if isinstance(obj, kind) and not (kind is int and isinstance(obj, bool)):
         return obj
     raise _mistyped(obj, kind, path, what)
 
 
-def _ident(obj: Any, path: str, what: str) -> str:
+def _ident(obj: object, path: str, what: str) -> str:
     if isinstance(obj, str) and obj and "." not in obj:
         return obj
     raise _bad_ident(obj, path, what)
 
 
-def _int_map(obj: Any, path: str, what: str) -> dict[str, int]:
+def _int_map(obj: object, path: str, what: str) -> dict[str, int]:
     # per entry, the path is formatted only when the entry is refused
     _expect(obj, dict, path, "an object")
     for k, v in obj.items():
@@ -60,7 +58,7 @@ def _int_map(obj: Any, path: str, what: str) -> dict[str, int]:
     return dict(obj)
 
 
-def _census_from_json(obj: Any, path: str, default_name: str) -> StratifiedCensus:
+def _census_from_json(obj: object, path: str, default_name: str) -> StratifiedCensus:
     _expect(obj, dict, path, "an object")
     name = obj.get("name", default_name)
     _expect(name, str, f"{path}.name", "a string")
@@ -133,7 +131,7 @@ def _census_from_json(obj: Any, path: str, default_name: str) -> StratifiedCensu
 
 
 def _fibration_from_json(
-    obj: Any, path: str, base: StratifiedCensus
+    obj: object, path: str, base: StratifiedCensus
 ) -> FiberedCensus:
     _expect(obj, dict, path, "an object")
     raw_values = obj.get("special_values", [])
@@ -199,7 +197,7 @@ def _fibration_from_json(
             f_general=f_general,
         )
         # the base was validated by _census_from_json
-        census.validate_fibration()
+        census.validate(base=False)
     except SchemaError:
         # a column's own error, already at its path
         raise
@@ -208,51 +206,21 @@ def _fibration_from_json(
     return census
 
 
-def _polar_from_json(obj: Any, path: str, top_dim: int) -> PolarData:
-    # imported here: `compute` and `solve` on a census without a polar block
-    # never compile the polar layer
-    from .polar import PolarData
-
-    _expect(obj, dict, path, "an object")
-    raw_gamma = obj.get("gamma", {})
-    _expect(raw_gamma, dict, f"{path}.gamma", "an object")
-    gamma = {}
-    for label, seq in raw_gamma.items():
-        key = _ident(label, f"{path}.gamma.{label}", "a value label")
-        _expect(seq, list, f"{path}.gamma.{label}", "a list")
-        gamma[key] = tuple(
-            _expect(v, int, f"{path}.gamma.{label}[{i}]", "an integer")
-            for i, v in enumerate(seq)
-        )
-    alpha = obj.get("alpha")
-    if alpha is not None:
-        _expect(alpha, list, f"{path}.alpha", "a list")
-        alpha = tuple(
-            _expect(v, int, f"{path}.alpha[{i}]", "an integer")
-            for i, v in enumerate(alpha)
-        )
-    polar = PolarData(gamma=gamma, alpha=alpha)
-    try:
-        polar.validate(top_dim)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
-    return polar
-
-
 @record
 class CensusBundle:
-    """Everything one census file declares."""
+    """Everything one census file declares; ``polar`` is a
+    ``polar.PolarData``."""
 
     name: str
     census: FiberedCensus
     polar: PolarData | None = None
     fiber_censuses: dict[str, StratifiedCensus] = field(default_factory=dict)
-    expected: dict[str, Any] = field(default_factory=dict)
+    expected: dict[str, object] = field(default_factory=dict)
     derivation_notes: dict[str, str] = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
 
-def load_document(obj: Any, path: str = "$") -> CensusBundle:
+def load_document(obj: object, path: str = "$") -> CensusBundle:
     _expect(obj, dict, path, "an object")
     base = _census_from_json(obj, path, default_name="census")
     if "fibration" in obj:
@@ -262,7 +230,11 @@ def load_document(obj: Any, path: str = "$") -> CensusBundle:
 
     polar = None
     if "polar" in obj:
-        polar = _polar_from_json(obj["polar"], f"{path}.polar", base.top_dim())
+        # imported here: `compute` and `solve` on a census without a polar
+        # block never compile the polar layer
+        from .polar import polar_from_json
+
+        polar = polar_from_json(obj["polar"], f"{path}.polar", base.top_dim())
 
     fibers = {}
     raw_fibers = obj.get("fiber_censuses", {})
@@ -315,7 +287,7 @@ def apply_field_to_raw(raw: dict, fieldpath: str, value: int) -> dict:
     Returns a deep-copied document with only that slot changed, so emitting
     a completed census never disturbs unrelated formatting or data.
     """
-    from .fibered import FieldPath
+    from .slots import FieldPath
 
     try:
         path = FieldPath.parse(fieldpath)

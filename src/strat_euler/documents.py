@@ -1,4 +1,4 @@
-"""JSON files: the one parser, and the census files shipped with the package.
+"""JSON files: the one parser, and where the shipped census files are.
 
 Every document is read as UTF-8, whatever the locale, and parsed by
 :func:`parse_json`.  Nothing here imports a census layer, so ``fubini``
@@ -8,20 +8,27 @@ and ``catalog list`` compile none.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .errors import SchemaError
 
 
 def parse_json(text: str):
-    """``json.loads``, with malformed and too deeply nested text both
-    reported as a SchemaError at the document root."""
+    """``json.loads``, with malformed text, too deeply nested text and an
+    integer longer than Python reads (``sys.get_int_max_str_digits()``)
+    each reported as a SchemaError at the document root."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError("$", "not valid JSON: nested too deeply") from None
+    except ValueError:
+        # the one other refusal of json.loads: an over-long integer literal
+        raise SchemaError(
+            "$", f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def read_json(path):
@@ -38,12 +45,3 @@ def _fixture_dir() -> Path:
     # the fixtures ship next to the modules (importlib.resources would load
     # inspect on Python 3.12+)
     return Path(__file__).with_name("fixtures")
-
-
-def list_entries() -> list[str]:
-    """Names of the shipped censuses, sorted."""
-    return sorted(
-        p.name[: -len(".json")]
-        for p in _fixture_dir().iterdir()
-        if p.name.endswith(".json")
-    )

@@ -8,6 +8,8 @@ errors; they are reported as ordinary results.
 
 from __future__ import annotations
 
+import sys
+
 
 class CensusError(Exception):
     """Base class for all input-data errors raised by this package."""
@@ -124,3 +126,28 @@ class MissingPolarData(CensusError):
 
 class UnknownEntry(CensusError):
     """A catalog entry name that does not exist."""
+
+
+# command output
+
+class ResultTooLong(CensusError):
+    """A result is an integer with more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``)."""
+
+
+class formatting:
+    """``with formatting():`` around the formatting of a command's output,
+    done before any of it is written: Python's refusal to convert an
+    integer longer than its limit to text is a ResultTooLong, so standard
+    output gets the whole output or nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, _exc, _tb):
+        if kind is not None and issubclass(kind, ValueError):
+            raise ResultTooLong(
+                f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                "too many to print"
+            ) from None
+        return False

@@ -11,12 +11,19 @@ exactly.  The randomized tests treat that as ground truth.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations
-from typing import Any, Iterable, Iterator, Mapping
 
 from .documents import read_json
 from .errors import (
-    CensusError, FaceClosureViolation, HostMismatch, InvalidMap, MemberNotInHost, SchemaError
+    CensusError,
+    FaceClosureViolation,
+    HostMismatch,
+    InvalidMap,
+    MemberNotInHost,
+    SchemaError,
+    formatting,
 )
 from .records import record
 
@@ -29,7 +36,7 @@ DIMENSION_CAP = 8
 class Simplex:
     """An abstract simplex: a strictly increasing tuple of vertex labels."""
 
-    vertices: tuple[Any, ...]
+    vertices: tuple[object, ...]
 
     def __post_init__(self):
         vs = tuple(self.vertices)
@@ -45,7 +52,7 @@ class Simplex:
                 raise ValueError(f"vertices must be strictly increasing, got {vs!r}")
 
     @classmethod
-    def of(cls, *vertices: Any) -> "Simplex":
+    def of(cls, *vertices: object) -> "Simplex":
         """Build a simplex from vertices in any order (duplicates are an error)."""
         try:
             return cls(tuple(sorted(vertices)))
@@ -63,7 +70,7 @@ class Simplex:
             for sub in combinations(self.vertices, k):
                 yield Simplex(sub)
 
-    def __iter__(self) -> Iterator[Any]:
+    def __iter__(self) -> Iterator[object]:
         return iter(self.vertices)
 
     def __len__(self) -> int:
@@ -97,7 +104,7 @@ class SimplicialComplex:
         return len(self.simplices)
 
 
-def _label_key(v: Any) -> tuple:
+def _label_key(v: object) -> tuple:
     # integer and string labels may share a complex: integers come first
     return (isinstance(v, str), v)
 
@@ -169,7 +176,7 @@ class SimplicialMap:
         self,
         source: SimplicialComplex,
         target: SimplicialComplex,
-        vertex_map: Mapping[Any, Any],
+        vertex_map: Mapping[object, object],
     ):
         self.source = source
         self.target = target
@@ -222,7 +229,7 @@ def check_fubini(f: SimplicialMap, alpha: SimplicialConstructibleFunction) -> tu
 # vertex list strictly increasing; out-of-order input is an error, not
 # something we quietly repair.
 
-def _simplex_from_json(item: Any, where: str) -> Simplex:
+def _simplex_from_json(item: object, where: str) -> Simplex:
     if not isinstance(item, list) or not item:
         raise SchemaError(where, "expected a nonempty list of vertices")
     for v in item:
@@ -236,7 +243,7 @@ def _simplex_from_json(item: Any, where: str) -> Simplex:
         raise SchemaError(where, str(exc)) from exc
 
 
-def complex_from_json(obj: Any, path: str = "$") -> SimplicialComplex:
+def complex_from_json(obj: object, path: str = "$") -> SimplicialComplex:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     if "simplices" not in obj:
@@ -302,3 +309,14 @@ def load_bundle(path) -> tuple[SimplicialMap, SimplicialConstructibleFunction]:
     except CensusError as exc:
         raise SchemaError("$", str(exc)) from exc
     return fmap, SimplicialConstructibleFunction(src, weights)
+
+
+def cmd_fubini(args) -> int:
+    """The ``fubini`` subcommand: both sides of the projection formula on a
+    map bundle, and whether they agree."""
+    lhs, rhs = check_fubini(*load_bundle(args.bundle))
+    ok = lhs == rhs
+    with formatting():
+        text = f"lhs = {lhs}\nrhs = {rhs}\n"
+    sys.stdout.write(text + ("OK\n" if ok else "FAIL\n"))
+    return 0 if ok else 1

@@ -3,9 +3,10 @@
 Each identity is defined once, as an entry of :data:`IDENTITIES`: the
 function giving its two sides and the arguments it takes (a target value,
 a weight, counts, the census of a special fiber).  :func:`check_identity`,
-the check battery and the slot solver all read that table.  A census slot
-is named by a dotted :class:`FieldPath`, the one parser of that grammar.
-The function data and its invariants live in ``fibration``.
+the check battery and the slot solver all read that table.  The function
+data and its invariants live in ``fibration``.  :func:`solve_unknown`
+names a census slot by a dotted ``slots.FieldPath``; the ``slots`` module,
+which only ``solve`` runs, is imported when it is called.
 
 Everything here is exact integer arithmetic.  :func:`check_identity`
 returns both sides of an identity as a :class:`CheckLine`, the one row
@@ -15,8 +16,7 @@ command line prints them.  Nothing is ever compared with a tolerance.
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .errors import (
     AmbientObstructionMismatch,
@@ -24,8 +24,6 @@ from .errors import (
     InsufficientData,
     MissingLinkEntry,
     NotSolvable,
-    SchemaError,
-    UnknownValueLabel,
 )
 from .fibration import (
     GENERIC,
@@ -34,9 +32,6 @@ from .fibration import (
     brasselet_infinity,
     eu_weight,
     lambda_infinity,
-    local_fiber_defect,
-    signed_count_balance,
-    total_brasselet_infinity,
 )
 from .obstruction import global_euler_obstruction
 from .records import record, replace
@@ -79,6 +74,41 @@ def restrict_fibered(census: FiberedCensus, stratum_id: str) -> FiberedCensus:
         critical_points=points,
         f_general=census.f_general,
     )
+
+
+# --- terms only the identities read --------------------------------------
+
+
+def total_brasselet_infinity(
+    census: FiberedCensus, alpha: StratumConstructibleFunction | None = None
+) -> int:
+    return sum(brasselet_infinity(census, a, alpha) for a in census.special_values)
+
+
+def signed_count_balance(
+    census: FiberedCensus, alpha: StratumConstructibleFunction, counts: Mapping[str, int]
+) -> int:
+    """The sum over strata of (-1)^dim times the count times eta of alpha,
+    taken in the order of ``counts``, which decides the absent link raised
+    first."""
+    total = 0
+    for sid, n in counts.items():
+        if n == 0:
+            continue
+        d = census.base.poset.stratum(sid).dim
+        total += (-1 if d % 2 else 1) * n * eta(census.base, sid, alpha)
+    return total
+
+
+def local_fiber_defect(census: FiberedCensus, point_id: str) -> int:
+    """Drop of the local fiber's chi at a critical point.
+
+    Morse counts weighted by the sign of the stratum dimension and by eta of
+    the constant function 1; equals 1 minus the chi of the local fiber of
+    the function at the point.
+    """
+    counts = census.point(point_id).morse_counts
+    return signed_count_balance(census, indicator_of_space(census.base), counts)
 
 
 # --- identity verifiers ------------------------------------------------
@@ -366,109 +396,7 @@ def check_identity(
     return CheckLine.compare(identity, lhs, rhs, row_detail(at, use_milnor=use_milnor))
 
 
-# --- census slots and solving one unknown slot -------------------------
-
-# the number of dotted parts after the slot kind
-_SLOT_ARITY = {"chi": 1, "fiber_chi": 2, "infinity_chi": 2, "morse_counts": 2}
-
-
-def _updated(entries: Mapping[str, int], key: str, x: int | None) -> dict[str, int]:
-    out = dict(entries)
-    if x is None:
-        out.pop(key, None)
-    else:
-        out[key] = x
-    return out
-
-
-@record
-class FieldPath:
-    """One census slot, named by a dotted path: ``chi.<stratum>``,
-    ``fiber_chi.<stratum>.<value>``, ``infinity_chi.<stratum>.<value>`` or
-    ``morse_counts.<point>.<stratum>``.
-
-    Ids and labels never contain dots, so a path splits unambiguously.  The
-    same path reads and writes the census model, and writes the raw JSON
-    document a census was loaded from.
-    """
-
-    kind: str
-    key: str
-    sub: str | None = None
-
-    @classmethod
-    def parse(cls, text: str) -> "FieldPath":
-        kind, *rest = text.split(".")
-        if len(rest) != _SLOT_ARITY.get(kind):
-            raise NotSolvable(
-                f"unsupported field path {text!r}; solvable slots are chi.<stratum>, "
-                "fiber_chi.<stratum>.<value>, infinity_chi.<stratum>.<value>, "
-                "morse_counts.<point>.<stratum>"
-            )
-        return cls(kind, *rest)
-
-    def get(self, census: FiberedCensus) -> int | None:
-        """The slot's value, or None where the census leaves it absent.
-        Unknown ids and labels raise, whether or not the slot is set."""
-        if self.kind == "morse_counts":
-            counts = census.point(self.key).morse_counts
-            census.base.poset.stratum(self.sub)
-            return counts.get(self.sub)
-        stratum = census.base.poset.stratum(self.key)
-        if self.kind == "chi":
-            return stratum.chi
-        if self.kind == "fiber_chi":
-            census.require_label(self.sub)
-        elif self.sub not in census.special_values:
-            raise UnknownValueLabel(
-                f"infinity data only exists at special values, not {self.sub!r}"
-            )
-        return getattr(census, self.kind).get(self.key, {}).get(self.sub)
-
-    def set(self, census: FiberedCensus, x: int | None) -> FiberedCensus:
-        """The census with the slot set to x; None blanks it."""
-        self.get(census)
-        if self.kind == "chi":
-            return replace(census, base=census.base.with_chi(self.key, x))
-        if self.kind == "morse_counts":
-            points = tuple(
-                replace(q, morse_counts=_updated(q.morse_counts, self.sub, x))
-                if q.id == self.key
-                else q
-                for q in census.critical_points
-            )
-            return replace(census, critical_points=points)
-        columns = dict(getattr(census, self.kind))
-        columns[self.key] = _updated(columns.get(self.key, {}), self.sub, x)
-        return replace(census, **{self.kind: columns})
-
-    def set_raw(self, raw: dict, x: int) -> dict:
-        """A deep copy of a raw census document with only the slot set to x."""
-        out = json.loads(json.dumps(raw))
-        if self.kind == "chi":
-            for s in out.get("strata", []):
-                if isinstance(s, dict) and s.get("id") == self.key:
-                    s["chi"] = x
-                    return out
-            raise SchemaError("$.strata", f"no stratum {self.key!r} to complete")
-        if self.kind == "morse_counts":
-            for p in out.get("fibration", {}).get("critical_points", []):
-                if isinstance(p, dict) and p.get("id") == self.key:
-                    p.setdefault("morse_counts", {})[self.sub] = x
-                    return out
-            raise SchemaError(
-                "$.fibration.critical_points", f"no critical point {self.key!r} to complete"
-            )
-        fib = out.setdefault("fibration", {})
-        fib.setdefault(self.kind, {}).setdefault(self.key, {})[self.sub] = x
-        return out
-
-
-@record
-class SolveResult:
-    field: str
-    value: int
-    completed: FiberedCensus
+# --- solving one unknown census slot -------------------------------------
 
 
 def solve_unknown(
@@ -491,6 +419,8 @@ def solve_unknown(
     cannot determine anything), a non-integer ratio, or a slot that is
     already present.
     """
+    from .slots import FieldPath, SolveResult
+
     path = FieldPath.parse(fieldpath)
     # reading the slot checks its ids and label, so typos surface as their
     # own errors

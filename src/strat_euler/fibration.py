@@ -5,7 +5,10 @@ contributes: a finite list of special target values, Euler characteristics
 of fiber pieces per stratum (one generic column plus one column per special
 value), corrections at infinity per stratum and special value, and isolated
 stratified critical points with their local Morse counts.  The invariants
-read from that data are here; the identities tying them live in ``fibered``.
+``compute`` prints, which the identities read too, are here.  The
+identities live in ``fibered`` with the terms only they read, and the
+invariants only one other call reads live with it (``compute``, ``polar``,
+``catalog_run``).
 
 Target values are opaque labels.  ``GENERIC`` names the generic column; by
 the constancy of fiber topology off the special set, any unlisted value
@@ -17,18 +20,12 @@ labels so that typos fail loudly.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import InsufficientData, PointNotInClosure, UnknownCriticalPoint, UnknownValueLabel
 from .obstruction import eu_function_of_space
 from .records import field, record
-from .strata import (
-    StratifiedCensus,
-    StratumConstructibleFunction,
-    chi_global,
-    eta,
-    indicator_of_space,
-)
+from .strata import StratifiedCensus, StratumConstructibleFunction, indicator_of_space
 
 GENERIC = "generic"
 
@@ -86,14 +83,11 @@ class FiberedCensus:
 
     # --- validation -----------------------------------------------------
 
-    def validate(self) -> None:
-        """Structural checks of the base census and of the function data."""
-        self.base.validate()
-        self.validate_fibration()
-
-    def validate_fibration(self) -> None:
-        """Structural checks beyond what the base census enforces, for a
-        base that has been validated already."""
+    def validate(self, base: bool = True) -> None:
+        """Structural checks of the base census, unless ``base`` is False
+        for a base validated already, and of the function data."""
+        if base:
+            self.base.validate()
         poset = self.base.poset
         values = self.special_values
         if len(set(values)) != len(values):
@@ -212,13 +206,6 @@ def eu_weight(census: FiberedCensus) -> StratumConstructibleFunction:
     return eu_function_of_space(census.base)
 
 
-def eu_of_f_at(census: FiberedCensus, at: str) -> int:
-    """Global obstruction of the function at a value: the defect between the
-    obstruction of the space and the Brasselet number of the fiber."""
-    w = eu_weight(census)
-    return chi_global(census.base, w) - brasselet(census, at, w)
-
-
 def brasselet_infinity(
     census: FiberedCensus, at: str, alpha: StratumConstructibleFunction | None = None
 ) -> int:
@@ -238,70 +225,6 @@ def brasselet_infinity(
     )
 
 
-def total_brasselet_infinity(
-    census: FiberedCensus, alpha: StratumConstructibleFunction | None = None
-) -> int:
-    return sum(brasselet_infinity(census, a, alpha) for a in census.special_values)
-
-
 def lambda_infinity(census: FiberedCensus, at: str) -> int:
     """Unweighted (constant weight 1) correction at infinity at one value."""
     return brasselet_infinity(census, at, None)
-
-
-def total_lambda_infinity(census: FiberedCensus) -> int:
-    return sum(lambda_infinity(census, a) for a in census.special_values)
-
-
-def detect_irregular_values(census: FiberedCensus) -> list[str]:
-    """Special values whose behaviour at infinity is nontrivial.
-
-    A value is flagged as soon as one stratum declares a nonzero correction
-    at infinity there.  The detector is one-sided by design: a census cannot
-    certify regularity, only exhibit irregularity.
-    """
-    flagged = [
-        a
-        for a in census.special_values
-        if any(column.get(a, 0) != 0 for column in census.infinity_chi.values())
-    ]
-    return sorted(flagged)
-
-
-def signed_count_balance(
-    census: FiberedCensus, alpha: StratumConstructibleFunction, counts: Mapping[str, int]
-) -> int:
-    """The sum over strata of (-1)^dim times the count times eta of alpha,
-    taken in the order of ``counts``, which decides the absent link raised
-    first."""
-    total = 0
-    for sid, n in counts.items():
-        if n == 0:
-            continue
-        d = census.base.poset.stratum(sid).dim
-        total += (-1 if d % 2 else 1) * n * eta(census.base, sid, alpha)
-    return total
-
-
-def local_fiber_defect(census: FiberedCensus, point_id: str) -> int:
-    """Drop of the local fiber's chi at a critical point.
-
-    Morse counts weighted by the sign of the stratum dimension and by eta of
-    the constant function 1; equals 1 minus the chi of the local fiber of
-    the function at the point.
-    """
-    counts = census.point(point_id).morse_counts
-    return signed_count_balance(census, indicator_of_space(census.base), counts)
-
-
-def eu_of_function_local(census: FiberedCensus, point_id: str, closure_of: str) -> int:
-    """Local obstruction of the function on one closed closure at a point:
-    the signed Morse count on the open top stratum of that closure."""
-    q = census.point(point_id)
-    poset = census.base.poset
-    if not poset.leq(q.stratum, closure_of):
-        raise PointNotInClosure(
-            f"critical point {q.id!r} does not lie in the closure of {closure_of!r}"
-        )
-    d = poset.stratum(closure_of).dim
-    return (-1 if d % 2 else 1) * q.morse_counts.get(closure_of, 0)

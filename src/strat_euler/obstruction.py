@@ -13,10 +13,10 @@ the system is a principal block, so one closure's column is solved alone
 over its down-set: the obstruction of the space, and with it the global
 obstruction, costs the relations of the census, not the whole table.  The
 point formula reads one vector solve, the constant weight read back
-through the solver.  Only :func:`solve_bdk` reads the whole table, solved
-row by row and laid out as a dense :class:`strata.LabeledMatrix`, built
-afresh on each call and not cached; it serves only the printed
-``eu-table`` and the tests.
+through the solver.  Only :func:`solve_bdk` reads the whole table: it
+imports the ``table`` module, which solves it row by row and lays it out as
+a dense :class:`table.LabeledMatrix`, built afresh on each call and not
+cached.  It serves only the printed ``eu-table`` and the tests.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -27,7 +27,7 @@ failure can only mean a bug, never interesting geometry.
 from __future__ import annotations
 
 from .errors import NotAPointStratum, NotEquidimensional
-from .strata import LabeledMatrix, StratifiedCensus, StratumConstructibleFunction, chi_global
+from .strata import StratifiedCensus, StratumConstructibleFunction, chi_global
 
 
 def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
@@ -61,10 +61,13 @@ def solve_bdk(census: StratifiedCensus) -> LabeledMatrix:
     order.  The matrix is not cached: only the printed ``eu-table`` asks
     for it.
     """
+    from .table import LabeledMatrix, solve_rows
+
     solved = census.solved
     columns = range(len(solved.order))
+    _coeffs, values = solve_rows(solved)
     return LabeledMatrix(
-        solved.order, tuple(tuple(row.get(j, 0) for j in columns) for row in solved.rows[1])
+        solved.order, tuple(tuple(row.get(j, 0) for j in columns) for row in values)
     )
 
 

@@ -16,17 +16,11 @@ whose alternating sum recovers the global obstruction.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .errors import MissingPolarData
-from .fibration import (
-    FiberedCensus,
-    GENERIC,
-    brasselet,
-    eu_of_function_local,
-    eu_weight,
-    resolve_value_label,
-)
+from .census_io import _expect, _ident
+from .errors import MissingPolarData, PointNotInClosure, SchemaError
+from .fibration import FiberedCensus, GENERIC, brasselet, eu_weight, resolve_value_label
 from .obstruction import global_euler_obstruction
 from .records import record
 
@@ -64,9 +58,51 @@ class PolarData:
             raise MissingPolarData(f"no polar data at value {label!r}") from None
 
 
+def polar_from_json(obj: object, path: str, top_dim: int) -> PolarData:
+    """The polar block of a census document, at ``path``; ``census_io``
+    imports it for a document that has one."""
+    _expect(obj, dict, path, "an object")
+    raw_gamma = obj.get("gamma", {})
+    _expect(raw_gamma, dict, f"{path}.gamma", "an object")
+    gamma = {}
+    for label, seq in raw_gamma.items():
+        key = _ident(label, f"{path}.gamma.{label}", "a value label")
+        _expect(seq, list, f"{path}.gamma.{label}", "a list")
+        gamma[key] = tuple(
+            _expect(v, int, f"{path}.gamma.{label}[{i}]", "an integer")
+            for i, v in enumerate(seq)
+        )
+    alpha = obj.get("alpha")
+    if alpha is not None:
+        _expect(alpha, list, f"{path}.alpha", "a list")
+        alpha = tuple(
+            _expect(v, int, f"{path}.alpha[{i}]", "an integer")
+            for i, v in enumerate(alpha)
+        )
+    polar = PolarData(gamma=gamma, alpha=alpha)
+    try:
+        polar.validate(top_dim)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+    return polar
+
+
 def _alternating_gamma(seq: Sequence[int], top_dim: int) -> int:
     # sum over i=1..d of (-1)^(d-i) times the entry on the (i-1)-fold slice
     return sum((-1) ** (top_dim - i) * seq[i - 1] for i in range(1, top_dim + 1))
+
+
+def eu_of_function_local(census: FiberedCensus, point_id: str, closure_of: str) -> int:
+    """Local obstruction of the function on one closed closure at a point:
+    the signed Morse count on the open top stratum of that closure."""
+    q = census.point(point_id)
+    poset = census.base.poset
+    if not poset.leq(q.stratum, closure_of):
+        raise PointNotInClosure(
+            f"critical point {q.id!r} does not lie in the closure of {closure_of!r}"
+        )
+    d = poset.stratum(closure_of).dim
+    return (-1 if d % 2 else 1) * q.morse_counts.get(closure_of, 0)
 
 
 def _local_terms(census: FiberedCensus, at: str) -> int:

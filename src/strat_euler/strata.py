@@ -28,18 +28,19 @@ serves every vector solve: the obstruction column of one closure, over
 that closure's down-set, and a weight read back through the solver
 (:attr:`SolvedWeight.resolved`), over the whole census, which is what the
 structural rows of ``check`` compare against.  Only the printed
-``eu-table`` reads the whole table, solved row by row from the top of the
-order; ``obstruction.solve_bdk`` lays it out as a dense
-:class:`LabeledMatrix` and does not cache it.  :func:`restrict_to_closure`
-builds the sub-census of a closure explicitly and stays as the
-independent route the tests compare against.
+``eu-table`` reads the whole table, which the ``table`` module solves and
+lays out.  :func:`restrict_to_closure` builds the sub-census of a closure
+explicitly and stays as the independent route the tests compare against.
+
+Code that only some calls run lives with them: the diagnosis of a refused
+order in ``order_errors``, the whole table in ``table``, and the chi edit
+of the slot solver in ``slots``.
 """
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .errors import (
     InsufficientData,
@@ -63,45 +64,6 @@ class Stratum:
     dim: int
     chi: int | None
     is_regular_part: bool = False
-
-
-def _transitive_closure(ids: list[str], pairs: set[tuple[str, str]]) -> dict[str, set[str]]:
-    # each id -> the ids strictly below it, through any chain of pairs,
-    # composed to a fixpoint so that cycles close too
-    below: dict[str, set[str]] = {i: set() for i in ids}
-    for a, b in pairs:
-        below[b].add(a)
-    changed = True
-    while changed:
-        changed = False
-        for b in ids:
-            extra = set()
-            for a in below[b]:
-                extra |= below[a]
-            if not extra <= below[b]:
-                below[b] |= extra
-                changed = True
-    return below
-
-
-def _order_error(
-    order: tuple[str, ...], dims: list[int], pairs: frozenset[tuple[str, str]]
-) -> ValueError:
-    # some pair does not raise dimension: close the pairs to a fixpoint and
-    # name the first cycle, else the first pair of the closure that does not
-    # raise dimension, in row-major (dim, id) order
-    closed = _transitive_closure(list(order), set(pairs))
-    for sid in order:
-        if sid in closed[sid]:
-            return ValueError(f"order relation has a cycle through {sid!r}")
-    index = {sid: i for i, sid in enumerate(order)}
-    i, k = min(
-        (index[a], index[b]) for b in order for a in closed[b] if dims[index[a]] >= dims[index[b]]
-    )
-    return ValueError(
-        f"frontier order must raise dimension: {order[i]!r} (dim {dims[i]}) "
-        f"< {order[k]!r} (dim {dims[k]})"
-    )
 
 
 @record
@@ -134,7 +96,9 @@ class StratumPoset:
         for a, b in self.relations:
             down[index[b]].add(index[a])
         if any(dims[i] >= dims[k] for k, gen in enumerate(down) for i in gen):
-            raise _order_error(order, dims, self.relations)
+            from .order_errors import order_error
+
+            raise order_error(order, dims, self.relations)
         # every generating pair raises dimension, hence so does every pair of
         # the closure, and each down-set is closed before any stratum above
         # it reads it: one ascending pass closes them all
@@ -153,19 +117,6 @@ class StratumPoset:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_below", below)
         object.__setattr__(self, "_above", tuple(tuple(x) for x in above))
-
-    def with_chi(self, stratum_id: str, chi: int | None) -> "StratumPoset":
-        """The same poset with one stratum's Euler characteristic replaced.
-
-        chi enters neither the order nor its checks, so the closure and the
-        index data are shared instead of rebuilt."""
-        s = replace(self.stratum(stratum_id), chi=chi)
-        new = copy.copy(self)
-        object.__setattr__(
-            new, "strata", tuple(s if t.id == stratum_id else t for t in self.strata)
-        )
-        object.__setattr__(new, "_by_id", {**self._by_id, stratum_id: s})
-        return new
 
     def ids(self) -> list[str]:
         return [s.id for s in self.strata]
@@ -262,16 +213,8 @@ class StratifiedCensus:
     def solved(self) -> "SolvedCensus":
         """This census solved once.  A census changed with ``replace`` is a
         new object and gets a new view, so nothing solved survives a change
-        other than :meth:`with_chi`."""
+        other than ``slots.with_chi``."""
         return SolvedCensus(self)
-
-    def with_chi(self, stratum_id: str, chi: int | None) -> "StratifiedCensus":
-        """The census with one stratum's Euler characteristic replaced.  No
-        reader of the solved view reads chi, so the new census shares it."""
-        new = replace(self, poset=self.poset.with_chi(stratum_id, chi))
-        new.__dict__["solved"] = self.solved
-        return new
-
 
 @record
 class StratumConstructibleFunction:
@@ -384,7 +327,7 @@ class SolvedCensus:
     :meth:`_solve` is the one back-substitution for one right-hand side:
     :meth:`column` solves a unit vector over one down-set, and
     :attr:`SolvedWeight.resolved` eta of a weight over the whole census.
-    :attr:`rows` solves all of C row by row for the printed table.
+    ``table.solve_rows`` solves all of C row by row for the printed table.
     Everything is computed on first use, after the links it reads are
     checked: a column scans its block in row-major order and raises the
     MissingLinkEntry that solving the restricted census would raise, and
@@ -417,38 +360,6 @@ class SolvedCensus:
             for k in self.above[i]
             if (order[i], order[k]) not in links
         )
-
-    @cached_property
-    def rows(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-        """Coefficient rows and value rows of the whole table, row m keyed
-        by index over m and its up-set.  Coefficient entry [i][j] is the
-        closure-basis coefficient of closure i in the obstruction of the
-        closure of j; value entry [m][j] is that obstruction at points of m,
-        the sum of the coefficient rows of m and of every stratum above m.
-        Needs every link."""
-        self.require_links()
-        order, above = self.order, self.above
-        links = self.census.links.entries
-        coeffs: list[dict[int, int]] = [{}] * len(order)
-        for i in reversed(range(len(order))):
-            row = dict.fromkeys(above[i], 0)
-            row[i] = 1
-            at = order[i]
-            for k in above[i]:
-                # a link of chi 1 puts 0 into the eta matrix
-                a = links[at, order[k]] - 1
-                if a:
-                    for j, c in coeffs[k].items():
-                        row[j] += a * c
-            coeffs[i] = row
-        values = []
-        for m in range(len(order)):
-            row = dict(coeffs[m])
-            for i in above[m]:
-                for j, c in coeffs[i].items():
-                    row[j] += c
-            values.append(row)
-        return coeffs, values
 
     def require_links(self, block: set[int] | None = None) -> None:
         """Raise for the first absent link, in row-major (dim, id) order, of
@@ -517,33 +428,6 @@ class SolvedCensus:
                 {self.order[m]: v for m, v in values.items() if v}
             )
         return f
-
-
-@record
-class LabeledMatrix:
-    """A square integer matrix with stratum ids labeling rows and columns."""
-
-    labels: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, row_label: str, col_label: str) -> int:
-        return self.rows[self._position(row_label)][self._position(col_label)]
-
-    def _position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownStratum(f"no stratum {label!r} in the table") from None
-
-    def pretty(self) -> str:
-        width = max(
-            [len(l) for l in self.labels] + [len(str(v)) for r in self.rows for v in r]
-        )
-        head = " " * (width + 2) + " ".join(l.rjust(width) for l in self.labels)
-        lines = [head]
-        for label, row in zip(self.labels, self.rows):
-            lines.append(label.rjust(width) + "  " + " ".join(str(v).rjust(width) for v in row))
-        return "\n".join(lines)
 
 
 def eta(census: StratifiedCensus, at: str, alpha: StratumConstructibleFunction) -> int:

@@ -13,7 +13,7 @@ from hypothesis import assume, settings, strategies as st
 
 from strat_euler.catalog import load_entry
 from strat_euler.euler_calculus import Simplex, SimplicialConstructibleFunction, SimplicialMap
-from strat_euler.fibered import FieldPath
+from strat_euler.slots import FieldPath
 from strat_euler.fibration import GENERIC, FiberedCensus
 from strat_euler.strata import (
     LinkTable,
@@ -56,6 +56,23 @@ def edited(case):
         else:
             del target[path[-1]]
     return doc
+
+
+def document_text(case):
+    """The text of ``edited(case)``.  An edit value ``{"integer_digits": n}``
+    is an integer literal of n nines, written into the text: Python's int to
+    text limit would refuse it a round trip through json."""
+    edits, literals = [], {}
+    for path, *value in case["edits"]:
+        if value and isinstance(value[0], dict) and "integer_digits" in value[0]:
+            mark = f"integer literal {len(literals)}"
+            literals[json.dumps(mark)] = "9" * value[0]["integer_digits"]
+            value = [mark]
+        edits.append([path, *value])
+    text = json.dumps(edited({**case, "edits": edits}))
+    for mark, literal in literals.items():
+        text = text.replace(mark, literal)
+    return text
 
 
 def faulted_doc(spec):

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Mapping
 from strat_euler.euler_calculus import Simplex, SimplicialComplex, SimplicialMap
 from strat_euler.fibration import FiberedCensus
 from strat_euler.strata import (
-    LabeledMatrix,
     LinkTable,
     StratifiedCensus,
     Stratum,
@@ -25,6 +24,7 @@ from strat_euler.strata import (
     StratumPoset,
     eta,
 )
+from strat_euler.table import LabeledMatrix
 
 
 def closed(generators: Iterable[Simplex]) -> SimplicialComplex:

@@ -12,18 +12,13 @@ import time
 import pytest
 
 from strat_euler.catalog import load_entry
-from strat_euler.documents import list_entries
+from strat_euler.catalog_run import total_lambda_infinity
+from strat_euler.compute import detect_irregular_values
+from strat_euler.entries import list_entries
 from strat_euler.errors import NotSolvable
 from strat_euler.euler_calculus import check_fubini
 from strat_euler.fibered import IDENTITY_NAMES, STRUCTURAL_IDENTITIES, check_identity, solve_unknown
-from strat_euler.fibration import (
-    GENERIC,
-    brasselet,
-    detect_irregular_values,
-    eu_weight,
-    lambda_infinity,
-    total_lambda_infinity,
-)
+from strat_euler.fibration import GENERIC, brasselet, eu_weight, lambda_infinity
 from strat_euler.obstruction import global_euler_obstruction, invert_unitriangular, solve_bdk
 from strat_euler.polar import brasselet_from_polar, stv_global_eu
 from strat_euler.strata import (

@@ -1,15 +1,10 @@
 import pytest
 
-from strat_euler import catalog, documents
-from strat_euler.catalog import (
-    evaluate_expected_key,
-    load_entry,
-    run_all,
-    run_entry,
-    standard_check_lines,
-    validate_entry,
-)
-from strat_euler.documents import _fixture_dir, list_entries
+from strat_euler import catalog, entries
+from strat_euler.catalog import evaluate_expected_key, load_entry, standard_check_lines
+from strat_euler.catalog_run import run_all, run_entry, validate_entry
+from strat_euler.documents import _fixture_dir
+from strat_euler.entries import list_entries
 from strat_euler.errors import SchemaError, UnknownEntry
 
 
@@ -53,7 +48,7 @@ def test_a_name_that_is_a_path_is_unknown_even_where_the_file_exists(tmp_path, m
     catalog_dir.mkdir()
     zk2 = (_fixture_dir() / "zk-2.json").read_bytes()
     monkeypatch.setattr(catalog, "_fixture_dir", lambda: catalog_dir)
-    monkeypatch.setattr(documents, "_fixture_dir", lambda: catalog_dir)
+    monkeypatch.setattr(entries, "_fixture_dir", lambda: catalog_dir)
     (tmp_path / "outside.json").write_bytes(zk2)
     (catalog_dir / "inside.json").write_bytes(zk2)
     (catalog_dir / "malformed.json").write_text("{}")

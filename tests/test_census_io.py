@@ -9,13 +9,14 @@ import pytest
 from strat_euler.catalog import load_entry
 from strat_euler.census_io import apply_field_to_raw, load_document, load_file
 from strat_euler.cli import main
-from strat_euler.documents import _fixture_dir, list_entries
+from strat_euler.documents import _fixture_dir
+from strat_euler.entries import list_entries
 from strat_euler.errors import SchemaError
-from strat_euler.fibered import FieldPath
 from strat_euler.fibration import GENERIC, FiberedCensus
+from strat_euler.slots import FieldPath
 from strat_euler.strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
 
-from conftest import edited
+from conftest import document_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -261,7 +262,7 @@ def test_malformed_documents_report_the_recorded_error(case, tmp_path):
     or unknown strata, and the first of two offenders.  Stdout, stderr and
     the exit code, line for line."""
     path = tmp_path / "census.json"
-    path.write_text(json.dumps(edited(case)))
+    path.write_text(document_text(case))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", str(path)])

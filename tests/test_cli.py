@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strat_euler import catalog, cli
+from strat_euler import catalog, cli, entries
+from strat_euler.arguments import build_parser
 from strat_euler.catalog import load_entry
-from strat_euler.cli import build_parser, main, read_plain
+from strat_euler.cli import main, read_plain
 from strat_euler.documents import _fixture_dir
 from strat_euler.errors import CensusError, IdentityArgumentError
 from strat_euler.fibered import IDENTITIES, check_identity
@@ -526,6 +527,87 @@ def test_json_files_are_read_as_utf8_under_any_locale(tmp_path, locale):
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
 
 
+# --- integers longer than Python converts to text --------------------------
+
+
+def with_literal(doc, nines):
+    """``doc`` as JSON text with its one value "@" written as an integer
+    literal of that many nines, which json.dumps would refuse to write."""
+    return json.dumps(doc).replace('"@"', "9" * nines)
+
+
+def long_link_census(fibration=False):
+    """P < C < S with every link's chi 3,000 sevens: the literals load, but
+    the obstructions, and the rows weighted by them, have more digits than
+    Python converts to text."""
+    doc = {
+        "name": "long links",
+        "equidimensional": True,
+        "strata": [
+            {"id": "P", "dim": 0, "chi": 1},
+            {"id": "C", "dim": 1, "chi": 0},
+            {"id": "S", "dim": 2, "chi": 1, "regular_part": True},
+        ],
+        "order": [["P", "C"], ["C", "S"]],
+        "links": [
+            {"at": a, "in_closure": b, "chi": "@"} for a, b in (("P", "C"), ("P", "S"), ("C", "S"))
+        ],
+    }
+    if fibration:
+        doc["fibration"] = {"fiber_chi": {"P": {"generic": 0}, "C": {"generic": 1}, "S": {"generic": 1}}}
+        doc["expected"] = {"chi_global": 2}
+        doc["derivation_notes"] = {"chi_global": "1 + 0 + 1"}
+    return json.dumps(doc).replace('"@"', "7" * 3000)
+
+
+def test_an_integer_literal_past_the_limit_is_a_schema_error_at_the_root(tmp_path):
+    """A census or a map bundle with an integer of 5,000 digits is bad input
+    at ``$``, in the package's words, on one line, with nothing on stdout."""
+    census = json.loads(json.dumps(load_entry("cusp-linear").raw))
+    census["strata"][0]["chi"] = "@"
+    bundle = json.loads((DATA / "bundle.json").read_text())
+    bundle["weights"][0][1] = "@"
+    want = f"error: $: an integer has more than {sys.get_int_max_str_digits()} digits\n"
+    for command, doc in (("check", census), ("compute", census), ("fubini", bundle)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(with_literal(doc, 5000))
+        extra = ["--what", "eu-global"] if command == "compute" else []
+        proc = run_cli(command, str(path), *extra)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want), command
+
+
+@pytest.mark.parametrize(
+    "args, fibration",
+    [
+        (["compute", "{census}", "--what", "eu-table"], False),
+        (["compute", "{census}", "--what", "eu-global"], False),
+        (["check", "{census}"], True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_a_result_too_long_to_print_prints_nothing_but_the_error(tmp_path, args, fibration):
+    """The output is formatted whole before any of it is written: a result
+    longer than Python converts to text leaves stdout empty (it used to get
+    the table's header, or the rows before the long one) and is one error
+    line, exit 2."""
+    path = tmp_path / "long.json"
+    path.write_text(long_link_census(fibration))
+    proc = run_cli(*(str(path) if a == "{census}" else a for a in args))
+    want = f"error: a result has more than {sys.get_int_max_str_digits()} digits, too many to print\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
+def test_catalog_run_with_a_result_too_long_to_print_prints_nothing(tmp_path, monkeypatch, capsys):
+    (tmp_path / "long.json").write_text(long_link_census(fibration=True))
+    (tmp_path / "zk-2.json").write_text(json.dumps(load_entry("zk-2").raw))
+    monkeypatch.setattr(catalog, "_fixture_dir", lambda: tmp_path)
+    monkeypatch.setattr(entries, "_fixture_dir", lambda: tmp_path)
+    assert main(["catalog", "run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits, too many to print\n"
+
+
 # --- identity argument errors are input errors ---------------------------
 
 
@@ -550,7 +632,7 @@ def test_identity_argument_errors_are_census_errors(tmp_path, capsys, extra, mes
     # exit 2 by main's catch-all for ValueError
     args = build_parser().parse_args(argv)
     with pytest.raises(CensusError) as exc:
-        args.run(args)
+        cli.handler(args.command)(args)
     assert isinstance(exc.value, ValueError)
     assert str(exc.value) == message
     assert main(argv) == 2

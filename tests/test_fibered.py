@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 
 from strat_euler.catalog import load_entry
+from strat_euler.catalog_run import eu_of_f_at, total_lambda_infinity
 from strat_euler.census_io import load_document
+from strat_euler.compute import detect_irregular_values
 from strat_euler.errors import (
     InsufficientData,
     NotSolvable,
@@ -18,25 +20,16 @@ from strat_euler.fibered import (
     IDENTITIES,
     IDENTITY_NAMES,
     STRUCTURAL_IDENTITIES,
-    FieldPath,
     check_identity,
+    local_fiber_defect,
     restrict_fibered,
     solve_unknown,
-)
-from strat_euler.fibration import (
-    GENERIC,
-    brasselet,
-    detect_irregular_values,
-    eu_of_f_at,
-    eu_of_function_local,
-    eu_weight,
-    lambda_infinity,
-    local_fiber_defect,
-    resolve_value_label,
     total_brasselet_infinity,
-    total_lambda_infinity,
 )
+from strat_euler.fibration import GENERIC, brasselet, eu_weight, lambda_infinity, resolve_value_label
+from strat_euler.polar import eu_of_function_local
 from strat_euler.records import replace
+from strat_euler.slots import FieldPath
 from strat_euler.strata import StratumConstructibleFunction
 
 from conftest import blank_field, fibered_censuses

@@ -23,7 +23,7 @@ import random
 from strat_euler.catalog import load_entry
 from strat_euler.census_io import load_file
 from strat_euler.cli import main
-from strat_euler.documents import list_entries
+from strat_euler.entries import list_entries
 from strat_euler.errors import CensusError
 from strat_euler.fibered import IDENTITIES
 

@@ -1,9 +1,11 @@
-"""Importing the package imports none of its modules, and each subcommand
-only the modules it runs."""
+"""Importing the package imports none of its modules, each call only the
+modules it runs, and each function of a module a call loads is run by that
+call or kept for a stated reason."""
 
 import ast
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +14,13 @@ import pytest
 
 import strat_euler
 from strat_euler.catalog import load_entry
-from strat_euler.documents import _fixture_dir, list_entries
+from strat_euler.documents import _fixture_dir
+from strat_euler.entries import list_entries
 from strat_euler.fibered import IDENTITIES
 
-from conftest import edited, faulted_doc
+from conftest import document_text, faulted_doc
 
 DATA = Path(__file__).with_name("data")
-
-# the modules of the census model, the identity registry, the polar layer
-# and the catalog
-CENSUS_LAYERS = {"strata", "obstruction", "fibration", "census_io", "fibered", "polar", "catalog"}
 
 # runs `python -m strat_euler ARGS` in-process, then prints the exit code and
 # the strat_euler modules it imported
@@ -81,6 +80,67 @@ def test_importing_the_command_line_imports_only_it_and_the_errors():
         check=True,
     )
     assert run.stdout.split() == ["strat_euler.cli", "strat_euler.errors"]
+
+
+# the modules of the census model, the identity registry, the polar layer
+# and the catalog
+CENSUS_LAYERS = {"strata", "obstruction", "fibration", "census_io", "fibered", "polar", "catalog"}
+
+# the modules every call loads, and those of every census call
+EVERY_CALL = {"strat_euler", "cli", "errors"}
+CENSUS = EVERY_CALL | {"documents", "census_io", "strata", "obstruction", "fibration", "records"}
+CHECK = CENSUS | {"fibered", "polar", "catalog"}
+
+# each call and exactly the modules it loads: {layered} has no polar block,
+# {polar} has one, and {gap} and {polar_gap} are the two without a fiber slot
+LOADS = [
+    (["catalog", "list"], EVERY_CALL | {"entries", "documents"}),
+    (["catalog", "run"], CHECK | {"entries", "catalog_run", "compute"}),
+    (["fubini", str(DATA / "bundle.json")], EVERY_CALL | {"documents", "euler_calculus", "records"}),
+    (["check", "{layered}"], CHECK),
+    (["check", "{polar}", "--hyperplane", fixture("broughton-slice")], CHECK),
+    (["solve", "{gap}", "--identity", "cor_equi", "--unknown", "fiber_chi.T.generic"],
+     CENSUS | {"fibered", "slots"}),
+    (["solve", "{polar_gap}", "--identity", "thm_generic_fiber", "--unknown",
+      "fiber_chi.V1.generic"], CENSUS | {"fibered", "slots", "polar"}),
+    (["check"], EVERY_CALL | {"arguments"}),
+    (["-h"], EVERY_CALL | {"arguments"}),
+    (["check", "{layered}", "--hyper", fixture("broughton-slice")], CHECK | {"arguments"}),
+] + [
+    (["compute", census, "--what", *what], CENSUS | {"compute"} | table | polar)
+    for census, polar in (("{layered}", set()), ("{polar}", {"polar"}))
+    for what, table in (
+        (["eu-table"], {"table"}),
+        (["eu-global"], set()),
+        (["detect-irregular"], set()),
+        (["brasselet", "--at", "generic"], set()),
+        (["lambda", "--at", "generic"], set()),
+        (["binf", "--at", "generic"], set()),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", LOADS, ids=lambda v: " ".join(Path(a).name for a in v) if isinstance(v, list) else ""
+)
+def test_each_call_loads_exactly_its_modules(argv, modules, tmp_path):
+    """Each subcommand loads the modules it runs and no other: the census
+    layers only for a census, the identities only for check and solve, the
+    polar layer only for a census with a polar block, the whole table only
+    for eu-table, argparse's module only for a command line the plain
+    reader declines.  check loads the twelve modules it always has."""
+    gap = json.loads((DATA / "layered-5x4.json").read_text())
+    del gap["fibration"]["fiber_chi"]["T"]["generic"]
+    polar_gap = load_entry("zk-3").raw
+    del polar_gap["fibration"]["fiber_chi"]["V1"]["generic"]
+    paths = {"layered": str(DATA / "layered-5x4.json"), "polar": fixture("broughton")}
+    for name, doc in (("gap", gap), ("polar_gap", polar_gap)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    code, loaded = imported_by(*(paths.get(a[1:-1], a) if a.startswith("{") else a for a in argv))
+    assert code in (0, 1, 2)
+    assert loaded == modules
+    assert len(CHECK) == 12
 
 
 @pytest.mark.parametrize(
@@ -156,12 +216,13 @@ def test_check_leaves_the_simplicial_layer_out():
 
 
 # the standard modules no well-formed call needs: dataclasses and the
-# inspect module it loads; argparse, and the gettext and locale it loads
-UNNEEDED = ("argparse", "dataclasses", "gettext", "inspect", "locale")
+# inspect module it loads; argparse, and the gettext and locale it loads;
+# typing, which only annotations name
+UNNEEDED = ("argparse", "dataclasses", "gettext", "inspect", "locale", "typing")
 
 # imports the command line, then runs each argv of argv[1] through
 # cli.main, printing after each step which of argv[2] have been loaded since
-# start-up (a site hook may load them before the package runs)
+# start-up; it runs without the site hooks (-S), which may load them first
 LOADS_AFTER_EACH = """
 import contextlib, io, json, sys
 at_start = set(sys.modules)
@@ -181,7 +242,8 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
     """Importing dataclasses (and the inspect module it loads) would cost
     every call start-up time for nothing the package needs; so would
     argparse (and gettext and locale) on a command line the plain reader
-    reads.  An abbreviated option still goes to argparse."""
+    reads, and typing anywhere.  An abbreviated option still goes to
+    argparse."""
     doc = load_entry("zk-3").raw
     del doc["fibration"]["fiber_chi"]["V1"]["generic"]
     gap = tmp_path / "gap.json"
@@ -198,10 +260,11 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
         ["check", fixture("broughton"), "--hyper", fixture("broughton-slice")],
     ]
     run = subprocess.run(
-        [sys.executable, "-c", LOADS_AFTER_EACH, json.dumps(calls), json.dumps(UNNEEDED)],
+        [sys.executable, "-S", "-c", LOADS_AFTER_EACH, json.dumps(calls), json.dumps(UNNEEDED)],
         capture_output=True,
         text=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(strat_euler.__file__).parent.parent)},
     )
     steps = [json.loads(line) for line in run.stdout.splitlines()]
     *plain, abbreviated = steps
@@ -226,13 +289,74 @@ SRC = Path(strat_euler.__file__).parent
 
 # the functions no call of the sweep reaches, each with the reason it stays
 UNREACHED = {
-    "strata.LabeledMatrix.entry": "library API, the README's example reads the table with it",
-    "strata.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
+    "table.LabeledMatrix.entry": "library API, the README's example reads the table with it",
+    "table.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
     "fibered.CheckLine.ok": "library API, named in the README; perfbench/run.py reads it",
-    "fibration.FiberedCensus.validate": "library API: checks a census built in code",
     "strata.restrict_to_closure": "oracle for the solved closure columns; the benchmark traces it",
     "fibered.restrict_fibered": "oracle for the solved closure columns; the benchmark traces it",
     "obstruction.invert_unitriangular": "oracle: the dense inverse; the benchmark traces it",
+}
+
+# what perfbench/tracing.py wraps or calls by module and name, and what
+# perfbench/run.py reads, where a call that loads it need not run it; the
+# names stay where they are, so each module keeps them
+TRACED = {
+    "catalog.evaluate_expected_key",
+    "catalog.load_entry",
+    "documents._fixture_dir",  # the tracer calls it as catalog._fixture_dir
+    "census_io.apply_field_to_raw",
+    "fibered.CheckLine.ok",
+    "fibered.restrict_fibered",
+    "fibered.solve_unknown",
+    "fibered.solve_unknown.residual",
+    "obstruction.check_bdk_point_formula",
+    "obstruction.invert_unitriangular",
+    "obstruction.solve_bdk",
+    "polar.brasselet_from_polar",
+    "polar.hyperplane_step",
+    "polar.infinity_from_polar",
+    "polar.stv_global_eu",
+    "strata.eta",
+    "strata.restrict_to_closure",
+}
+
+# what only the traced functions, of those a call loads, run
+FOR_TRACED = {
+    "records.replace": "restrict_to_closure and restrict_fibered build their censuses with it",
+    "polar.PolarData.gamma_at": "the polar routes",
+    "polar._alternating_gamma": "the polar routes",
+    "polar._local_terms": "the polar routes",
+    "polar.eu_of_function_local": "the polar routes",
+    "strata.SolvedCensus.weight": "eta",
+    "strata.SolvedWeight.eta": "eta",
+    "strata.LinkTable.get": "eta",
+    "strata.SolvedWeight.resolved": "the point formula",
+}
+
+# what runs only while a census is refused: the compute and solve sweeps
+# read no malformed census
+ERROR_ONLY = {
+    "census_io._bad_ident": "the error of a bad id",
+    "census_io._mistyped": "the error of a mistyped value",
+}
+
+# the rest a subcommand loads and does not run: census-model code check
+# runs, in the modules check loads and may not split
+SHARED = {
+    "check": {},
+    "compute": {
+        "fibration.FiberedCensus.morse_total": "the identities' Morse counts",
+        "fibration.FiberedCensus.point": "the fiber defect and the polar routes",
+        "fibration.FiberedCensus.points_at": "the identities and the polar routes",
+        "strata.StratumPoset.linear_extension": "the order of check's rows",
+    },
+    "solve": {
+        "fibered.CheckLine.line": "the text of check's rows",
+        "fibered.CheckLine.sides": "check's battery",
+        "fibered.CheckLine.skip": "check's SKIP rows",
+        "fibration.resolve_value_label": "compute and the hyperplane step",
+        "strata.StratumPoset.linear_extension": "the order of check's rows",
+    },
 }
 
 
@@ -265,7 +389,7 @@ def sweep_calls(tmp_path):
     recorded malformed inputs."""
     def written(name, doc):
         path = tmp_path / f"{len(calls)}-{name}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         return str(path)
 
     calls = [["catalog", "run"], ["catalog", "list"], ["fubini", str(DATA / "bundle.json")]]
@@ -300,10 +424,15 @@ def sweep_calls(tmp_path):
                     ["solve", blanked[slot], "--identity", identity, "--unknown", slot, *at,
                      "--alpha", alpha, "--emit-completed", out]
                 )
+            if entry.counts:
+                calls.append(
+                    ["solve", blanked[slot], "--identity", identity, "--unknown", slot, *at,
+                     "--use-milnor"]
+                )
     # the malformed documents include an order with a cycle and an order
     # pair that lowers dimension
     for case in json.loads((DATA / "loader_errors.json").read_text()):
-        calls.append(["check", written("malformed", edited(case))])
+        calls.append(["check", written("malformed", document_text(case))])
     for case in json.loads((DATA / "missing_link_calls.json").read_text()):
         argv = []
         for arg in case["argv"]:
@@ -329,7 +458,7 @@ def argparse_calls():
 # runs each argv of the JSON file argv[1] through cli.main, the last one
 # through the process entry, with a profiler on from before the package is
 # imported; prints where each function called under the directory argv[2]
-# starts
+# starts, and the files of the package modules loaded
 REACHED_BY = """
 import contextlib, io, json, sys
 calls_file, src = sys.argv[1:]
@@ -350,29 +479,68 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         except SystemExit:  # argparse's exit after help or a usage error
             pass
     sys.argv[1:] = last
-    strat_euler.cli.run()
+    try:
+        strat_euler.cli.run()
+    except SystemExit:
+        pass
 sys.setprofile(None)
-print(json.dumps(sorted(reached)))
+loaded = [m.__file__ for name, m in sys.modules.items() if name.startswith("strat_euler.")]
+print(json.dumps([sorted(reached), loaded]))
 """
 
 
-def test_every_function_in_src_is_reached_or_allowed(tmp_path):
+@pytest.fixture(scope="module")
+def reached_by_subcommand(tmp_path_factory):
+    """subcommand -> (the functions its sweep calls reach, the names of the
+    functions defined in the modules they load); the command lines only
+    argparse reads count as one more subcommand.  Each subcommand runs in a
+    fresh process, so each loads only its own modules."""
+    tmp_path = tmp_path_factory.mktemp("sweep")
+    groups = {"argparse": argparse_calls()}
+    for argv in sweep_calls(tmp_path):
+        groups.setdefault(argv[0], []).append(argv)
+    defined = defined_functions()
+    out = {}
+    for subcommand, calls in groups.items():
+        calls_file = tmp_path / f"{subcommand}.json"
+        calls_file.write_text(json.dumps(calls))
+        run = subprocess.run(
+            [sys.executable, "-c", REACHED_BY, str(calls_file), str(SRC)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        reached, loaded = json.loads(run.stdout)
+        reached = {tuple(key) for key in reached}
+        out[subcommand] = (
+            {name for key, name in defined.items() if key in reached},
+            {name for (path, _line), name in defined.items() if path in loaded},
+        )
+    return out
+
+
+def test_every_function_in_src_is_reached_or_allowed(reached_by_subcommand):
     """Runs every subcommand on the fixtures and the recorded malformed
     inputs, and the command lines only argparse reads, under a profiler: a
     function of the package that none of them reaches has to be in
     UNREACHED, with its reason, and every name there has to exist and stay
     unreached."""
-    calls = tmp_path / "calls.json"
-    calls.write_text(json.dumps(argparse_calls() + sweep_calls(tmp_path)))
-    run = subprocess.run(
-        [sys.executable, "-c", REACHED_BY, str(calls), str(SRC)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    reached = {tuple(key) for key in json.loads(run.stdout)}
-    unreached = {name for key, name in defined_functions().items() if key not in reached}
+    reached = set().union(*(names for names, _loaded in reached_by_subcommand.values()))
+    unreached = set(defined_functions().values()) - reached
     unlisted = sorted(unreached - UNREACHED.keys())
     assert not unlisted, f"no call reaches {unlisted}: delete them, or list them with a reason"
     stale = sorted(UNREACHED.keys() - unreached)
     assert not stale, f"listed as unreached but reached or gone: {stale}"
+
+
+@pytest.mark.parametrize("subcommand", SHARED)
+def test_each_subcommand_runs_what_it_loads(subcommand, reached_by_subcommand):
+    """A function in a module the subcommand loads is reached by its sweep
+    calls, or traced by the benchmark, or run only by traced code or only
+    while a census is refused, or is census-model code check runs, listed
+    in SHARED for this subcommand with its reason.  The code a subcommand
+    never runs lives in modules only other calls load."""
+    reached, loaded = reached_by_subcommand[subcommand]
+    allowed = TRACED | FOR_TRACED.keys() | ERROR_ONLY.keys() | UNREACHED.keys()
+    assert allowed <= set(defined_functions().values()), "an allowed name is gone"
+    assert sorted(loaded - reached - allowed) == sorted(SHARED[subcommand])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from strat_euler.catalog import load_entry
-from strat_euler.documents import list_entries
+from strat_euler.entries import list_entries
 from strat_euler.errors import NotAPointStratum, NotEquidimensional
 from strat_euler.obstruction import (
     check_bdk_point_formula,
@@ -14,7 +14,6 @@ from strat_euler.obstruction import (
     solve_bdk,
 )
 from strat_euler.strata import (
-    LabeledMatrix,
     LinkTable,
     StratifiedCensus,
     Stratum,
@@ -24,6 +23,7 @@ from strat_euler.strata import (
     eta,
     restrict_to_closure,
 )
+from strat_euler.table import LabeledMatrix, solve_rows
 
 from conftest import censuses
 
@@ -159,7 +159,7 @@ def test_table_matrices_are_labeled():
     assert table.entry("V1", "V2") == 2
     coefficients = [
         tuple(row.get(j, 0) for j in range(len(table.labels)))
-        for row in census.solved.rows[0]
+        for row in solve_rows(census.solved)[0]
     ]
     assert LabeledMatrix(table.labels, tuple(coefficients)).entry("V1", "V1") == 1
     assert "V2" in table.pretty()

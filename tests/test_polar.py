@@ -1,7 +1,7 @@
 import pytest
 
 from strat_euler.catalog import load_entry
-from strat_euler.documents import list_entries
+from strat_euler.entries import list_entries
 from strat_euler.errors import MissingPolarData
 from strat_euler.fibration import GENERIC, brasselet, brasselet_infinity, eu_weight
 from strat_euler.obstruction import global_euler_obstruction

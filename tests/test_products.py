@@ -15,7 +15,7 @@ from hypothesis import given
 
 from strat_euler.catalog import load_entry
 from strat_euler.census_io import load_file
-from strat_euler.documents import list_entries
+from strat_euler.entries import list_entries
 from strat_euler.fibered import check_identity
 from strat_euler.fibration import GENERIC, brasselet, brasselet_infinity, eu_weight
 from strat_euler.obstruction import check_bdk_point_formula, global_euler_obstruction, solve_bdk

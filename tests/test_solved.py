@@ -15,35 +15,34 @@ import hashlib
 import io
 import json
 import random
-from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from strat_euler import table as table_module
 from strat_euler.catalog import evaluate_expected_key, load_entry, standard_check_lines
 from strat_euler.census_io import load_document, load_file
 from strat_euler.cli import main
-from strat_euler.documents import list_entries
+from strat_euler.entries import list_entries
 from strat_euler.errors import (
     AmbientObstructionMismatch,
     InsufficientData,
     MissingLinkEntry,
     UnknownStratum,
 )
-from strat_euler.fibered import check_identity, restrict_fibered, solve_unknown
-from strat_euler.fibration import (
-    GENERIC,
-    FiberedCensus,
-    brasselet,
-    brasselet_infinity,
-    eu_weight,
+from strat_euler.fibered import (
+    check_identity,
+    restrict_fibered,
+    solve_unknown,
     total_brasselet_infinity,
 )
+from strat_euler.fibration import GENERIC, FiberedCensus, brasselet, brasselet_infinity, eu_weight
 from strat_euler.obstruction import check_bdk_point_formula, invert_unitriangular, solve_bdk
 from strat_euler.records import replace
+from strat_euler.slots import with_chi
 from strat_euler.strata import (
-    LabeledMatrix,
     LinkTable,
     SolvedCensus,
     StratifiedCensus,
@@ -55,6 +54,7 @@ from strat_euler.strata import (
     indicator_of_space,
     restrict_to_closure,
 )
+from strat_euler.table import LabeledMatrix, solve_rows
 
 from conftest import censuses, censuses_with_functions, faulted_doc, fibered_censuses
 from oracles import (
@@ -125,7 +125,7 @@ def assert_table_is_dense_inverse(census):
     order, coeff, values = dense_values(census)
     assert table.labels == order
     columns = range(len(order))
-    assert [[row.get(j, 0) for j in columns] for row in census.solved.rows[0]] == coeff
+    assert [[row.get(j, 0) for j in columns] for row in solve_rows(census.solved)[0]] == coeff
     assert [list(r) for r in table.rows] == values
 
 
@@ -154,17 +154,24 @@ def fresh(census):
     return replace(census, name=census.name)
 
 
+def no_whole_table():
+    """A context in which solving the whole table fails the test."""
+    return mock.patch.object(
+        table_module, "solve_rows", lambda _solved: pytest.fail("the whole table was solved")
+    )
+
+
 def assert_columns_solved_alone_match(census):
     order, _coeff, values = dense_values(census)
     for j in range(len(order)):
         solved = fresh(census).solved
-        column = solved.column(j)
-        assert "rows" not in vars(solved)
+        with no_whole_table():
+            column = solved.column(j)
         down = set(down_set(census.poset, order[j]))
         assert list(column) == sorted(k for k, s in enumerate(order) if s in down)
         assert {k: values[k][j] for k in column} == column
         assert all(values[k][j] == 0 for k in range(len(order)) if k not in column)
-        assert {k: solved.rows[1][k][j] for k in column} == column
+        assert {k: solve_rows(solved)[1][k][j] for k in column} == column
         assert solved.column(j) == column
 
 
@@ -207,20 +214,20 @@ def test_a_column_solved_alone_raises_what_its_closure_census_raises(seed):
         try:
             sub_order, _coeff, values = dense_values(restrict_to_closure(base, sid))
         except MissingLinkEntry as exc:
-            with pytest.raises(MissingLinkEntry) as got:
+            with pytest.raises(MissingLinkEntry) as got, no_whole_table():
                 alone.column(j)
             assert got.value.pair == exc.pair
             raised += 1
         else:
             top = sub_order.index(sid)
             want = {order.index(s): values[k][top] for k, s in enumerate(sub_order)}
-            assert alone.column(j) == want == full.solved.column(j)
-        assert "rows" not in vars(alone)
+            with no_whole_table():
+                assert alone.column(j) == want == full.solved.column(j)
     assert 0 < raised < len(order)
     with pytest.raises(MissingLinkEntry) as dense:
         eta_closure_matrix(base)
     with pytest.raises(MissingLinkEntry) as table:
-        fresh(base).solved.rows
+        solve_rows(fresh(base).solved)
     assert table.value.pair == dense.value.pair
 
 
@@ -371,13 +378,13 @@ def test_a_chi_edit_shares_a_view_equal_to_a_fresh_solve(pair, chi):
     # solve part of the census first, so the edited census inherits it
     census.solved.column(0)
     eta(census, sid, alpha)
-    edited = census.with_chi(sid, chi)
+    edited = with_chi(census, sid, chi)
     assert edited.poset.stratum(sid).chi == chi
     assert edited.solved is census.solved
     shared, fresh = edited.solved, SolvedCensus(edited)
     assert shared.one == fresh.one
     assert shared._missing == fresh._missing
-    assert shared.rows == fresh.rows
+    assert solve_rows(shared) == solve_rows(fresh)
     for j, closure in enumerate(fresh.order):
         assert shared.column(j) == fresh.column(j)
         assert shared.eu_function(closure) == fresh.eu_function(closure)
@@ -822,15 +829,13 @@ def test_one_column_readers_never_solve_the_whole_table(argv, solves, tmp_path, 
         paths[name].write_text(json.dumps(gap))
     assert doc["strata"][-1]["id"] == "T"
     solved = []
-    rows = SolvedCensus.rows
+    rows = table_module.solve_rows
 
-    def counting(self):
-        solved.append(self)
-        return rows.func(self)
+    def counting(census_solved):
+        solved.append(census_solved)
+        return rows(census_solved)
 
-    counted = cached_property(counting)
-    counted.__set_name__(SolvedCensus, "rows")
-    monkeypatch.setattr(SolvedCensus, "rows", counted)
+    monkeypatch.setattr(table_module, "solve_rows", counting)
     code = main([str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv])
     assert code in (0, 1)
     assert capsys.readouterr().out
@@ -840,7 +845,7 @@ def test_one_column_readers_never_solve_the_whole_table(argv, solves, tmp_path, 
 def test_the_eu_x_at_key_reads_one_column(monkeypatch):
     bundle = load_file(DATA / "layered-5x4.json")
     monkeypatch.setattr(
-        SolvedCensus, "rows", property(lambda self: pytest.fail("the whole table was solved"))
+        table_module, "solve_rows", lambda _solved: pytest.fail("the whole table was solved")
     )
     values = {
         s: evaluate_expected_key(bundle, f"eu_x_at_{s}") for s in bundle.census.base.poset.ids()

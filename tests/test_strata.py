@@ -9,13 +9,13 @@ from hypothesis import given
 
 from strat_euler.catalog import load_entry
 from strat_euler.errors import InsufficientData, MissingLinkEntry, UnknownStratum
+from strat_euler.order_errors import transitive_closure
 from strat_euler.strata import (
     LinkTable,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
     StratumPoset,
-    _transitive_closure,
     chi_global,
     eta,
     indicator_of_space,
@@ -171,7 +171,7 @@ def test_closure_matches_a_fixpoint_oracle(seed):
             assert {order[i] for i in down} == {a for a, c in want if c == b}
         shuffled = [s.id for s in strata]
         rng.shuffle(shuffled)
-        below = _transitive_closure(shuffled, pairs)
+        below = transitive_closure(shuffled, pairs)
         assert {(a, b) for b in below for a in below[b]} == want
 
 
