@@ -530,12 +530,6 @@ def test_json_files_are_read_as_utf8_under_any_locale(tmp_path, locale):
 # --- integers longer than Python converts to text --------------------------
 
 
-def with_literal(doc, nines):
-    """``doc`` as JSON text with its one value "@" written as an integer
-    literal of that many nines, which json.dumps would refuse to write."""
-    return json.dumps(doc).replace('"@"', "9" * nines)
-
-
 def long_link_census(fibration=False):
     """P < C < S with every link's chi 3,000 sevens: the literals load, but
     the obstructions, and the rows weighted by them, have more digits than
@@ -570,7 +564,8 @@ def test_an_integer_literal_past_the_limit_is_a_schema_error_at_the_root(tmp_pat
     want = f"error: $: an integer has more than {sys.get_int_max_str_digits()} digits\n"
     for command, doc in (("check", census), ("compute", census), ("fubini", bundle)):
         path = tmp_path / f"{command}.json"
-        path.write_text(with_literal(doc, 5000))
+        # json.dumps would refuse to write the literal
+        path.write_text(json.dumps(doc).replace('"@"', "9" * 5000))
         extra = ["--what", "eu-global"] if command == "compute" else []
         proc = run_cli(command, str(path), *extra)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want), command
