@@ -9,11 +9,10 @@ import contextlib
 import io
 import sys
 
-from .cli import _COMMANDS
 
-
-def build_parser():
-    """argparse's parser of the command line, built from ``cli._COMMANDS``."""
+def build_parser(commands: dict):
+    """argparse's parser of the command line, built from a table laid out
+    like ``cli._COMMANDS``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -21,22 +20,22 @@ def build_parser():
         description="exact invariants of stratified censuses, and their cross-checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_module, summary, arguments) in _COMMANDS.items():
+    for command, (_module, summary, arguments) in commands.items():
         p = sub.add_parser(command, help=summary)
         for name, spec in arguments:
             p.add_argument(name, **spec)
     return parser
 
 
-def parse(argv: list[str]):
-    """argparse's reading of ``argv``.  argparse drops the error of its own
+def parse(argv: list[str], commands: dict):
+    """argparse's reading of ``argv`` against the table ``commands``.  argparse drops the error of its own
     write to stdout, which loses help into a closed unbuffered stdout; so
     it writes into a buffer, and the help is written and flushed here,
     where a closed stdout is reported like any command's."""
     text = io.StringIO()
     try:
         with contextlib.redirect_stdout(text):
-            return build_parser().parse_args(argv)
+            return build_parser(commands).parse_args(argv)
     finally:
         sys.stdout.write(text.getvalue())
         sys.stdout.flush()

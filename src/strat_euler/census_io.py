@@ -197,7 +197,7 @@ def _fibration_from_json(
             f_general=f_general,
         )
         # the base was validated by _census_from_json
-        census.validate(base=False)
+        census.validate_fibration()
     except SchemaError:
         # a column's own error, already at its path
         raise

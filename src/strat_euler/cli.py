@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         if args is None:
             from .arguments import parse
 
-            args = parse(argv)
+            args = parse(argv, _COMMANDS)
         code = handler(args.command)(args)
         sys.stdout.flush()
     except (CensusError, ValueError) as exc:

@@ -83,11 +83,14 @@ class FiberedCensus:
 
     # --- validation -----------------------------------------------------
 
-    def validate(self, base: bool = True) -> None:
-        """Structural checks of the base census, unless ``base`` is False
-        for a base validated already, and of the function data."""
-        if base:
-            self.base.validate()
+    def validate(self) -> None:
+        """Structural checks of the base census and of the function data."""
+        self.base.validate()
+        self.validate_fibration()
+
+    def validate_fibration(self) -> None:
+        """Structural checks beyond what the base census enforces, for a
+        base that has been validated already."""
         poset = self.base.poset
         values = self.special_values
         if len(set(values)) != len(values):

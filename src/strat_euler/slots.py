@@ -28,7 +28,9 @@ def with_chi(census: StratifiedCensus, stratum_id: str, chi: int | None) -> Stra
 
     chi enters neither the order nor its checks, nor any reader of the
     solved view, so the new census shares the poset's closure and index
-    data and the solved view instead of rebuilding them."""
+    data and the solved view instead of rebuilding them.  Of the fields of
+    ``StratumPoset``, only ``strata`` and ``_by_id`` hold the strata
+    themselves."""
     poset = census.poset
     s = replace(poset.stratum(stratum_id), chi=chi)
     edited = copy.copy(poset)

@@ -74,6 +74,11 @@ class StratumPoset:
     Cycles and order pairs that do not strictly increase dimension are
     rejected, as are duplicate or unknown ids.  Each error names the first
     offender in (dim, id) order, so its text never depends on set order.
+
+    ``slots.with_chi`` copies a poset with one stratum's chi changed: it
+    rewrites ``strata`` and ``_by_id`` and shares the other fields, which
+    chi does not enter.  A field added here that reads chi has to be
+    rewritten there too.
     """
 
     strata: tuple[Stratum, ...]

@@ -625,7 +625,7 @@ def test_identity_argument_errors_are_census_errors(tmp_path, capsys, extra, mes
     argv = ["solve", str(path), "--unknown", "fiber_chi.V2.generic", *extra]
     # raised as a CensusError by the subcommand itself, not only mapped to
     # exit 2 by main's catch-all for ValueError
-    args = build_parser().parse_args(argv)
+    args = build_parser(cli._COMMANDS).parse_args(argv)
     with pytest.raises(CensusError) as exc:
         cli.handler(args.command)(args)
     assert isinstance(exc.value, ValueError)
@@ -933,7 +933,7 @@ def argparse_reading(argv):
     """``vars`` of what argparse makes of ARGV, None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser().parse_args(argv))
+            return vars(build_parser(cli._COMMANDS).parse_args(argv))
         except SystemExit:
             return None
 

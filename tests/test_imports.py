@@ -292,6 +292,7 @@ UNREACHED = {
     "table.LabeledMatrix.entry": "library API, the README's example reads the table with it",
     "table.LabeledMatrix._position": "the label lookup of LabeledMatrix.entry",
     "fibered.CheckLine.ok": "library API, named in the README; perfbench/run.py reads it",
+    "fibration.FiberedCensus.validate": "library API: checks a census built in code",
     "strata.restrict_to_closure": "oracle for the solved closure columns; the benchmark traces it",
     "fibered.restrict_fibered": "oracle for the solved closure columns; the benchmark traces it",
     "obstruction.invert_unitriangular": "oracle: the dense inverse; the benchmark traces it",

@@ -380,6 +380,13 @@ def test_a_chi_edit_shares_a_view_equal_to_a_fresh_solve(pair, chi):
     eta(census, sid, alpha)
     edited = with_chi(census, sid, chi)
     assert edited.poset.stratum(sid).chi == chi
+    # with_chi rewrites these poset fields and shares the others: a field
+    # added to StratumPoset has to be handled there before it is listed here
+    assert vars(census.poset).keys() == {
+        "strata", "relations", "_by_id", "_order", "_index", "_below", "_above"
+    }
+    rebuilt = StratumPoset(edited.poset.strata, census.poset.relations)
+    assert vars(edited.poset) == vars(rebuilt)
     assert edited.solved is census.solved
     shared, fresh = edited.solved, SolvedCensus(edited)
     assert shared.one == fresh.one
