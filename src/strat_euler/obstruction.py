@@ -14,9 +14,10 @@ over its down-set: the obstruction of the space, and with it the global
 obstruction, costs the relations of the census, not the whole table.  The
 point formula reads one vector solve, the constant weight read back
 through the solver.  Only :func:`solve_bdk` reads the whole table: it
-imports the ``table`` module, which solves it row by row and lays it out as
-a dense :class:`table.LabeledMatrix`, built afresh on each call and not
-cached.  It serves only the printed ``eu-table`` and the tests.
+imports the ``table`` module, which solves it row by row, each row one
+packed integer, and lays it out as a dense :class:`table.LabeledMatrix`,
+built afresh on each call and not cached.  It serves only the printed
+``eu-table`` and the tests.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -56,19 +57,15 @@ def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
 def solve_bdk(census: StratifiedCensus) -> LabeledMatrix:
     """The value rows of ``census.solved`` laid out as one dense matrix.
 
-    Column j holds the obstruction of closure j on open strata.  Any absent
-    link of the matrix raises MissingLinkEntry, the first one in row-major
-    order.  The matrix is not cached: only the printed ``eu-table`` asks
-    for it.
+    Column j holds the obstruction of closure j on open strata, as
+    :func:`table.solve_rows` solves it, in packed rows.  Any absent link of
+    the matrix raises MissingLinkEntry, the first one in row-major order.
+    The matrix is not cached: only the printed ``eu-table`` asks for it.
     """
     from .table import LabeledMatrix, solve_rows
 
     solved = census.solved
-    columns = range(len(solved.order))
-    _coeffs, values = solve_rows(solved)
-    return LabeledMatrix(
-        solved.order, tuple(tuple(row.get(j, 0) for j in columns) for row in values)
-    )
+    return LabeledMatrix(solved.order, solve_rows(solved))
 
 
 def eu_function_of_space(census: StratifiedCensus) -> StratumConstructibleFunction:

@@ -332,7 +332,8 @@ class SolvedCensus:
     :meth:`_solve` is the one back-substitution for one right-hand side:
     :meth:`column` solves a unit vector over one down-set, and
     :attr:`SolvedWeight.resolved` eta of a weight over the whole census.
-    ``table.solve_rows`` solves all of C row by row for the printed table.
+    ``table.solve_rows`` solves all of C row by row for the printed table,
+    each row packed into one integer.
     Everything is computed on first use, after the links it reads are
     checked: a column scans its block in row-major order and raises the
     MissingLinkEntry that solving the restricted census would raise, and

@@ -23,7 +23,7 @@ from strat_euler.strata import (
     eta,
     restrict_to_closure,
 )
-from strat_euler.table import LabeledMatrix, solve_rows
+from strat_euler.table import LabeledMatrix
 
 from conftest import censuses
 
@@ -157,12 +157,36 @@ def test_table_matrices_are_labeled():
     census = census_of("cusp-linear")
     table = solve_bdk(census)
     assert table.entry("V1", "V2") == 2
-    coefficients = [
-        tuple(row.get(j, 0) for j in range(len(table.labels)))
-        for row in solve_rows(census.solved)[0]
-    ]
-    assert LabeledMatrix(table.labels, tuple(coefficients)).entry("V1", "V1") == 1
+    assert table.entry("V1", "V1") == table.entry("V2", "V2") == 1
+    assert table.entry("V2", "V1") == 0
     assert "V2" in table.pretty()
+
+
+def pretty_before(matrix):
+    """``LabeledMatrix.pretty`` as it was: the width from every cell's text."""
+    width = max([len(l) for l in matrix.labels] + [len(str(v)) for r in matrix.rows for v in r])
+    head = " " * (width + 2) + " ".join(l.rjust(width) for l in matrix.labels)
+    lines = [head]
+    for label, row in zip(matrix.labels, matrix.rows):
+        lines.append(label.rjust(width) + "  " + " ".join(str(v).rjust(width) for v in row))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "labels, rows, width",
+    [
+        (("a-long-label", "V2"), ((1, -20), (0, 1)), 12),
+        (("V1", "V2", "V3"), ((1, -12345, 678), (0, 1, 9), (0, 0, 1)), 6),
+        (("V1", "V2", "V3"), ((1, -12, 6789012), (0, 1, -9), (0, 0, 1)), 7),
+        (("V1",), ((1,),), 2),
+    ],
+    ids=["label", "negative entry", "positive entry", "one stratum"],
+)
+def test_pretty_width_is_the_widest_cell(labels, rows, width):
+    matrix = LabeledMatrix(labels, rows)
+    text = matrix.pretty()
+    assert text == pretty_before(matrix)
+    assert len(text.splitlines()[0]) == (width + 1) * (len(labels) + 1)
 
 
 def test_seeded_random_unitriangular_sweep():

@@ -74,16 +74,13 @@ def dense_values(census):
     matrix = eta_closure_matrix(census)
     order = matrix.labels
     coeff = invert_unitriangular([list(r) for r in matrix.rows])
-    poset = census.poset
+    leq = census.poset.leq
     n = len(order)
-    values = [
-        [
-            sum(coeff[i][j] for i in range(n) if poset.leq(order[k], order[i]))
-            for j in range(n)
-        ]
-        for k in range(n)
-    ]
-    return order, coeff, values
+    values = []
+    for k in range(n):
+        up = [i for i in range(n) if leq(order[k], order[i])]
+        values.append([sum(coeff[i][j] for i in up) for j in range(n)])
+    return order, values
 
 
 def scratch_eta(census, at, alpha):
@@ -110,9 +107,15 @@ def layered_census(seed, levels, width):
                     pairs.add((f"L{d - 1}_{v}", f"L{d}_{w}"))
     strata.append(Stratum("T", levels, 1, is_regular_part=True))
     pairs |= {(s.id, "T") for s in strata[:-1]}
+    return linked_census(f"layered-{seed}", strata, pairs, lambda _pair: rng.randint(-1, 3))
+
+
+def linked_census(name, strata, pairs, link):
+    """The equidimensional census of these strata and generating pairs,
+    with ``link(pair)`` at each pair of the order, in sorted order."""
     poset = StratumPoset(tuple(strata), frozenset(pairs))
-    links = LinkTable({p: rng.randint(-1, 3) for p in sorted(poset.relations)})
-    census = StratifiedCensus(f"layered-{seed}", poset, links, equidimensional=True)
+    links = LinkTable({p: link(p) for p in sorted(poset.relations)})
+    census = StratifiedCensus(name, poset, links, equidimensional=True)
     census.validate()
     return census
 
@@ -122,10 +125,8 @@ def layered_census(seed, levels, width):
 
 def assert_table_is_dense_inverse(census):
     table = solve_bdk(census)
-    order, coeff, values = dense_values(census)
+    order, values = dense_values(census)
     assert table.labels == order
-    columns = range(len(order))
-    assert [[row.get(j, 0) for j in columns] for row in solve_rows(census.solved)[0]] == coeff
     assert [list(r) for r in table.rows] == values
 
 
@@ -146,6 +147,84 @@ def test_table_is_the_dense_inverse_on_larger_posets():
     assert_table_is_dense_inverse(wide.census.base)
 
 
+def test_table_is_the_dense_inverse_past_64_bits():
+    """Links of -10^25 and 10^30 put entries past 2^64 either way into the
+    table: a packed row holds them whole."""
+    strata = [Stratum("P", 0, 1), Stratum("C", 1, 0), Stratum("S", 2, 1, is_regular_part=True)]
+    links = {("P", "C"): -10**25, ("P", "S"): 10**30, ("C", "S"): -7}
+    census = linked_census("long links", strata, {("P", "C"), ("C", "S")}, links.__getitem__)
+    assert_table_is_dense_inverse(census)
+    entries = [v for row in solve_bdk(census).rows for v in row]
+    assert max(entries) > 2**64 and min(entries) < -(2**64)
+
+
+def test_table_of_one_stratum():
+    census = linked_census("one", [Stratum("T", 0, 1, is_regular_part=True)], (), None)
+    assert_table_is_dense_inverse(census)
+    assert solve_bdk(census).rows == ((1,),)
+
+
+def test_table_is_the_dense_inverse_on_a_70_level_chain():
+    """Entries grow with depth: on this chain they pass 64 bits."""
+    rng = random.Random(70)
+    strata = [
+        Stratum(f"c{d:02d}", d, rng.randint(-2, 2), is_regular_part=d == 69) for d in range(70)
+    ]
+    pairs = {(f"c{d:02d}", f"c{d + 1:02d}") for d in range(69)}
+    census = linked_census("chain", strata, pairs, lambda _pair: rng.randint(-3, 4))
+    assert_table_is_dense_inverse(census)
+    assert max(abs(v) for row in solve_bdk(census).rows for v in row) > 2**64
+
+
+def test_table_is_the_dense_inverse_on_a_wide_shallow_poset():
+    """599 points under one curve: each value row is nonzero at two fields
+    of 600, and the table is the identity with the links in the last
+    column."""
+    rng = random.Random(600)
+    points = [Stratum(f"p{i:03d}", 0, 1) for i in range(599)]
+    pairs = {(p.id, "C") for p in points}
+    strata = points + [Stratum("C", 1, 0, is_regular_part=True)]
+    census = linked_census("shallow", strata, pairs, lambda _pair: rng.randint(-1, 3))
+    assert_table_is_dense_inverse(census)
+    links = census.links.entries
+    assert solve_bdk(census).rows == tuple(
+        tuple(int(i == j) for j in range(599)) + (links.get((p.id, "C"), 1),)
+        for i, p in enumerate(strata)
+    )
+
+
+@st.composite
+def layered_censuses_with_long_links(draw):
+    """At most 7 levels of at most 6 strata, each above a random part of
+    the level below, all under one regular part (at most 43 strata).  Each
+    link is up to 10^20 either way, or one of -1..3: a link of 1 leaves a
+    zero coefficient."""
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7))
+    rng = draw(st.randoms(use_true_random=False))
+    strata, pairs = [], set()
+    for d, width in enumerate(widths):
+        for w in range(width):
+            strata.append(Stratum(f"L{d}_{w}", d, rng.randint(-2, 2)))
+            if d:
+                below = widths[d - 1]
+                for v in rng.sample(range(below), rng.randint(0, below)):
+                    pairs.add((f"L{d - 1}_{v}", f"L{d}_{w}"))
+    strata.append(Stratum("T", len(widths), 1, is_regular_part=True))
+    pairs |= {(s.id, "T") for s in strata[:-1]}
+    big = 10**20
+    return linked_census(
+        "long layered",
+        strata,
+        pairs,
+        lambda _pair: rng.choice((rng.randint(-big, big), rng.randint(-1, 3))),
+    )
+
+
+@given(layered_censuses_with_long_links())
+def test_table_is_the_dense_inverse_on_layered_posets_with_long_links(census):
+    assert_table_is_dense_inverse(census)
+
+
 # --- one column solved alone --------------------------------------------
 
 
@@ -162,7 +241,7 @@ def no_whole_table():
 
 
 def assert_columns_solved_alone_match(census):
-    order, _coeff, values = dense_values(census)
+    order, values = dense_values(census)
     for j in range(len(order)):
         solved = fresh(census).solved
         with no_whole_table():
@@ -171,7 +250,7 @@ def assert_columns_solved_alone_match(census):
         assert list(column) == sorted(k for k, s in enumerate(order) if s in down)
         assert {k: values[k][j] for k in column} == column
         assert all(values[k][j] == 0 for k in range(len(order)) if k not in column)
-        assert {k: solve_rows(solved)[1][k][j] for k in column} == column
+        assert {k: solve_rows(solved)[k][j] for k in column} == column
         assert solved.column(j) == column
 
 
@@ -212,7 +291,7 @@ def test_a_column_solved_alone_raises_what_its_closure_census_raises(seed):
     for j, sid in enumerate(order):
         alone = fresh(base).solved
         try:
-            sub_order, _coeff, values = dense_values(restrict_to_closure(base, sid))
+            sub_order, values = dense_values(restrict_to_closure(base, sid))
         except MissingLinkEntry as exc:
             with pytest.raises(MissingLinkEntry) as got, no_whole_table():
                 alone.column(j)
@@ -242,7 +321,7 @@ def assert_columns_match_restriction(census):
         sub = restrict_fibered(census, sid)
         sub_weight = eu_weight(sub)
         assert column == sub_weight
-        order, _coeff, values = dense_values(sub.base)
+        order, values = dense_values(sub.base)
         top = order.index(sid)
         assert column == StratumConstructibleFunction(
             {s: values[k][top] for k, s in enumerate(order)}
@@ -416,7 +495,7 @@ def test_eta_matches_its_definition(pair):
 
 
 def assert_point_formula_from_scratch(census):
-    order, _coeff, values = dense_values(census)
+    order, values = dense_values(census)
     one = indicator_of_space(census)
     points = [s.id for s in census.poset.strata if s.dim == 0]
     for p in points:
@@ -573,7 +652,7 @@ def test_a_replaced_census_is_solved_afresh():
     assert relinked.solved is not base.solved
     assert solve_bdk(relinked).rows != table.rows
     assert solve_bdk(relinked).rows == tuple(
-        tuple(r) for r in dense_values(relinked)[2]
+        tuple(r) for r in dense_values(relinked)[1]
     )
 
     unlinked = replace(
@@ -581,7 +660,7 @@ def test_a_replaced_census_is_solved_afresh():
     )
     assert solve_bdk(unlinked).rows != table.rows
     assert solve_bdk(unlinked).rows == tuple(
-        tuple(r) for r in dense_values(unlinked)[2]
+        tuple(r) for r in dense_values(unlinked)[1]
     )
 
     one = indicator_of_space(base)
@@ -857,5 +936,5 @@ def test_the_eu_x_at_key_reads_one_column(monkeypatch):
     values = {
         s: evaluate_expected_key(bundle, f"eu_x_at_{s}") for s in bundle.census.base.poset.ids()
     }
-    order, _coeff, table = dense_values(bundle.census.base)
+    order, table = dense_values(bundle.census.base)
     assert values == {s: table[k][-1] for k, s in enumerate(order)}
