@@ -2,4 +2,5 @@ import sys
 
 from .cli import run
 
-sys.exit(run())
+if __name__ == "__main__":
+    sys.exit(run())

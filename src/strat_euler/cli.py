@@ -11,6 +11,7 @@ STRAT_EULER_COLOR=0.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import os
 import sys
@@ -143,16 +144,47 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _observed() -> bool:
+    """Whether the process has more to do once the entry returns: a trace
+    or profile function, or a ``sys.monitoring`` tool (Python 3.12+), is
+    installed, as a profiler that reports then (``python -m cProfile``)
+    installs one, or ``-i`` asks for the interactive prompt."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.flags.inspect != 0
+        or sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
+    )
+
+
 def run() -> int:
     """The process entry: ``python -m strat_euler`` and the ``strat-euler``
-    script.  Every full collection of the cyclic GC, those at exit included,
-    would walk the objects start-up made (the interpreter's, the site
-    hooks', this module's) again, though they live until exit anyway;
-    frozen here, a collection walks only what the command allocates.
-    ``main`` leaves the GC state alone, so tests and library callers keep
+    script.  The objects start-up made (the interpreter's, the site
+    hooks', this module's) live until exit, so they are frozen out of the
+    cyclic GC, and the GC is then turned off: reference counting frees
+    everything a call drops (tests/test_imports.py checks it), so a
+    collection would walk the heap for nothing.  When ``main`` returns, the
+    process ends there: the atexit handlers run and stdout and stderr are
+    flushed, as at a normal exit, and ``os._exit`` skips tearing down the
+    modules and the census, memory the OS reclaims anyway.  A flush that
+    fails, a traced or profiled run and ``python -i`` end the normal way,
+    as do a SystemExit and an uncaught exception out of ``main``.  ``main``
+    leaves the GC and the process alone, so tests and library callers keep
     theirs."""
     gc.freeze()
-    return main()
+    gc.disable()
+    code = main()
+    if _observed():
+        return code
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -14,12 +14,18 @@ from pathlib import Path
 from .errors import SchemaError
 
 
+def _refuse_constant(name: str):
+    raise SchemaError("$", f"not valid JSON: {name} is not a JSON value")
+
+
 def parse_json(text: str):
-    """``json.loads``, with malformed text, too deeply nested text and an
-    integer longer than Python reads (``sys.get_int_max_str_digits()``)
-    each reported as a SchemaError at the document root."""
+    """``json.loads``, with malformed text, too deeply nested text, the
+    ``NaN``, ``Infinity`` and ``-Infinity`` json.loads reads although JSON
+    has no such values, and an integer longer than Python reads
+    (``sys.get_int_max_str_digits()``) each reported as a SchemaError at
+    the document root."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     except RecursionError:

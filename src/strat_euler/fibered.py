@@ -144,7 +144,7 @@ def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]
     integral(census, a, weight): the integral of w against the sum over
     closures of each closure's own integral weighted by eta of w.  The
     integral is linear in its weight, so that sum is the integral of w read
-    back through the solver (``SolvedWeight.resolved``).  Fiber and
+    back through the solver (``SolvedCensus.resolved``).  Fiber and
     infinity data are local to their stratum, so a closure's integral is
     the number the census of that closure alone gives."""
 
@@ -162,7 +162,7 @@ def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]
                 integral(census, a, solved.eu_function(sid))
                 eta(base, sid, w)
             raise
-        return lhs, integral(census, a, solved.weight(w).resolved)
+        return lhs, integral(census, a, solved.resolved(w))
 
     return sides
 

@@ -104,4 +104,4 @@ def check_bdk_point_formula(census: StratifiedCensus, point_stratum: str) -> tup
     s = census.poset.stratum(point_stratum)
     if s.dim != 0:
         raise NotAPointStratum(f"{point_stratum!r} has dimension {s.dim}")
-    return 1, solved.weight(solved.one).resolved.value(point_stratum)
+    return 1, solved.resolved(solved.one).value(point_stratum)

@@ -26,7 +26,7 @@ the eta-against-closures matrix is upper unitriangular, and its restriction
 to the closure of a stratum is a principal block.  One back-substitution
 serves every vector solve: the obstruction column of one closure, over
 that closure's down-set, and a weight read back through the solver
-(:attr:`SolvedWeight.resolved`), over the whole census, which is what the
+(:meth:`SolvedCensus.resolved`), over the whole census, which is what the
 structural rows of ``check`` compare against.  Only the printed
 ``eu-table`` reads the whole table, which the ``table`` module solves and
 lays out.  :func:`restrict_to_closure` builds the sub-census of a closure
@@ -273,49 +273,37 @@ def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) ->
 
 class SolvedWeight:
     """One weight alpha on a solved census: its closure-basis coefficients,
-    eta of alpha at each stratum, and alpha read back through the solver,
-    each computed on first use."""
+    eta of alpha at each stratum, and alpha read back through the solver
+    (:meth:`SolvedCensus.resolved`), each computed on first use."""
 
     def __init__(self, solved: "SolvedCensus", alpha: StratumConstructibleFunction):
-        self._solved = solved
         order, above = solved.order, solved.above
+        # what eta reads, and not the solved census, which keeps this weight
+        self._order, self._index, self._above = order, solved.index, above
+        self._links = solved.links
         coeffs = [0] * len(order)
         # Moebius inversion, from the top of the (dim, id) order down
         for j in reversed(range(len(order))):
             coeffs[j] = alpha.value(order[j]) - sum(coeffs[k] for k in above[j])
         self._coeffs = coeffs
         self._eta: dict[int, int] = {}
+        self._resolved: StratumConstructibleFunction | None = None
 
     def eta(self, at: str) -> int:
         """eta of alpha at a stratum.  Reads the links from ``at`` to the
         closures with a nonzero coefficient, in decreasing (dim, id) order,
         so an absent link raises the same MissingLinkEntry whenever it is
         needed; only values are remembered."""
-        solved = self._solved
-        i = solved.index[at]
+        i = self._index[at]
         value = self._eta.get(i)
         if value is None:
-            order, links, coeffs = solved.order, solved.census.links, self._coeffs
+            order, links, coeffs = self._order, self._links, self._coeffs
             value = coeffs[i]
-            for k in reversed(solved.above[i]):
+            for k in reversed(self._above[i]):
                 if coeffs[k]:
                     value += coeffs[k] * (1 - links.get(at, order[k]))
             self._eta[i] = value
         return value
-
-    @cached_property
-    def resolved(self) -> StratumConstructibleFunction:
-        """The sum over closures of eta of alpha times each closure's
-        obstruction: eta back-substituted through the system.  Obstructions
-        and eta are dual bases, so this is alpha again, computed through
-        the links and so a check of the solver."""
-        solved = self._solved
-        solved.require_links()
-        order = solved.order
-        values = solved._solve(
-            {i: self.eta(at) for i, at in enumerate(order)}, range(len(order))
-        )
-        return StratumConstructibleFunction({order[m]: v for m, v in values.items() if v})
 
 
 class SolvedCensus:
@@ -331,7 +319,7 @@ class SolvedCensus:
 
     :meth:`_solve` is the one back-substitution for one right-hand side:
     :meth:`column` solves a unit vector over one down-set, and
-    :attr:`SolvedWeight.resolved` eta of a weight over the whole census.
+    :meth:`resolved` eta of a weight over the whole census.
     ``table.solve_rows`` solves all of C row by row for the printed table,
     each row packed into one integer.
     Everything is computed on first use, after the links it reads are
@@ -339,11 +327,17 @@ class SolvedCensus:
     MissingLinkEntry that solving the restricted census would raise, and
     the readers of the whole space ask for every link through
     :meth:`require_links`.
+
+    It holds the census's links and not the census, which holds it, and its
+    weights hold what they read and not it: a census and what it solved
+    make no reference cycle, so they are freed when the last reference
+    goes, without the cyclic GC (which the process entry turns off).
     """
 
     def __init__(self, census: StratifiedCensus):
         poset = census.poset
-        self.census = census
+        self.links: LinkTable = census.links
+        self._ids = poset.ids()
         self.order: tuple[str, ...] = poset._order
         self.index: dict[str, int] = poset._index
         self.below: tuple[tuple[int, ...], ...] = poset._below
@@ -354,12 +348,12 @@ class SolvedCensus:
     @cached_property
     def one(self) -> StratumConstructibleFunction:
         """The constant function 1 on the whole space."""
-        return StratumConstructibleFunction({i: 1 for i in self.census.poset.ids()})
+        return StratumConstructibleFunction({i: 1 for i in self._ids})
 
     @cached_property
     def _missing(self) -> tuple[tuple[int, int], ...]:
         # strict order pairs (i, k) without a link entry, in row-major order
-        order, links = self.order, self.census.links.entries
+        order, links = self.order, self.links.entries
         return tuple(
             (i, k)
             for i in range(len(order))
@@ -400,7 +394,7 @@ class SolvedCensus:
         each k above i.  Returns x summed over each stratum of ``over`` and
         its up-set, by index.  The caller has checked the block's links."""
         order, above = self.order, self.above
-        links = self.census.links.entries
+        links = self.links.entries
         x: dict[int, int] = {}
         for i in reversed(over):
             at = order[i]
@@ -421,6 +415,22 @@ class SolvedCensus:
         down = self.below[j] + (j,)
         self.require_links(set(down))
         return self._solve({j: 1}, down)
+
+    def resolved(self, alpha: StratumConstructibleFunction) -> StratumConstructibleFunction:
+        """The sum over closures of eta of alpha times each closure's
+        obstruction: eta back-substituted through the system.  Obstructions
+        and eta are dual bases, so this is alpha again, computed through
+        the links and so a check of the solver."""
+        weight = self.weight(alpha)
+        if weight._resolved is None:
+            self.require_links()
+            order = self.order
+            b = {i: weight.eta(at) for i, at in enumerate(order)}
+            values = self._solve(b, range(len(order)))
+            weight._resolved = StratumConstructibleFunction(
+                {order[m]: v for m, v in values.items() if v}
+            )
+        return weight._resolved
 
     def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
         """The obstruction of the closure of one stratum, as a function,

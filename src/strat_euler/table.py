@@ -32,7 +32,7 @@ def solve_rows(solved: SolvedCensus) -> tuple[tuple[int, ...], ...]:
     """
     solved.require_links()
     order, above = solved.order, solved.above
-    links = solved.census.links.entries
+    links = solved.links.entries
     n = len(order)
     steps: list[list[tuple[int, int]]] = [[]] * n
     bounds = [0] * n

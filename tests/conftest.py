@@ -59,14 +59,17 @@ def edited(case):
 
 
 def document_text(case):
-    """The text of ``edited(case)``.  An edit value ``{"integer_digits": n}``
-    is an integer literal of n nines, written into the text: Python's int to
-    text limit would refuse it a round trip through json."""
+    """The text of ``edited(case)``.  An edit value ``{"literal": text}`` is
+    written into the text as it is, so it can be what JSON has no value for
+    (``NaN``); ``{"integer_digits": n}`` is an integer literal of n nines,
+    which Python's int to text limit would refuse a round trip through
+    json."""
     edits, literals = [], {}
     for path, *value in case["edits"]:
-        if value and isinstance(value[0], dict) and "integer_digits" in value[0]:
-            mark = f"integer literal {len(literals)}"
-            literals[json.dumps(mark)] = "9" * value[0]["integer_digits"]
+        if value and isinstance(value[0], dict) and value[0].keys() & {"literal", "integer_digits"}:
+            mark = f"literal {len(literals)}"
+            literal = value[0].get("literal") or "9" * value[0]["integer_digits"]
+            literals[json.dumps(mark)] = literal
             value = [mark]
         edits.append([path, *value])
     text = json.dumps(edited({**case, "edits": edits}))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from strat_euler import catalog, cli, entries
 from strat_euler.arguments import build_parser
 from strat_euler.catalog import load_entry
+from strat_euler.census_io import apply_field_to_raw
 from strat_euler.cli import main, read_plain
 from strat_euler.documents import _fixture_dir
 from strat_euler.errors import CensusError, IdentityArgumentError
@@ -816,8 +817,9 @@ def test_catalog_run_and_colored_rows_match_the_recording(call, tmp_path, monkey
 
 
 def test_main_leaves_the_gc_as_it_finds_it(capsys):
-    """Only the process entry freezes: tests, the benchmark's in-process
-    rounds and library callers keep their GC state through ``main``."""
+    """Only the process entry freezes and turns the GC off: tests, the
+    benchmark's in-process rounds and library callers keep their GC state
+    through ``main``."""
     before = gc.get_freeze_count(), gc.isenabled()
     assert main(["check", fixture_path("node-linear")]) == 0
     assert main(["fubini", str(DATA / "bundle.json")]) == 0
@@ -826,12 +828,135 @@ def test_main_leaves_the_gc_as_it_finds_it(capsys):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-def test_run_freezes_the_start_up_heap_before_main(monkeypatch):
-    calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+@pytest.fixture
+def entry_steps(monkeypatch):
+    """What ``cli.run`` does, in order, with the GC, ``main``, the atexit
+    handlers and the process exit recorded instead of done; no tracer or
+    profiler is installed."""
+    steps = []
+    monkeypatch.setattr(gc, "freeze", lambda: steps.append("freeze"))
+    monkeypatch.setattr(gc, "disable", lambda: steps.append("disable"))
+    monkeypatch.setattr(cli, "main", lambda: steps.append("main") or 7)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: steps.append("atexit"))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: steps.append(("exit", code)))
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    return steps
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["stdout", "no-stdout"])
+def test_run_ends_the_process_when_main_returns(closed, entry_steps, monkeypatch):
+    """Also when ``sys.stdout`` is None, as in a process started with file
+    descriptor 1 closed, where a refused input still exits 2 with its error
+    line."""
+    if closed:
+        monkeypatch.setattr(sys, "stdout", None)
+    cli.run()
+    assert entry_steps == ["freeze", "disable", "main", "atexit", ("exit", 7)]
+
+
+def test_a_profiled_run_returns_its_code(entry_steps, monkeypatch):
+    """A profiler reports after the entry returns, so the entry returns."""
+    monkeypatch.setattr(sys, "getprofile", lambda: print)
     assert cli.run() == 7
-    assert calls == ["freeze", "main"]
+    assert entry_steps == ["freeze", "disable", "main"]
+
+
+def test_a_run_whose_output_cannot_be_flushed_returns_its_code(entry_steps, monkeypatch):
+    """The normal exit then reports the failed flush, as it always has."""
+
+    class Gone(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    assert cli.run() == 7
+    assert entry_steps == ["freeze", "disable", "main", "atexit"]
+
+
+# registers an atexit handler, then runs the process entry on argv[1:]
+ATEXIT_THEN_RUN = """
+import atexit, sys
+atexit.register(lambda: print("the atexit handler ran", file=sys.stderr))
+from strat_euler.cli import run
+sys.exit(run())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", fixture_path("zk-2")], 0),
+        (["check", str(DATA / "wide-n21.json")], 1),
+        (["check", "/nonexistent/census.json"], 2),
+    ],
+    ids=["0", "1", "2"],
+)
+def test_the_entry_runs_the_atexit_handlers_before_it_ends(argv, code):
+    """The entry ends the process itself when ``main`` returns: a handler
+    registered before it still runs, and stdout and the exit code are those
+    of ``python -m strat_euler``."""
+    plain = run_cli(*argv)
+    proc = subprocess.run(
+        [sys.executable, "-c", ATEXIT_THEN_RUN, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, STRAT_EULER_COLOR="0"),
+    )
+    assert plain.returncode == code
+    assert (proc.stdout, proc.stderr, proc.returncode) == (
+        plain.stdout,
+        plain.stderr + "the atexit handler ran\n",
+        code,
+    )
+
+
+def test_cprofile_still_prints_its_table():
+    """``python -m cProfile`` prints its table once the module has run; an
+    entry that ended the process under it would leave the table out."""
+    plain = run_cli("check", fixture_path("zk-2"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "strat_euler", "check", fixture_path("zk-2")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, STRAT_EULER_COLOR="0"),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(plain.stdout)
+    assert "function calls" in proc.stdout[len(plain.stdout):]
+
+
+def test_python_i_still_reaches_its_prompt():
+    """``python -i`` reads its prompt's input once the module has run."""
+    proc = subprocess.run(
+        [sys.executable, "-i", "-m", "strat_euler", "check", fixture_path("zk-2")],
+        input="print('at the prompt')\n",
+        capture_output=True,
+        text=True,
+    )
+    assert "at the prompt" in proc.stdout
+
+
+def test_a_process_writes_the_whole_completed_census(tmp_path):
+    """``solve --emit-completed`` writes its file before the process ends:
+    the file is the input with the solved slot written back.  The census is
+    small, so a write left in a file buffer would be lost."""
+    doc = json.loads(json.dumps(load_entry("zk-3").raw))
+    del doc["fibration"]["fiber_chi"]["V1"]["generic"]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(doc))
+    out = tmp_path / "completed.json"
+    proc = run_cli(
+        "solve", str(gap), "--identity", "thm_generic_fiber", "--unknown", "fiber_chi.V1.generic",
+        "--emit-completed", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    solved, written = proc.stdout.splitlines()
+    name, value = solved.split(" = ")
+    assert name == "fiber_chi.V1.generic"
+    assert written == f"wrote completed census to {out}"
+    completed = apply_field_to_raw(doc, name, int(value))
+    assert out.read_text() == json.dumps(completed, indent=2) + "\n"
 
 
 def process_calls():

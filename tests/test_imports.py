@@ -22,30 +22,28 @@ from conftest import document_text, faulted_doc
 
 DATA = Path(__file__).with_name("data")
 
-# runs `python -m strat_euler ARGS` in-process, then prints the exit code and
-# the strat_euler modules it imported
+# runs `python -m strat_euler ARGS` in-process, and prints the strat_euler
+# modules it imported from an atexit handler: the process entry ends the
+# process when the command returns, once it has run the handlers
 RUN_MODULE = """
-import contextlib, io, runpy, sys
+import atexit, contextlib, io, runpy, sys
 sys.argv = ["strat_euler", *sys.argv[1:]]
-code = None
+atexit.register(lambda: print(
+    *sorted(m for m in sys.modules if m.startswith("strat_euler")), file=sys.__stdout__, flush=True
+))
 with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        runpy.run_module("strat_euler", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        code = exc.code
-print(code, *sorted(m for m in sys.modules if m.startswith("strat_euler")))
+    runpy.run_module("strat_euler", run_name="__main__", alter_sys=True)
 """
 
 
 def imported_by(*args):
+    """The exit code of ``python -m strat_euler ARGS`` and the package
+    modules it imported."""
     run = subprocess.run(
-        [sys.executable, "-c", RUN_MODULE, *args],
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-c", RUN_MODULE, *args], capture_output=True, text=True
     )
-    code, *modules = run.stdout.split()
-    return int(code), {m.removeprefix("strat_euler.") for m in modules}
+    assert "Traceback" not in run.stderr, run.stderr
+    return run.returncode, {m.removeprefix("strat_euler.") for m in run.stdout.split()}
 
 
 def fixture(name):
@@ -65,6 +63,22 @@ def test_importing_the_package_imports_no_module():
         check=True,
     )
     assert run.stdout.split() == ["strat_euler"]
+
+
+def test_importing_the_main_module_runs_nothing():
+    """``strat_euler.__main__`` runs the command line only as ``python -m
+    strat_euler``: imported, it reads no arguments, prints nothing, and
+    leaves the importer's collector on."""
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import gc, sys, strat_euler.__main__; sys.exit(0 if gc.isenabled() else 3)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
 
 
 def test_importing_the_command_line_imports_only_it_and_the_errors():
@@ -331,7 +345,7 @@ FOR_TRACED = {
     "strata.SolvedCensus.weight": "eta",
     "strata.SolvedWeight.eta": "eta",
     "strata.LinkTable.get": "eta",
-    "strata.SolvedWeight.resolved": "the point formula",
+    "strata.SolvedCensus.resolved": "the point formula",
 }
 
 # what runs only while a census is refused: the compute and solve sweeps
@@ -339,6 +353,7 @@ FOR_TRACED = {
 ERROR_ONLY = {
     "census_io._bad_ident": "the error of a bad id",
     "census_io._mistyped": "the error of a mistyped value",
+    "documents._refuse_constant": "the error of a NaN or an infinity in the text",
 }
 
 # the rest a subcommand loads and does not run: census-model code check
@@ -545,3 +560,79 @@ def test_each_subcommand_runs_what_it_loads(subcommand, reached_by_subcommand):
     allowed = TRACED | FOR_TRACED.keys() | ERROR_ONLY.keys() | UNREACHED.keys()
     assert allowed <= set(defined_functions().values()), "an allowed name is gone"
     assert sorted(loaded - reached - allowed) == sorted(SHARED[subcommand])
+
+
+# --- no call makes cyclic garbage: the premise of the entry's gc.disable() ---
+
+# imports every module of the package under the directory argv[2], then runs
+# each argv of the JSON file argv[1] through cli.main in a process forked
+# for it, with the collector off, and prints what a full collection finds
+# after the imports, after json's indenting encoder (which --emit-completed
+# writes with) and after each call
+GARBAGE_AFTER_EACH = """
+import contextlib, gc, io, json, os, sys
+from pathlib import Path
+calls_file, src = sys.argv[1:]
+with open(calls_file) as f:
+    calls = json.load(f)
+gc.disable()
+gc.collect()
+for path in sorted(Path(src).glob("*.py")):
+    __import__(f"strat_euler.{path.stem}")
+import strat_euler.cli
+found = {"import": gc.collect()}
+json.dumps({"a": [1]}, indent=2)
+found["json indent"] = gc.collect()
+found["calls"] = []
+for argv in calls:
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                strat_euler.cli.main(argv)
+            os.write(w, str(gc.collect()).encode())
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as f:
+        found["calls"].append(json.loads(f.read() or "null"))
+    os.waitpid(pid, 0)
+print(json.dumps(found))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a process per call")
+def test_no_call_leaves_cyclic_garbage(tmp_path):
+    """The process entry turns the cyclic GC off, which costs memory only
+    if a call makes objects that only the collector frees.  With the
+    collector off, a full collection after each call of the sweep, in a
+    process of its own, finds nothing, catalog run's censuses and error
+    paths included: everything is freed by reference counting.  The one
+    exception is the stdlib's: the json encoder ``--emit-completed``
+    indents with is a cycle of closures, a fixed count per file written.
+    A change that makes cyclic garbage, say a census and its solved view
+    pointing at each other, fails here instead of growing memory unseen."""
+    calls = sweep_calls(tmp_path)
+    calls_file = tmp_path / "calls.json"
+    calls_file.write_text(json.dumps(calls))
+    run = subprocess.run(
+        [sys.executable, "-c", GARBAGE_AFTER_EACH, str(calls_file), str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    found = json.loads(run.stdout)
+    assert found["import"] == 0
+    assert found["json indent"] > 0
+    # a refused solve writes nothing
+    written = {0, found["json indent"]}
+    leaks = [
+        (argv, n)
+        for argv, n in zip(calls, found["calls"])
+        if n not in (written if "--emit-completed" in argv else {0})
+    ]
+    assert not leaks
+    assert found["json indent"] in found["calls"]
+    assert {argv[0] for argv in calls} == {"catalog", "check", "compute", "fubini", "solve"}
