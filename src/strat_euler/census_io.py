@@ -17,7 +17,7 @@ from .documents import read_json
 from .errors import CensusError, NotSolvable, SchemaError
 from .fibration import CriticalPoint, FiberedCensus
 from .records import field, record
-from .strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
+from .strata import StratifiedCensus, Stratum, StratumPoset
 
 
 def _mistyped(obj: object, kind: type, path: str, what: str) -> SchemaError:
@@ -65,7 +65,7 @@ def _census_from_json(obj: object, path: str, default_name: str) -> StratifiedCe
 
     # the per-entry loops check inline and format a path only to raise
     raw_strata = _expect(obj.get("strata"), list, f"{path}.strata", "a list")
-    strata = []
+    strata, chis = [], {}
     for i, s in enumerate(raw_strata):
         if not isinstance(s, dict):
             raise _mistyped(s, dict, f"{path}.strata[{i}]", "an object")
@@ -81,7 +81,8 @@ def _census_from_json(obj: object, path: str, default_name: str) -> StratifiedCe
         flag = s.get("regular_part", False)
         if not isinstance(flag, bool):
             raise _mistyped(flag, bool, f"{path}.strata[{i}].regular_part", "a boolean")
-        strata.append(Stratum(sid, dim, chi, flag))
+        strata.append(Stratum(sid, dim, flag))
+        chis[sid] = chi
 
     raw_order = obj.get("order", [])
     _expect(raw_order, list, f"{path}.order", "a list")
@@ -122,7 +123,7 @@ def _census_from_json(obj: object, path: str, default_name: str) -> StratifiedCe
     try:
         poset = StratumPoset(tuple(strata), frozenset(pairs))
         census = StratifiedCensus(
-            name=name, poset=poset, links=LinkTable(entries), equidimensional=flag
+            name=name, poset=poset, links=entries, equidimensional=flag, chi=chis
         )
         census.validate()
     except (CensusError, ValueError) as exc:

@@ -123,6 +123,11 @@ def handler(command: str):
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if sys.stdout is None:
+        # started with file descriptor 1 closed: no call, help included,
+        # can print, and a file the call opened could take descriptor 1
+        print("error: cannot write to standard output: it is closed", file=sys.stderr)
+        return 2
     try:
         args = read_plain(argv)
         if args is None:

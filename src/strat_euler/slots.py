@@ -9,7 +9,6 @@ compiles it.
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 from collections.abc import Mapping
@@ -20,27 +19,6 @@ from .errors import NotSolvable, SchemaError, UnknownValueLabel, formatting
 from .fibered import solve_unknown
 from .fibration import FiberedCensus, eu_weight
 from .records import record, replace
-from .strata import StratifiedCensus
-
-
-def with_chi(census: StratifiedCensus, stratum_id: str, chi: int | None) -> StratifiedCensus:
-    """The census with one stratum's Euler characteristic replaced.
-
-    chi enters neither the order nor its checks, nor any reader of the
-    solved view, so the new census shares the poset's closure and index
-    data and the solved view instead of rebuilding them.  Of the fields of
-    ``StratumPoset``, only ``strata`` and ``_by_id`` hold the strata
-    themselves."""
-    poset = census.poset
-    s = replace(poset.stratum(stratum_id), chi=chi)
-    edited = copy.copy(poset)
-    object.__setattr__(
-        edited, "strata", tuple(s if t.id == stratum_id else t for t in poset.strata)
-    )
-    object.__setattr__(edited, "_by_id", {**poset._by_id, stratum_id: s})
-    new = replace(census, poset=edited)
-    new.__dict__["solved"] = census.solved
-    return new
 
 
 # the number of dotted parts after the slot kind
@@ -89,9 +67,9 @@ class FieldPath:
             counts = census.point(self.key).morse_counts
             census.base.poset.stratum(self.sub)
             return counts.get(self.sub)
-        stratum = census.base.poset.stratum(self.key)
+        census.base.poset.stratum(self.key)
         if self.kind == "chi":
-            return stratum.chi
+            return census.base.chi.get(self.key)
         if self.kind == "fiber_chi":
             census.require_label(self.sub)
         elif self.sub not in census.special_values:
@@ -104,7 +82,7 @@ class FieldPath:
         """The census with the slot set to x; None blanks it."""
         self.get(census)
         if self.kind == "chi":
-            return replace(census, base=with_chi(census.base, self.key, x))
+            return replace(census, base=census.base.with_chi(self.key, x))
         if self.kind == "morse_counts":
             points = tuple(
                 replace(q, morse_counts=_updated(q.morse_counts, self.sub, x))

@@ -1,11 +1,14 @@
 """Stratified censuses: the combinatorial skeleton of a singular space.
 
 A census records what an exact stratified computation actually consumes:
-the poset of strata with complex dimensions and Euler characteristics, and
-the Euler characteristics of complex links of one stratum inside the closure
-of another.  No equations, no embeddings.  Two spaces with the same census
-are indistinguishable to every operation in this package, which is exactly
-the point: the identities being verified are census-level facts.
+the poset of strata with their complex dimensions, the Euler
+characteristic of each stratum, and the Euler characteristics of complex
+links of one stratum inside the closure of another.  No equations, no
+embeddings.  Two spaces with the same census are indistinguishable to every
+operation in this package, which is exactly the point: the identities being
+verified are census-level facts.  The poset holds only the order; the
+census holds the Euler characteristics and the links as plain maps, which
+the identities read separately.
 
 Conventions
 -----------
@@ -33,8 +36,7 @@ lays out.  :func:`restrict_to_closure` builds the sub-census of a closure
 explicitly and stays as the independent route the tests compare against.
 
 Code that only some calls run lives with them: the diagnosis of a refused
-order in ``order_errors``, the whole table in ``table``, and the chi edit
-of the slot solver in ``slots``.
+order in ``order_errors`` and the whole table in ``table``.
 """
 
 from __future__ import annotations
@@ -54,15 +56,12 @@ from .records import field, record, replace
 class Stratum:
     """One connected stratum, or the possibly-disconnected regular part.
 
-    ``dim`` is the complex dimension.  ``chi`` is the topological Euler
-    characteristic of the open stratum (equal to its compactly supported one;
-    the strata are complex).  ``chi=None`` marks a value the census does not
-    know yet; operations that need it say so instead of guessing.
+    ``dim`` is the complex dimension.  Its Euler characteristic is data of
+    the census (``StratifiedCensus.chi``), not of the order.
     """
 
     id: str
     dim: int
-    chi: int | None
     is_regular_part: bool = False
 
 
@@ -74,11 +73,6 @@ class StratumPoset:
     Cycles and order pairs that do not strictly increase dimension are
     rejected, as are duplicate or unknown ids.  Each error names the first
     offender in (dim, id) order, so its text never depends on set order.
-
-    ``slots.with_chi`` copies a poset with one stratum's chi changed: it
-    rewrites ``strata`` and ``_by_id`` and shares the other fields, which
-    chi does not enter.  A field added here that reads chi has to be
-    rewritten there too.
     """
 
     strata: tuple[Stratum, ...]
@@ -145,46 +139,41 @@ class StratumPoset:
 
 
 @record
-class LinkTable:
-    """Euler characteristics of complex links: (lower, upper) -> chi.
-
-    The entry at ``(i, j)`` is the chi of the link of the stratum ``i``
-    inside the closure of ``j``.  It depends only on that pair, which is what
-    makes restriction to a closed union a sub-table and nothing more.
-    """
-
-    entries: Mapping[tuple[str, str], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
-
-    def get(self, lower: str, upper: str) -> int:
-        try:
-            return self.entries[(lower, upper)]
-        except KeyError:
-            raise MissingLinkEntry(lower, upper) from None
-
-
-@record
 class StratifiedCensus:
-    """A named stratified space: poset, link data, equidimensionality flag."""
+    """A named stratified space: poset, link data, equidimensionality flag
+    and Euler characteristics.
+
+    ``links`` maps a strict order pair (lower, upper) to the chi of the
+    complex link of ``lower`` inside the closure of ``upper``.  An entry
+    depends only on its pair, which is what makes restriction to a closed
+    union a sub-table and nothing more.  ``chi`` maps a stratum id to the
+    topological Euler characteristic of the open stratum (equal to its
+    compactly supported one; the strata are complex).  A stratum it leaves
+    out or maps to None has a value the census does not know yet;
+    operations that need it say so instead of guessing.
+    """
 
     name: str
     poset: StratumPoset
-    links: LinkTable
+    links: Mapping[tuple[str, str], int]
     equidimensional: bool = False
+    chi: Mapping[str, int | None] = field(default_factory=dict)
 
     def validate(self) -> None:
         """Reject structurally inconsistent censuses.
 
-        Checks, beyond what the poset constructor already enforced: link keys
-        are genuine strict order pairs; exactly one stratum carries the
-        regular-part flag and it is maximal; under the equidimensionality
-        flag the regular part is the unique maximal stratum of top dimension.
+        Checks, beyond what the poset constructor already enforced: chi
+        keys are strata; link keys are genuine strict order pairs; exactly
+        one stratum carries the regular-part flag and it is maximal; under
+        the equidimensionality flag the regular part is the unique maximal
+        stratum of top dimension.
         """
         poset = self.poset
+        for sid in self.chi:
+            if sid not in poset._by_id:
+                raise UnknownStratum(f"chi given for unknown stratum {sid!r}")
         relations = poset.relations
-        for (a, b) in self.links.entries:
+        for (a, b) in self.links:
             # lt names an unknown stratum before the pair is refused
             if (a, b) not in relations and not poset.lt(a, b):
                 raise ValueError(f"link entry at ({a!r}, {b!r}) is not a strict order pair")
@@ -218,8 +207,16 @@ class StratifiedCensus:
     def solved(self) -> "SolvedCensus":
         """This census solved once.  A census changed with ``replace`` is a
         new object and gets a new view, so nothing solved survives a change
-        other than ``slots.with_chi``."""
+        other than :meth:`with_chi`."""
         return SolvedCensus(self)
+
+    def with_chi(self, stratum_id: str, chi: int | None) -> "StratifiedCensus":
+        """The census with one stratum's Euler characteristic replaced.  The
+        solved view reads only the poset and the links, so the new census
+        keeps this one's."""
+        new = replace(self, chi={**self.chi, stratum_id: chi})
+        new.__dict__["solved"] = self.solved
+        return new
 
 @record
 class StratumConstructibleFunction:
@@ -262,10 +259,11 @@ def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) ->
         a = alpha.value(s.id)
         if a == 0:
             continue
-        if s.chi is None:
+        chi = census.chi.get(s.id)
+        if chi is None:
             missing.append(f"chi.{s.id}")
             continue
-        total += a * s.chi
+        total += a * chi
     if missing:
         raise InsufficientData(missing)
     return total
@@ -301,7 +299,10 @@ class SolvedWeight:
             value = coeffs[i]
             for k in reversed(self._above[i]):
                 if coeffs[k]:
-                    value += coeffs[k] * (1 - links.get(at, order[k]))
+                    try:
+                        value += coeffs[k] * (1 - links[at, order[k]])
+                    except KeyError:
+                        raise MissingLinkEntry(at, order[k]) from None
             self._eta[i] = value
         return value
 
@@ -336,7 +337,7 @@ class SolvedCensus:
 
     def __init__(self, census: StratifiedCensus):
         poset = census.poset
-        self.links: LinkTable = census.links
+        self.links: Mapping[tuple[str, str], int] = census.links
         self._ids = poset.ids()
         self.order: tuple[str, ...] = poset._order
         self.index: dict[str, int] = poset._index
@@ -353,7 +354,7 @@ class SolvedCensus:
     @cached_property
     def _missing(self) -> tuple[tuple[int, int], ...]:
         # strict order pairs (i, k) without a link entry, in row-major order
-        order, links = self.order, self.links.entries
+        order, links = self.order, self.links
         return tuple(
             (i, k)
             for i in range(len(order))
@@ -393,8 +394,7 @@ class SolvedCensus:
         from the top down: x_i is b_i plus (link(i, k) - 1) times x_k for
         each k above i.  Returns x summed over each stratum of ``over`` and
         its up-set, by index.  The caller has checked the block's links."""
-        order, above = self.order, self.above
-        links = self.links.entries
+        order, above, links = self.order, self.above, self.links
         x: dict[int, int] = {}
         for i in reversed(over):
             at = order[i]
@@ -460,7 +460,7 @@ def restrict_to_closure(census: StratifiedCensus, stratum_id: str) -> Stratified
     """The census of the closure of one stratum.
 
     Keeps the down-set of the stratum, moves the regular-part flag onto it,
-    and restricts the link table, whose entries depend only on their pair of
+    and restricts chi and the link table, whose entries depend only on their
     strata.  The closure of a connected stratum is irreducible and the
     closure of the regular part has pure top dimension, so the result is
     declared equidimensional.  The package reads closures from
@@ -478,6 +478,7 @@ def restrict_to_closure(census: StratifiedCensus, stratum_id: str) -> Stratified
     return StratifiedCensus(
         name=f"{census.name}|closure({stratum_id})",
         poset=StratumPoset(strata, relations),
-        links=LinkTable({p: v for p, v in census.links.entries.items() if keep_set.issuperset(p)}),
+        links={p: v for p, v in census.links.items() if keep_set.issuperset(p)},
         equidimensional=True,
+        chi={i: v for i, v in census.chi.items() if i in keep_set},
     )

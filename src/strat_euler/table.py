@@ -31,8 +31,7 @@ def solve_rows(solved: SolvedCensus) -> tuple[tuple[int, ...], ...]:
     value row the bounds of the rows it sums.
     """
     solved.require_links()
-    order, above = solved.order, solved.above
-    links = solved.links.entries
+    order, above, links = solved.order, solved.above, solved.links
     n = len(order)
     steps: list[list[tuple[int, int]]] = [[]] * n
     bounds = [0] * n

@@ -16,7 +16,6 @@ from strat_euler.euler_calculus import Simplex, SimplicialConstructibleFunction,
 from strat_euler.slots import FieldPath
 from strat_euler.fibration import GENERIC, FiberedCensus
 from strat_euler.strata import (
-    LinkTable,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
@@ -166,10 +165,9 @@ def censuses(draw, max_strata=5):
     top_dim = draw(st.integers(min_value=1 if n > 1 else 0, max_value=3))
     ids = [f"S{i}" for i in range(n)]
     dims = [draw(st.integers(0, top_dim - 1)) for _ in range(n - 1)] + [top_dim]
-    chis = [draw(st.integers(-3, 3)) for _ in range(n)]
+    chi = {sid: draw(st.integers(-3, 3)) for sid in ids}
     strata = tuple(
-        Stratum(ids[i], dims[i], chis[i], is_regular_part=(i == n - 1))
-        for i in range(n)
+        Stratum(ids[i], dims[i], is_regular_part=(i == n - 1)) for i in range(n)
     )
     rels = {(ids[i], ids[n - 1]) for i in range(n - 1)}
     for i in range(n - 1):
@@ -177,10 +175,8 @@ def censuses(draw, max_strata=5):
             if dims[i] < dims[j] and draw(st.booleans()):
                 rels.add((ids[i], ids[j]))
     poset = StratumPoset(strata, frozenset(rels))
-    links = LinkTable(
-        {pair: draw(st.integers(-2, 3)) for pair in sorted(poset.relations)}
-    )
-    census = StratifiedCensus("random", poset, links, equidimensional=True)
+    links = {pair: draw(st.integers(-2, 3)) for pair in sorted(poset.relations)}
+    census = StratifiedCensus("random", poset, links, equidimensional=True, chi=chi)
     census.validate()
     return census
 

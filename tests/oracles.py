@@ -14,10 +14,10 @@ and ``pushforward``.
 
 from typing import Callable, Iterable, Mapping
 
+from strat_euler.errors import MissingLinkEntry
 from strat_euler.euler_calculus import Simplex, SimplicialComplex, SimplicialMap
 from strat_euler.fibration import FiberedCensus
 from strat_euler.strata import (
-    LinkTable,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
@@ -53,12 +53,20 @@ def down_set(poset: StratumPoset, stratum_id: str) -> list[str]:
     return [i for i in poset.ids() if i == stratum_id or poset.lt(i, stratum_id)]
 
 
+def link(census: StratifiedCensus, lower: str, upper: str) -> int:
+    """The chi of the link of ``lower`` inside the closure of ``upper``."""
+    try:
+        return census.links[lower, upper]
+    except KeyError:
+        raise MissingLinkEntry(lower, upper) from None
+
+
 def eta_entry(census: StratifiedCensus, at: str, closure_of: str) -> int:
     """eta of the closure indicator 1_{cl(V_j)} evaluated at the stratum ``at``."""
     if at == closure_of:
         return 1
     if census.poset.lt(at, closure_of):
-        return 1 - census.links.get(at, closure_of)
+        return 1 - link(census, at, closure_of)
     return 0
 
 
@@ -134,18 +142,21 @@ def census_product(a: StratifiedCensus, b: StratifiedCensus) -> StratifiedCensus
     """
 
     def normal(census, low, up):
-        return 1 if low == up else 1 - census.links.get(low, up)
+        return 1 if low == up else 1 - link(census, low, up)
 
     pairs = [(s, t) for s in a.poset.strata for t in b.poset.strata]
     strata = tuple(
         Stratum(
             f"{s.id}*{t.id}",
             s.dim + t.dim,
-            None if s.chi is None or t.chi is None else s.chi * t.chi,
             is_regular_part=s.is_regular_part and t.is_regular_part,
         )
         for s, t in pairs
     )
+    chi = {}
+    for s, t in pairs:
+        x, y = a.chi.get(s.id), b.chi.get(t.id)
+        chi[f"{s.id}*{t.id}"] = None if x is None or y is None else x * y
     links = {}
     for s, t in pairs:
         for u, v in pairs:
@@ -155,8 +166,9 @@ def census_product(a: StratifiedCensus, b: StratifiedCensus) -> StratifiedCensus
     return StratifiedCensus(
         f"{a.name} x {b.name}",
         StratumPoset(strata, frozenset(links)),
-        LinkTable(links),
+        links,
         equidimensional=a.equidimensional and b.equidimensional,
+        chi=chi,
     )
 
 
@@ -172,7 +184,7 @@ def pulled_back(g: FiberedCensus, y: StratifiedCensus) -> FiberedCensus:
 
     def columns(table):
         return {
-            f"{sid}*{t.id}": {c: v * t.chi for c, v in col.items()}
+            f"{sid}*{t.id}": {c: v * y.chi[t.id] for c, v in col.items()}
             for sid, col in table.items()
             for t in y.poset.strata
         }

@@ -14,7 +14,7 @@ from strat_euler.entries import list_entries
 from strat_euler.errors import SchemaError
 from strat_euler.fibration import GENERIC, FiberedCensus
 from strat_euler.slots import FieldPath
-from strat_euler.strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
+from strat_euler.strata import StratifiedCensus, Stratum, StratumPoset
 
 from conftest import document_text
 
@@ -225,8 +225,8 @@ def test_the_base_census_is_validated_once_per_load(monkeypatch):
 
     # and FiberedCensus.validate on its own still checks the base
     poset = bundle.census.base.poset
-    strata = poset.strata + (Stratum("extra", 0, 1, is_regular_part=True),)
-    two_tops = StratifiedCensus("two tops", StratumPoset(strata, poset.relations), LinkTable({}))
+    strata = poset.strata + (Stratum("extra", 0, is_regular_part=True),)
+    two_tops = StratifiedCensus("two tops", StratumPoset(strata, poset.relations), {})
     with pytest.raises(ValueError, match="regular-part"):
         FiberedCensus(base=two_tops).validate()
 

@@ -816,6 +816,42 @@ def test_catalog_run_and_colored_rows_match_the_recording(call, tmp_path, monkey
 # --- the process entry ---------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "zk-2"),
+        ("check", "/nonexistent/census.json"),
+        ("compute", "zk-2", "--what", "eu-table"),
+        ("solve", "{gap}", "--identity", "thm_generic_fiber", "--unknown", "chi.V1",
+         "--emit-completed", "{out}"),
+        ("fubini", str(DATA / "bundle.json")),
+        ("catalog", "list"),
+        ("catalog", "run", "zk-2"),
+        ("-h",),
+        ("check",),
+    ],
+    ids=lambda args: " ".join(Path(a).name for a in args[:2]),
+)
+def test_a_process_without_stdout_exits_2_with_one_error_line(args, tmp_path):
+    """Started with file descriptor 1 closed, so that ``sys.stdout`` is
+    None, every subcommand, help and a usage error are refused before
+    anything runs: one error line, exit 2, and no completed file written."""
+    doc = json.loads(Path(fixture_path("cusp-linear")).read_text())
+    del doc["strata"][0]["chi"]
+    gap, out = tmp_path / "gap.json", tmp_path / "completed.json"
+    gap.write_text(json.dumps(doc))
+    paths = {"zk-2": fixture_path("zk-2"), "{gap}": str(gap), "{out}": str(out)}
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 1>&-', "sh", sys.executable, "-m", "strat_euler",
+         *(paths.get(arg, arg) for arg in args)],
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert_reported_closed_stdout(proc)
+    assert proc.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.json"]
+
+
 def test_main_leaves_the_gc_as_it_finds_it(capsys):
     """Only the process entry freezes and turns the GC off: tests, the
     benchmark's in-process rounds and library callers keep their GC state
@@ -847,8 +883,7 @@ def entry_steps(monkeypatch):
 @pytest.mark.parametrize("closed", [False, True], ids=["stdout", "no-stdout"])
 def test_run_ends_the_process_when_main_returns(closed, entry_steps, monkeypatch):
     """Also when ``sys.stdout`` is None, as in a process started with file
-    descriptor 1 closed, where a refused input still exits 2 with its error
-    line."""
+    descriptor 1 closed, where ``main`` refuses every call with exit 2."""
     if closed:
         monkeypatch.setattr(sys, "stdout", None)
     cli.run()

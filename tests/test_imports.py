@@ -344,7 +344,6 @@ FOR_TRACED = {
     "polar.eu_of_function_local": "the polar routes",
     "strata.SolvedCensus.weight": "eta",
     "strata.SolvedWeight.eta": "eta",
-    "strata.LinkTable.get": "eta",
     "strata.SolvedCensus.resolved": "the point formula",
 }
 
@@ -357,10 +356,14 @@ ERROR_ONLY = {
 }
 
 # the rest a subcommand loads and does not run: census-model code check
-# runs, in the modules check loads and may not split
+# runs, in the modules check loads and may not split, and the chi edit that
+# solve runs on the census model
 SHARED = {
-    "check": {},
+    "check": {
+        "strata.StratifiedCensus.with_chi": "solve's chi slots",
+    },
     "compute": {
+        "strata.StratifiedCensus.with_chi": "solve's chi slots",
         "fibration.FiberedCensus.morse_total": "the identities' Morse counts",
         "fibration.FiberedCensus.point": "the fiber defect and the polar routes",
         "fibration.FiberedCensus.points_at": "the identities and the polar routes",

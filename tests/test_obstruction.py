@@ -14,11 +14,8 @@ from strat_euler.obstruction import (
     solve_bdk,
 )
 from strat_euler.strata import (
-    LinkTable,
     StratifiedCensus,
-    Stratum,
     StratumConstructibleFunction,
-    StratumPoset,
     chi_global,
     eta,
     restrict_to_closure,

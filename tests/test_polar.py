@@ -122,13 +122,14 @@ def test_hyperplane_step_needs_positive_dimension():
 
 def _dim_zero_census():
     from strat_euler.fibration import FiberedCensus
-    from strat_euler.strata import LinkTable, StratifiedCensus, Stratum, StratumPoset
+    from strat_euler.strata import StratifiedCensus, Stratum, StratumPoset
 
     base = StratifiedCensus(
         "pt",
-        StratumPoset((Stratum("P", 0, 1, True),), frozenset()),
-        LinkTable({}),
+        StratumPoset((Stratum("P", 0, is_regular_part=True),), frozenset()),
+        {},
         equidimensional=True,
+        chi={"P": 1},
     )
     return FiberedCensus(
         base, special_values=("0",), fiber_chi={"P": {"0": 1, GENERIC: 0}}

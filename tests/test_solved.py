@@ -41,9 +41,8 @@ from strat_euler.fibered import (
 from strat_euler.fibration import GENERIC, FiberedCensus, brasselet, brasselet_infinity, eu_weight
 from strat_euler.obstruction import check_bdk_point_formula, invert_unitriangular, solve_bdk
 from strat_euler.records import replace
-from strat_euler.slots import with_chi
+from strat_euler.slots import FieldPath
 from strat_euler.strata import (
-    LinkTable,
     SolvedCensus,
     StratifiedCensus,
     Stratum,
@@ -98,24 +97,29 @@ def layered_census(seed, levels, width):
     """A seeded census of ``levels`` levels of ``width`` strata, each below a
     random part of the next level, under one regular part."""
     rng = random.Random(seed)
-    strata, pairs = [], set()
+    strata, chi, pairs = [], {}, set()
     for d in range(levels):
         for w in range(width):
-            strata.append(Stratum(f"L{d}_{w}", d, rng.randint(-2, 2)))
+            strata.append(Stratum(f"L{d}_{w}", d))
+            chi[f"L{d}_{w}"] = rng.randint(-2, 2)
             if d:
                 for v in rng.sample(range(width), rng.randint(1, width)):
                     pairs.add((f"L{d - 1}_{v}", f"L{d}_{w}"))
-    strata.append(Stratum("T", levels, 1, is_regular_part=True))
+    strata.append(Stratum("T", levels, is_regular_part=True))
+    chi["T"] = 1
     pairs |= {(s.id, "T") for s in strata[:-1]}
-    return linked_census(f"layered-{seed}", strata, pairs, lambda _pair: rng.randint(-1, 3))
+    return linked_census(
+        f"layered-{seed}", strata, pairs, lambda _pair: rng.randint(-1, 3), chi
+    )
 
 
-def linked_census(name, strata, pairs, link):
+def linked_census(name, strata, pairs, link, chi=()):
     """The equidimensional census of these strata and generating pairs,
-    with ``link(pair)`` at each pair of the order, in sorted order."""
+    with ``link(pair)`` at each pair of the order, in sorted order, and the
+    Euler characteristics ``chi``."""
     poset = StratumPoset(tuple(strata), frozenset(pairs))
-    links = LinkTable({p: link(p) for p in sorted(poset.relations)})
-    census = StratifiedCensus(name, poset, links, equidimensional=True)
+    links = {p: link(p) for p in sorted(poset.relations)}
+    census = StratifiedCensus(name, poset, links, equidimensional=True, chi=dict(chi))
     census.validate()
     return census
 
@@ -150,7 +154,7 @@ def test_table_is_the_dense_inverse_on_larger_posets():
 def test_table_is_the_dense_inverse_past_64_bits():
     """Links of -10^25 and 10^30 put entries past 2^64 either way into the
     table: a packed row holds them whole."""
-    strata = [Stratum("P", 0, 1), Stratum("C", 1, 0), Stratum("S", 2, 1, is_regular_part=True)]
+    strata = [Stratum("P", 0), Stratum("C", 1), Stratum("S", 2, is_regular_part=True)]
     links = {("P", "C"): -10**25, ("P", "S"): 10**30, ("C", "S"): -7}
     census = linked_census("long links", strata, {("P", "C"), ("C", "S")}, links.__getitem__)
     assert_table_is_dense_inverse(census)
@@ -159,7 +163,7 @@ def test_table_is_the_dense_inverse_past_64_bits():
 
 
 def test_table_of_one_stratum():
-    census = linked_census("one", [Stratum("T", 0, 1, is_regular_part=True)], (), None)
+    census = linked_census("one", [Stratum("T", 0, is_regular_part=True)], (), None)
     assert_table_is_dense_inverse(census)
     assert solve_bdk(census).rows == ((1,),)
 
@@ -167,11 +171,10 @@ def test_table_of_one_stratum():
 def test_table_is_the_dense_inverse_on_a_70_level_chain():
     """Entries grow with depth: on this chain they pass 64 bits."""
     rng = random.Random(70)
-    strata = [
-        Stratum(f"c{d:02d}", d, rng.randint(-2, 2), is_regular_part=d == 69) for d in range(70)
-    ]
+    chi = {f"c{d:02d}": rng.randint(-2, 2) for d in range(70)}
+    strata = [Stratum(sid, d, is_regular_part=d == 69) for d, sid in enumerate(chi)]
     pairs = {(f"c{d:02d}", f"c{d + 1:02d}") for d in range(69)}
-    census = linked_census("chain", strata, pairs, lambda _pair: rng.randint(-3, 4))
+    census = linked_census("chain", strata, pairs, lambda _pair: rng.randint(-3, 4), chi)
     assert_table_is_dense_inverse(census)
     assert max(abs(v) for row in solve_bdk(census).rows for v in row) > 2**64
 
@@ -181,12 +184,12 @@ def test_table_is_the_dense_inverse_on_a_wide_shallow_poset():
     of 600, and the table is the identity with the links in the last
     column."""
     rng = random.Random(600)
-    points = [Stratum(f"p{i:03d}", 0, 1) for i in range(599)]
+    points = [Stratum(f"p{i:03d}", 0) for i in range(599)]
     pairs = {(p.id, "C") for p in points}
-    strata = points + [Stratum("C", 1, 0, is_regular_part=True)]
+    strata = points + [Stratum("C", 1, is_regular_part=True)]
     census = linked_census("shallow", strata, pairs, lambda _pair: rng.randint(-1, 3))
     assert_table_is_dense_inverse(census)
-    links = census.links.entries
+    links = census.links
     assert solve_bdk(census).rows == tuple(
         tuple(int(i == j) for j in range(599)) + (links.get((p.id, "C"), 1),)
         for i, p in enumerate(strata)
@@ -201,15 +204,17 @@ def layered_censuses_with_long_links(draw):
     zero coefficient."""
     widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7))
     rng = draw(st.randoms(use_true_random=False))
-    strata, pairs = [], set()
+    strata, chi, pairs = [], {}, set()
     for d, width in enumerate(widths):
         for w in range(width):
-            strata.append(Stratum(f"L{d}_{w}", d, rng.randint(-2, 2)))
+            strata.append(Stratum(f"L{d}_{w}", d))
+            chi[f"L{d}_{w}"] = rng.randint(-2, 2)
             if d:
                 below = widths[d - 1]
                 for v in rng.sample(range(below), rng.randint(0, below)):
                     pairs.add((f"L{d - 1}_{v}", f"L{d}_{w}"))
-    strata.append(Stratum("T", len(widths), 1, is_regular_part=True))
+    strata.append(Stratum("T", len(widths), is_regular_part=True))
+    chi["T"] = 1
     pairs |= {(s.id, "T") for s in strata[:-1]}
     big = 10**20
     return linked_census(
@@ -217,6 +222,7 @@ def layered_censuses_with_long_links(draw):
         strata,
         pairs,
         lambda _pair: rng.choice((rng.randint(-big, big), rng.randint(-1, 3))),
+        chi,
     )
 
 
@@ -281,11 +287,8 @@ def test_a_column_solved_alone_raises_what_its_closure_census_raises(seed):
     MissingLinkEntry; the whole table raises the first absent link."""
     full = layered_5x4() if seed == 0 else layered_census(20 + seed, 4 + seed, 4)
     rng = random.Random(seed)
-    drop = set(rng.sample(sorted(full.links.entries), 1 + seed))
-    base = replace(
-        full,
-        links=LinkTable({p: v for p, v in full.links.entries.items() if p not in drop}),
-    )
+    drop = set(rng.sample(sorted(full.links), 1 + seed))
+    base = replace(full, links={p: v for p, v in full.links.items() if p not in drop})
     order = base.poset.linear_extension()
     raised = 0
     for j, sid in enumerate(order):
@@ -364,11 +367,8 @@ def test_columns_with_dropped_links_match_the_restricted_route(seed, levels, wid
     other column raises the MissingLinkEntry that route raises."""
     full = layered_census(seed, levels, width)
     rng = random.Random(seed)
-    drop = set(rng.sample(sorted(full.links.entries), 3))
-    base = replace(
-        full,
-        links=LinkTable({p: v for p, v in full.links.entries.items() if p not in drop}),
-    )
+    drop = set(rng.sample(sorted(full.links), 3))
+    base = replace(full, links={p: v for p, v in full.links.items() if p not in drop})
     census = FiberedCensus(base=base)
     clean = 0
     for sid in base.poset.ids():
@@ -413,9 +413,8 @@ def test_a_chi_solve_builds_no_poset_beyond_the_loaded_one(tmp_path, monkeypatch
     result = solve_unknown(census, "thm_generic_fiber", "chi.V1")
     assert len(built) == at_load
     assert result.value == want
-    completed = result.completed.base.poset
-    assert completed.stratum("V1").chi == want
-    assert completed.relations is census.base.poset.relations
+    assert result.completed.base.chi["V1"] == want
+    assert result.completed.base.poset is census.base.poset
     assert check_identity(result.completed, "thm_generic_fiber").ok
 
     del built[:]
@@ -457,15 +456,9 @@ def test_a_chi_edit_shares_a_view_equal_to_a_fresh_solve(pair, chi):
     # solve part of the census first, so the edited census inherits it
     census.solved.column(0)
     eta(census, sid, alpha)
-    edited = with_chi(census, sid, chi)
-    assert edited.poset.stratum(sid).chi == chi
-    # with_chi rewrites these poset fields and shares the others: a field
-    # added to StratumPoset has to be handled there before it is listed here
-    assert vars(census.poset).keys() == {
-        "strata", "relations", "_by_id", "_order", "_index", "_below", "_above"
-    }
-    rebuilt = StratumPoset(edited.poset.strata, census.poset.relations)
-    assert vars(edited.poset) == vars(rebuilt)
+    edited = census.with_chi(sid, chi)
+    assert edited.chi == {**census.chi, sid: chi}
+    assert edited.poset is census.poset
     assert edited.solved is census.solved
     shared, fresh = edited.solved, SolvedCensus(edited)
     assert shared.one == fresh.one
@@ -479,9 +472,28 @@ def test_a_chi_edit_shares_a_view_equal_to_a_fresh_solve(pair, chi):
         for at in fresh.order:
             assert shared.weight(weight).eta(at) == fresh.weight(weight).eta(at)
             assert eta(edited, at, weight) == scratch_eta(edited, at, weight)
-    assert chi_global(edited, shared.one) == chi_global(census, shared.one) + chi - (
-        census.poset.stratum(sid).chi
-    )
+    assert chi_global(edited, shared.one) == chi_global(census, shared.one) + chi - census.chi[sid]
+
+
+@pytest.mark.parametrize("name", ["node-linear", "zk-3", "broughton"])
+def test_a_chi_edit_through_a_field_path_changes_that_slot_alone(name):
+    """Setting or blanking a chi slot keeps the poset object, the link map
+    and the solved view; the census differs from the old one in that slot
+    and nowhere else."""
+    census = load_entry(name).census
+    base = census.base
+    solved = base.solved
+    for sid in base.poset.ids():
+        for x in (base.chi[sid] + 3, None):
+            edited = FieldPath.parse(f"chi.{sid}").set(census, x)
+            new = edited.base
+            assert new.poset is base.poset and new.links is base.links
+            assert new.solved is solved
+            assert new.chi == {**base.chi, sid: x}
+            assert new == replace(base, chi=new.chi)
+            assert edited == replace(census, base=new)
+            assert FieldPath.parse(f"chi.{sid}").get(edited) == x
+    assert base.solved is solved
 
 
 # --- eta and the point formula from scratch ------------------------------
@@ -556,13 +568,13 @@ def with_function(base, rng, values=("0", "1")):
 def faulted(census, rng):
     """``census`` with none, one or three links dropped, and none, one or
     three fiber slots blanked."""
-    links = census.base.links.entries
+    links = census.base.links
     drop = set(rng.sample(sorted(links), min(rng.choice((0, 0, 1, 3)), len(links))))
     fiber = {s: dict(col) for s, col in census.fiber_chi.items()}
     slots = sorted((s, v) for s, col in fiber.items() for v in col)
     for s, v in rng.sample(slots, min(rng.choice((0, 0, 1, 3)), len(slots))):
         del fiber[s][v]
-    base = replace(census.base, links=LinkTable({p: c for p, c in links.items() if p not in drop}))
+    base = replace(census.base, links={p: c for p, c in links.items() if p not in drop})
     return replace(census, base=base, fiber_chi=fiber)
 
 
@@ -595,11 +607,11 @@ def seeded_function_censuses():
     # a weight off the first stratum, whose fiber slots are blanked and
     # whose link to the regular part is dropped: its term raises first
     first = layered.base.poset.ids()[0]
-    links = {p: c for p, c in layered.base.links.entries.items() if p != (first, "T")}
-    assert len(links) < len(layered.base.links.entries)
+    links = {p: c for p, c in layered.base.links.items() if p != (first, "T")}
+    assert len(links) < len(layered.base.links)
     census = replace(
         layered,
-        base=replace(layered.base, links=LinkTable(links)),
+        base=replace(layered.base, links=links),
         fiber_chi={**layered.fiber_chi, first: {}},
     )
     yield census, StratumConstructibleFunction({first: 0, "T": 1})
@@ -648,16 +660,14 @@ def test_a_replaced_census_is_solved_afresh():
     assert base.solved is base.solved
     assert solve_bdk(base) == table
 
-    relinked = replace(base, links=LinkTable({("V1", "V2"): 3}))
+    relinked = replace(base, links={("V1", "V2"): 3})
     assert relinked.solved is not base.solved
     assert solve_bdk(relinked).rows != table.rows
     assert solve_bdk(relinked).rows == tuple(
         tuple(r) for r in dense_values(relinked)[1]
     )
 
-    unlinked = replace(
-        base, poset=StratumPoset(base.poset.strata, frozenset()), links=LinkTable({})
-    )
+    unlinked = replace(base, poset=StratumPoset(base.poset.strata, frozenset()), links={})
     assert solve_bdk(unlinked).rows != table.rows
     assert solve_bdk(unlinked).rows == tuple(
         tuple(r) for r in dense_values(unlinked)[1]
@@ -667,12 +677,22 @@ def test_a_replaced_census_is_solved_afresh():
     assert eta(relinked, "V1", one) == scratch_eta(relinked, "V1", one)
     assert eta(relinked, "V1", one) != eta(base, "V1", one)
 
+    # only with_chi keeps the view; any other replace, of chi too, solves afresh
+    for change in (
+        {"chi": {**base.chi, "V1": 7}},
+        {"name": "renamed"},
+        {"equidimensional": not base.equidimensional},
+        {},
+    ):
+        assert replace(base, **change).solved is not base.solved, change
+    assert base.with_chi("V1", 7).solved is base.solved
+
 
 def test_the_constant_weight_is_one_object_per_census():
     base = load_entry("cusp-linear").census.base
     one = indicator_of_space(base)
     assert indicator_of_space(base) is one
-    relinked = replace(base, links=LinkTable({("V1", "V2"): 3}))
+    relinked = replace(base, links={("V1", "V2"): 3})
     assert indicator_of_space(relinked) is not one
     assert indicator_of_space(relinked) == one
     assert base.solved.weight(one) is base.solved.weight(one)

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,7 +13,6 @@ from strat_euler.catalog import load_entry
 from strat_euler.errors import InsufficientData, MissingLinkEntry, UnknownStratum
 from strat_euler.order_errors import transitive_closure
 from strat_euler.strata import (
-    LinkTable,
     StratifiedCensus,
     Stratum,
     StratumConstructibleFunction,
@@ -33,17 +34,29 @@ from oracles import (
 
 def diamond_poset():
     strata = (
-        Stratum("bot", 0, 1),
-        Stratum("midA", 1, 0),
-        Stratum("midB", 1, -1),
-        Stratum("top", 2, 2, is_regular_part=True),
+        Stratum("bot", 0),
+        Stratum("midA", 1),
+        Stratum("midB", 1),
+        Stratum("top", 2, is_regular_part=True),
     )
     rels = {("bot", "midA"), ("bot", "midB"), ("midA", "top"), ("midB", "top")}
     return StratumPoset(strata, frozenset(rels))
 
 
+def test_tests_pass_the_regular_part_flag_by_keyword():
+    """A stratum is (id, dim, is_regular_part): a third positional argument
+    left from when chi sat there would silently become the flag."""
+    calls = 0
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Stratum":
+                calls += 1
+                assert len(node.args) <= 2, f"{path.name}:{node.lineno}"
+    assert calls > 20
+
+
 def test_poset_closes_transitively():
-    strata = (Stratum("a", 0, 1), Stratum("b", 1, 0), Stratum("c", 2, 0, True))
+    strata = (Stratum("a", 0), Stratum("b", 1), Stratum("c", 2, is_regular_part=True))
     p = StratumPoset(strata, frozenset({("a", "b"), ("b", "c")}))
     assert ("a", "c") in p.relations
     assert p.lt("a", "c")
@@ -52,7 +65,7 @@ def test_poset_closes_transitively():
 
 
 def test_poset_rejects_cycles_and_dim_violations():
-    strata = (Stratum("a", 0, 1), Stratum("b", 1, 0, True))
+    strata = (Stratum("a", 0), Stratum("b", 1, is_regular_part=True))
     with pytest.raises(ValueError):
         StratumPoset(strata, frozenset({("a", "b"), ("b", "a")}))
     with pytest.raises(ValueError):
@@ -60,7 +73,7 @@ def test_poset_rejects_cycles_and_dim_violations():
     with pytest.raises(UnknownStratum):
         StratumPoset(strata, frozenset({("a", "z")}))
     with pytest.raises(ValueError):
-        StratumPoset((Stratum("a", 0, 1), Stratum("a", 1, 0)), frozenset())
+        StratumPoset((Stratum("a", 0), Stratum("a", 1)), frozenset())
 
 
 LOAD_EACH = """
@@ -132,7 +145,7 @@ def layered_pairs(rng, levels, width):
                 pairs.add((s, t))
             if d > 1 and rng.random() < 0.3:
                 pairs.add((rng.choice(ids[rng.randrange(d - 1)]), t))
-    strata = [Stratum(s, d, 0) for d, row in enumerate(ids) for s in row]
+    strata = [Stratum(s, d) for d, row in enumerate(ids) for s in row]
     return strata, pairs
 
 
@@ -146,9 +159,9 @@ def wide_pairs(rng, points, curves):
         if rng.random() < 0.5:
             pairs.add((f"P{i}", "S"))
     strata = (
-        [Stratum(f"P{i}", 0, 1) for i in range(points)]
-        + [Stratum(c, 1, 0) for c in cs]
-        + [Stratum("S", 2, 0, True)]
+        [Stratum(f"P{i}", 0) for i in range(points)]
+        + [Stratum(c, 1) for c in cs]
+        + [Stratum("S", 2, is_regular_part=True)]
     )
     return strata, pairs
 
@@ -185,33 +198,44 @@ def test_down_set_and_extension_on_the_diamond():
 
 def test_census_validate_rejects_bad_link_keys():
     p = diamond_poset()
-    links = LinkTable({("midA", "midB"): 2})
-    census = StratifiedCensus("bad", p, links)
+    census = StratifiedCensus("bad", p, {("midA", "midB"): 2})
     with pytest.raises(ValueError):
+        census.validate()
+
+
+def test_census_validate_rejects_chi_of_an_unknown_stratum():
+    links = dict.fromkeys(diamond_poset().relations, 1)
+    chi = {"bot": 1, "midA": 0, "midB": -1, "top": 2}
+    StratifiedCensus("good", diamond_poset(), links, chi=chi).validate()
+    census = StratifiedCensus("stray", diamond_poset(), links, chi={**chi, "side": 1, "nope": 0})
+    with pytest.raises(UnknownStratum, match="chi given for unknown stratum 'side'"):
         census.validate()
 
 
 def test_census_validate_requires_one_regular_part():
-    strata = (Stratum("a", 0, 1), Stratum("b", 1, 0))
+    strata = (Stratum("a", 0), Stratum("b", 1))
     p = StratumPoset(strata, frozenset({("a", "b")}))
     with pytest.raises(ValueError):
-        StratifiedCensus("none", p, LinkTable({})).validate()
+        StratifiedCensus("none", p, {}).validate()
 
 
 def test_equidimensional_flag_demands_pure_top_dimension():
-    strata = (Stratum("a", 0, 1), Stratum("b", 1, 0, True), Stratum("c", 0, 1))
+    strata = (Stratum("a", 0), Stratum("b", 1, is_regular_part=True), Stratum("c", 0))
     p = StratumPoset(strata, frozenset({("a", "b")}))
-    census = StratifiedCensus("loose", p, LinkTable({}), equidimensional=True)
+    census = StratifiedCensus("loose", p, {}, equidimensional=True)
     with pytest.raises(ValueError):
         census.validate()
-    StratifiedCensus("loose", p, LinkTable({}), equidimensional=False).validate()
+    StratifiedCensus("loose", p, {}, equidimensional=False).validate()
 
 
 def test_missing_link_entry_is_a_named_error():
-    table = LinkTable({("a", "b"): 2})
-    assert table.get("a", "b") == 2
-    with pytest.raises(MissingLinkEntry):
-        table.get("a", "c")
+    links = {("bot", "midA"): 2, ("bot", "midB"): 0, ("midA", "top"): 3, ("midB", "top"): 1}
+    census = StratifiedCensus("gap", diamond_poset(), links)
+    one = indicator_of_space(census)
+    assert eta(census, "midA", one) == -2
+    with pytest.raises(MissingLinkEntry) as exc:
+        eta(census, "bot", one)
+    assert exc.value.pair == ("bot", "top")
 
 
 def node_census():
@@ -225,9 +249,9 @@ def test_chi_global_on_the_node():
 
 
 def test_chi_global_reports_missing_chi():
-    strata = (Stratum("a", 0, None), Stratum("b", 1, 0, True))
+    strata = (Stratum("a", 0), Stratum("b", 1, is_regular_part=True))
     p = StratumPoset(strata, frozenset({("a", "b")}))
-    census = StratifiedCensus("holey", p, LinkTable({("a", "b"): 2}))
+    census = StratifiedCensus("holey", p, {("a", "b"): 2}, chi={"a": None, "b": 0})
     with pytest.raises(InsufficientData) as exc:
         chi_global(census, indicator_of_space(census))
     assert exc.value.fields == ("chi.a",)
@@ -290,6 +314,7 @@ def test_restrict_to_closure_keeps_the_down_set():
     assert small.equidimensional
     full = restrict_to_closure(census, "V2")
     assert set(full.poset.ids()) == {"V1", "V2"}
-    assert full.links.get("V1", "V2") == 2
+    assert full.links == {("V1", "V2"): 2}
+    assert (small.chi, full.chi) == ({"V1": census.chi["V1"]}, census.chi)
     with pytest.raises(UnknownStratum):
         restrict_to_closure(census, "nope")
