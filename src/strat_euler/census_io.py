@@ -20,105 +20,95 @@ from .records import field, record
 from .strata import StratifiedCensus, Stratum, StratumPoset
 
 
-def _mistyped(obj: object, kind: type, path: str, what: str) -> SchemaError:
-    got = "a boolean" if kind is int and isinstance(obj, bool) else type(obj).__name__
-    return SchemaError(path, f"expected {what}, got {got}")
+def _refuse(message: str, path: str, *keys: object) -> SchemaError:
+    # the error at the value the keys and indexes lead to below ``path``:
+    # its `$...` path is formatted only here, for a refusal
+    return SchemaError(
+        path + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys), message
+    )
 
 
-def _bad_ident(obj: object, path: str, what: str) -> SchemaError:
-    # the error for a value that is not a nonempty, dot-free string
-    if not isinstance(obj, str):
-        return _mistyped(obj, str, path, what)
-    if not obj:
-        return SchemaError(path, f"{what} must be nonempty")
-    # dots are reserved by the dotted field paths of solve_unknown
-    return SchemaError(path, f"{what} must not contain '.'")
-
-
-def _expect(obj: object, kind: type, path: str, what: str) -> object:
+def _expect(obj: object, kind: type, what: str, path: str, *keys: object) -> object:
     if isinstance(obj, kind) and not (kind is int and isinstance(obj, bool)):
         return obj
-    raise _mistyped(obj, kind, path, what)
+    got = "a boolean" if kind is int and isinstance(obj, bool) else type(obj).__name__
+    raise _refuse(f"expected {what}, got {got}", path, *keys)
 
 
-def _ident(obj: object, path: str, what: str) -> str:
+def _ident(obj: object, what: str, path: str, *keys: object) -> str:
+    # a nonempty string without dots: dots are reserved by the dotted field
+    # paths of solve_unknown
     if isinstance(obj, str) and obj and "." not in obj:
         return obj
-    raise _bad_ident(obj, path, what)
+    _expect(obj, str, what, path, *keys)
+    rule = "must not contain '.'" if obj else "must be nonempty"
+    raise _refuse(f"{what} {rule}", path, *keys)
 
 
-def _int_map(obj: object, path: str, what: str) -> dict[str, int]:
-    # per entry, the path is formatted only when the entry is refused
-    _expect(obj, dict, path, "an object")
+def _int_map(obj: object, what: str, path: str, *keys: object) -> dict[str, int]:
+    # a map of ids, which ``what`` names, to integers; it runs once per
+    # column entry, so like the relation loops it tests inline and refuses
+    # through the helpers
+    _expect(obj, dict, "an object", path, *keys)
     for k, v in obj.items():
         if not (isinstance(k, str) and k and "." not in k):
-            raise _bad_ident(k, f"{path}.{k}", what)
+            _ident(k, what, path, *keys, k)
         if not isinstance(v, int) or isinstance(v, bool):
-            raise _mistyped(v, int, f"{path}.{k}", "an integer")
+            _expect(v, int, "an integer", path, *keys, k)
     return dict(obj)
 
 
 def _census_from_json(obj: object, path: str, default_name: str) -> StratifiedCensus:
-    _expect(obj, dict, path, "an object")
-    name = obj.get("name", default_name)
-    _expect(name, str, f"{path}.name", "a string")
+    _expect(obj, dict, "an object", path)
+    name = _expect(obj.get("name", default_name), str, "a string", path, "name")
 
-    # the per-entry loops check inline and format a path only to raise
-    raw_strata = _expect(obj.get("strata"), list, f"{path}.strata", "a list")
     strata, chis = [], {}
-    for i, s in enumerate(raw_strata):
-        if not isinstance(s, dict):
-            raise _mistyped(s, dict, f"{path}.strata[{i}]", "an object")
-        sid, dim, chi = s.get("id"), s.get("dim"), s.get("chi")
-        if not (isinstance(sid, str) and sid and "." not in sid):
-            raise _bad_ident(sid, f"{path}.strata[{i}].id", "a stratum id")
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise _mistyped(dim, int, f"{path}.strata[{i}].dim", "an integer")
+    for i, s in enumerate(_expect(obj.get("strata"), list, "a list", path, "strata")):
+        at = (path, "strata", i)
+        _expect(s, dict, "an object", *at)
+        sid = _ident(s.get("id"), "a stratum id", *at, "id")
+        dim = _expect(s.get("dim"), int, "an integer", *at, "dim")
         if dim < 0:
-            raise SchemaError(f"{path}.strata[{i}].dim", "dimension must be nonnegative")
-        if chi is not None and (not isinstance(chi, int) or isinstance(chi, bool)):
-            raise _mistyped(chi, int, f"{path}.strata[{i}].chi", "an integer")
-        flag = s.get("regular_part", False)
-        if not isinstance(flag, bool):
-            raise _mistyped(flag, bool, f"{path}.strata[{i}].regular_part", "a boolean")
+            raise _refuse("dimension must be nonnegative", *at, "dim")
+        chi = s.get("chi")
+        if chi is not None:
+            _expect(chi, int, "an integer", *at, "chi")
+        flag = _expect(s.get("regular_part", False), bool, "a boolean", *at, "regular_part")
         strata.append(Stratum(sid, dim, flag))
         chis[sid] = chi
 
-    raw_order = obj.get("order", [])
-    _expect(raw_order, list, f"{path}.order", "a list")
+    # the order pairs and the links, the loops that run once per relation,
+    # test inline and refuse through the helpers
     pairs = set()
-    for i, pair in enumerate(raw_order):
+    for i, pair in enumerate(_expect(obj.get("order", []), list, "a list", path, "order")):
         if not isinstance(pair, list):
-            raise _mistyped(pair, list, f"{path}.order[{i}]", "a two-element list")
+            _expect(pair, list, "a two-element list", path, "order", i)
         if len(pair) != 2:
-            raise SchemaError(f"{path}.order[{i}]", "expected exactly two stratum ids")
+            raise _refuse("expected exactly two stratum ids", path, "order", i)
         a, b = pair
         if not (isinstance(a, str) and a and "." not in a):
-            raise _bad_ident(a, f"{path}.order[{i}][0]", "a stratum id")
+            _ident(a, "a stratum id", path, "order", i, 0)
         if not (isinstance(b, str) and b and "." not in b):
-            raise _bad_ident(b, f"{path}.order[{i}][1]", "a stratum id")
+            _ident(b, "a stratum id", path, "order", i, 1)
         pairs.add((a, b))
 
-    raw_links = obj.get("links", [])
-    _expect(raw_links, list, f"{path}.links", "a list")
     entries = {}
-    for i, entry in enumerate(raw_links):
+    for i, entry in enumerate(_expect(obj.get("links", []), list, "a list", path, "links")):
         if not isinstance(entry, dict):
-            raise _mistyped(entry, dict, f"{path}.links[{i}]", "an object")
+            _expect(entry, dict, "an object", path, "links", i)
         low, up, chi = entry.get("at"), entry.get("in_closure"), entry.get("chi")
         if not (isinstance(low, str) and low and "." not in low):
-            raise _bad_ident(low, f"{path}.links[{i}].at", "a stratum id")
+            _ident(low, "a stratum id", path, "links", i, "at")
         if not (isinstance(up, str) and up and "." not in up):
-            raise _bad_ident(up, f"{path}.links[{i}].in_closure", "a stratum id")
+            _ident(up, "a stratum id", path, "links", i, "in_closure")
         if not isinstance(chi, int) or isinstance(chi, bool):
-            raise _mistyped(chi, int, f"{path}.links[{i}].chi", "an integer")
+            _expect(chi, int, "an integer", path, "links", i, "chi")
         key = (low, up)
         if key in entries:
-            raise SchemaError(f"{path}.links[{i}]", f"duplicate link entry for ({low!r}, {up!r})")
+            raise _refuse(f"duplicate link entry for ({low!r}, {up!r})", path, "links", i)
         entries[key] = chi
 
-    flag = obj.get("equidimensional", False)
-    _expect(flag, bool, f"{path}.equidimensional", "a boolean")
+    flag = _expect(obj.get("equidimensional", False), bool, "a boolean", path, "equidimensional")
 
     try:
         poset = StratumPoset(tuple(strata), frozenset(pairs))
@@ -134,59 +124,51 @@ def _census_from_json(obj: object, path: str, default_name: str) -> StratifiedCe
 def _fibration_from_json(
     obj: object, path: str, base: StratifiedCensus
 ) -> FiberedCensus:
-    _expect(obj, dict, path, "an object")
-    raw_values = obj.get("special_values", [])
-    _expect(raw_values, list, f"{path}.special_values", "a list")
+    _expect(obj, dict, "an object", path)
+    raw_values = _expect(obj.get("special_values", []), list, "a list", path, "special_values")
     values = tuple(
-        _ident(v, f"{path}.special_values[{i}]", "a value label")
-        for i, v in enumerate(raw_values)
+        _ident(v, "a value label", path, "special_values", i) for i, v in enumerate(raw_values)
     )
 
     def columns(key: str) -> dict[str, dict[str, int]]:
-        raw = obj.get(key, {})
-        _expect(raw, dict, f"{path}.{key}", "an object")
-        out = {}
-        for sid, col in raw.items():
-            out[_ident(sid, f"{path}.{key}.{sid}", "a stratum id")] = _int_map(
-                col, f"{path}.{key}.{sid}", "a value label"
-            )
-        return out
+        raw = _expect(obj.get(key, {}), dict, "an object", path, key)
+        return {
+            _ident(sid, "a stratum id", path, key, sid):
+                _int_map(col, "a value label", path, key, sid)
+            for sid, col in raw.items()
+        }
 
-    raw_points = obj.get("critical_points", [])
-    _expect(raw_points, list, f"{path}.critical_points", "a list")
     points = []
+    raw_points = _expect(obj.get("critical_points", []), list, "a list", path, "critical_points")
     for i, p in enumerate(raw_points):
-        where = f"{path}.critical_points[{i}]"
-        _expect(p, dict, where, "an object")
+        at = (path, "critical_points", i)
+        _expect(p, dict, "an object", *at)
+        fiber_eu, space_eu = p.get("eu_fiber_at_q"), p.get("eu_space_at_q")
         milnor = p.get("milnor_numbers")
         points.append(
             CriticalPoint(
-                id=_ident(p.get("id"), f"{where}.id", "a critical point id"),
-                stratum=_ident(p.get("stratum"), f"{where}.stratum", "a stratum id"),
-                value=_ident(p.get("value"), f"{where}.value", "a value label"),
+                id=_ident(p.get("id"), "a critical point id", *at, "id"),
+                stratum=_ident(p.get("stratum"), "a stratum id", *at, "stratum"),
+                value=_ident(p.get("value"), "a value label", *at, "value"),
                 morse_counts=_int_map(
-                    p.get("morse_counts", {}), f"{where}.morse_counts", "a stratum id"
+                    p.get("morse_counts", {}), "a stratum id", *at, "morse_counts"
                 ),
                 eu_fiber_at_q=(
-                    None
-                    if p.get("eu_fiber_at_q") is None
-                    else _expect(p["eu_fiber_at_q"], int, f"{where}.eu_fiber_at_q", "an integer")
+                    None if fiber_eu is None
+                    else _expect(fiber_eu, int, "an integer", *at, "eu_fiber_at_q")
                 ),
                 eu_space_at_q=(
-                    None
-                    if p.get("eu_space_at_q") is None
-                    else _expect(p["eu_space_at_q"], int, f"{where}.eu_space_at_q", "an integer")
+                    None if space_eu is None
+                    else _expect(space_eu, int, "an integer", *at, "eu_space_at_q")
                 ),
                 milnor_numbers=(
-                    None
-                    if milnor is None
-                    else _int_map(milnor, f"{where}.milnor_numbers", "a stratum id")
+                    None if milnor is None
+                    else _int_map(milnor, "a stratum id", *at, "milnor_numbers")
                 ),
             )
         )
 
-    f_general = obj.get("f_general", False)
-    _expect(f_general, bool, f"{path}.f_general", "a boolean")
+    f_general = _expect(obj.get("f_general", False), bool, "a boolean", path, "f_general")
 
     try:
         census = FiberedCensus(
@@ -222,7 +204,7 @@ class CensusBundle:
 
 
 def load_document(obj: object, path: str = "$") -> CensusBundle:
-    _expect(obj, dict, path, "an object")
+    _expect(obj, dict, "an object", path)
     base = _census_from_json(obj, path, default_name="census")
     if "fibration" in obj:
         census = _fibration_from_json(obj["fibration"], f"{path}.fibration", base)
@@ -238,34 +220,28 @@ def load_document(obj: object, path: str = "$") -> CensusBundle:
         polar = polar_from_json(obj["polar"], f"{path}.polar", base.top_dim())
 
     fibers = {}
-    raw_fibers = obj.get("fiber_censuses", {})
-    _expect(raw_fibers, dict, f"{path}.fiber_censuses", "an object")
+    raw_fibers = _expect(obj.get("fiber_censuses", {}), dict, "an object", path, "fiber_censuses")
     for label, sub in raw_fibers.items():
-        key = _ident(label, f"{path}.fiber_censuses.{label}", "a value label")
+        key = _ident(label, "a value label", path, "fiber_censuses", label)
         if key not in census.special_values:
-            raise SchemaError(
-                f"{path}.fiber_censuses.{label}", "not a declared special value"
-            )
+            raise _refuse("not a declared special value", path, "fiber_censuses", label)
         fibers[key] = _census_from_json(
             sub, f"{path}.fiber_censuses.{label}", default_name=f"fiber at {label}"
         )
 
-    expected = obj.get("expected", {})
-    _expect(expected, dict, f"{path}.expected", "an object")
+    expected = _expect(obj.get("expected", {}), dict, "an object", path, "expected")
     for k, v in expected.items():
-        _expect(k, str, f"{path}.expected.{k}", "a string key")
+        _expect(k, str, "a string key", path, "expected", k)
         if isinstance(v, list):
             for i, item in enumerate(v):
-                _expect(item, str, f"{path}.expected.{k}[{i}]", "a string")
+                _expect(item, str, "a string", path, "expected", k, i)
         else:
-            _expect(v, int, f"{path}.expected.{k}", "an integer or list of strings")
+            _expect(v, int, "an integer or list of strings", path, "expected", k)
 
-    notes = obj.get("derivation_notes", {})
-    _expect(notes, dict, f"{path}.derivation_notes", "an object")
+    notes = _expect(obj.get("derivation_notes", {}), dict, "an object", path, "derivation_notes")
     for k, v in notes.items():
-        note = _expect(v, str, f"{path}.derivation_notes.{k}", "a string")
-        if not note.strip():
-            raise SchemaError(f"{path}.derivation_notes.{k}", "note must be nonempty")
+        if not _expect(v, str, "a string", path, "derivation_notes", k).strip():
+            raise _refuse("note must be nonempty", path, "derivation_notes", k)
 
     return CensusBundle(
         name=base.name,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 
 from .census_io import load_file
-from .errors import formatting
+from .errors import CensusError, formatting
 from .fibration import (
     FiberedCensus,
     brasselet,
@@ -46,8 +46,7 @@ def cmd_compute(args) -> int:
     what = args.what
     takes_at = what not in ("eu-table", "eu-global", "detect-irregular")
     if (args.at is None) == takes_at:
-        print(f"error: --what {what} {'needs' if takes_at else 'takes no'} --at", file=sys.stderr)
-        return 2
+        raise CensusError(f"--what {what} {'needs' if takes_at else 'takes no'} --at")
     if what == "eu-table":
         table = solve_bdk(census.base)
         with formatting():
@@ -69,10 +68,8 @@ def cmd_compute(args) -> int:
                 name, value = f"B({at})", brasselet(census, at, eu_weight(census))
             elif what == "lambda":
                 name, value = f"lambda({at})", lambda_infinity(census, at)
-            elif what == "binf":
-                name, value = f"Binf({at})", brasselet_infinity(census, at, eu_weight(census))
             else:
-                raise AssertionError(f"unhandled --what {what!r}")
+                name, value = f"Binf({at})", brasselet_infinity(census, at, eu_weight(census))
         with formatting():
             text = f"{name} = {value}\n"
     sys.stdout.write(text)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 
 from .documents import _fixture_dir
+from .errors import CensusError
 
 
 def list_entries() -> list[str]:
@@ -28,7 +29,6 @@ def cmd_catalog(args) -> int:
 
         return run_catalog(args.names)
     if args.names:
-        print("error: catalog list takes no entry names", file=sys.stderr)
-        return 2
+        raise CensusError("catalog list takes no entry names")
     sys.stdout.write("".join(f"{name}\n" for name in list_entries()))
     return 0

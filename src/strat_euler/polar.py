@@ -61,23 +61,19 @@ class PolarData:
 def polar_from_json(obj: object, path: str, top_dim: int) -> PolarData:
     """The polar block of a census document, at ``path``; ``census_io``
     imports it for a document that has one."""
-    _expect(obj, dict, path, "an object")
-    raw_gamma = obj.get("gamma", {})
-    _expect(raw_gamma, dict, f"{path}.gamma", "an object")
+    _expect(obj, dict, "an object", path)
     gamma = {}
-    for label, seq in raw_gamma.items():
-        key = _ident(label, f"{path}.gamma.{label}", "a value label")
-        _expect(seq, list, f"{path}.gamma.{label}", "a list")
+    for label, seq in _expect(obj.get("gamma", {}), dict, "an object", path, "gamma").items():
+        key = _ident(label, "a value label", path, "gamma", label)
+        _expect(seq, list, "a list", path, "gamma", label)
         gamma[key] = tuple(
-            _expect(v, int, f"{path}.gamma.{label}[{i}]", "an integer")
-            for i, v in enumerate(seq)
+            _expect(v, int, "an integer", path, "gamma", label, i) for i, v in enumerate(seq)
         )
     alpha = obj.get("alpha")
     if alpha is not None:
-        _expect(alpha, list, f"{path}.alpha", "a list")
         alpha = tuple(
-            _expect(v, int, f"{path}.alpha[{i}]", "an integer")
-            for i, v in enumerate(alpha)
+            _expect(v, int, "an integer", path, "alpha", i)
+            for i, v in enumerate(_expect(alpha, list, "a list", path, "alpha"))
         )
     polar = PolarData(gamma=gamma, alpha=alpha)
     try:

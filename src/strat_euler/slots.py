@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .census_io import apply_field_to_raw, load_file
-from .errors import NotSolvable, SchemaError, UnknownValueLabel, formatting
+from .errors import CensusError, NotSolvable, SchemaError, UnknownValueLabel, formatting
 from .fibered import solve_unknown
 from .fibration import FiberedCensus, eu_weight
 from .records import record, replace
@@ -155,7 +155,6 @@ def cmd_solve(args) -> int:
     try:
         Path(args.emit_completed).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {args.emit_completed}: {exc}", file=sys.stderr)
-        return 2
+        raise CensusError(f"cannot write {args.emit_completed}: {exc}") from exc
     print(f"wrote completed census to {args.emit_completed}")
     return 0

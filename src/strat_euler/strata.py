@@ -165,8 +165,9 @@ class StratifiedCensus:
         Checks, beyond what the poset constructor already enforced: chi
         keys are strata; link keys are genuine strict order pairs; exactly
         one stratum carries the regular-part flag and it is maximal; under
-        the equidimensionality flag the regular part is the unique maximal
-        stratum of top dimension.
+        the equidimensionality flag every other stratum lies below the
+        regular part, which therefore has the top dimension: the poset
+        refuses a pair that does not raise dimension.
         """
         poset = self.poset
         for sid in self.chi:
@@ -191,8 +192,6 @@ class StratifiedCensus:
                     "equidimensional census must have every stratum in the closure "
                     f"of the regular part; violated by {not_below}"
                 )
-            if top.dim != max(s.dim for s in poset.strata):
-                raise ValueError("the regular part must have top dimension")
 
     def regular_part(self) -> Stratum:
         for s in self.poset.strata:

@@ -39,21 +39,31 @@ def blank_field(census: FiberedCensus, path: str) -> FiberedCensus:
     return FieldPath.parse(path).set(census, None)
 
 
+def apply_edit(doc, edit):
+    """Apply one edit to a JSON document in place: ``[path, value]`` sets,
+    ``[path]`` deletes, ``[path, value, "insert"]`` inserts into a list
+    before the index ``path`` ends in.  The value is copied in."""
+    path, *value = edit
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if not value:
+        del target[path[-1]]
+    elif value[1:] == ["insert"]:
+        target.insert(path[-1], copy.deepcopy(value[0]))
+    else:
+        target[path[-1]] = copy.deepcopy(value[0])
+
+
 def edited(case):
     """The case's base document (a fixture or a ``tests/data`` census) with
-    its edits applied in order: ``[path, value]`` sets, ``[path]`` deletes."""
+    its edits (``apply_edit``) applied in order."""
     if case["base"].endswith(".json"):
         doc = json.loads((DATA / case["base"]).read_text())
     else:
         doc = copy.deepcopy(load_entry(case["base"]).raw)
-    for path, *value in case["edits"]:
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        if value:
-            target[path[-1]] = value[0]
-        else:
-            del target[path[-1]]
+    for edit in case["edits"]:
+        apply_edit(doc, edit)
     return doc
 
 

@@ -2,10 +2,11 @@ import pytest
 
 from strat_euler import catalog, entries
 from strat_euler.catalog import evaluate_expected_key, load_entry, standard_check_lines
-from strat_euler.catalog_run import run_all, run_entry, validate_entry
+from strat_euler.catalog_run import _polar, run_all, run_entry, validate_entry
+from strat_euler.records import replace
 from strat_euler.documents import _fixture_dir
 from strat_euler.entries import list_entries
-from strat_euler.errors import SchemaError, UnknownEntry
+from strat_euler.errors import InsufficientData, SchemaError, UnknownEntry
 
 
 def test_listing_is_sorted_and_complete():
@@ -69,6 +70,28 @@ def test_every_entry_validates_with_notes():
         assert bundle.expected
         for key in bundle.expected:
             assert key in bundle.derivation_notes, (name, key)
+
+
+def test_an_entry_without_expected_values_or_a_note_is_refused():
+    bundle = load_entry("cusp-linear")
+    with pytest.raises(ValueError) as exc:
+        validate_entry(replace(bundle, expected={}))
+    assert str(exc.value) == "catalog entry 'cusp-linear' declares no expected values"
+    for notes in ({}, {"eu_global": " "}):
+        with pytest.raises(ValueError) as exc:
+            validate_entry(replace(bundle, expected={"eu_global": 2}, derivation_notes=notes))
+        assert str(exc.value) == (
+            "catalog entry 'cusp-linear': expected key 'eu_global' has no derivation note"
+        )
+
+
+def test_a_polar_key_on_an_entry_without_polar_data_is_missing_data():
+    bundle = replace(load_entry("cusp-linear"), polar=None)
+    with pytest.raises(InsufficientData) as exc:
+        _polar(bundle)
+    assert exc.value.fields == ("polar",)
+    with pytest.raises(InsufficientData, match="^missing census data: polar$"):
+        evaluate_expected_key(bundle, "B_polar_at_0")
 
 
 def test_every_entry_verifies():

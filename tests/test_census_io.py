@@ -254,6 +254,17 @@ def test_every_recorded_loader_error_names_its_location():
             assert line.startswith("error: $"), loader_case_id(case)
 
 
+def check_case(case, tmp_path):
+    """Stdout and stderr lines and the exit code of ``check`` on the
+    document of a recorded case."""
+    path = tmp_path / "census.json"
+    path.write_text(document_text(case))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    return out.getvalue().splitlines(), err.getvalue().splitlines(), code
+
+
 @pytest.mark.parametrize("case", loader_error_cases(), ids=loader_case_id)
 def test_malformed_documents_report_the_recorded_error(case, tmp_path):
     """``check`` on a document with one or two malformed fields: every type,
@@ -261,11 +272,25 @@ def test_malformed_documents_report_the_recorded_error(case, tmp_path):
     census and fibration blocks, duplicate links, links on non-order pairs
     or unknown strata, and the first of two offenders.  Stdout, stderr and
     the exit code, line for line."""
-    path = tmp_path / "census.json"
-    path.write_text(document_text(case))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path)])
-    assert out.getvalue().splitlines() == case["stdout"]
-    assert err.getvalue().splitlines() == case["stderr"]
+    out, err, code = check_case(case, tmp_path)
+    assert out == case["stdout"]
+    assert err == case["stderr"]
+    assert code == case["exit"]
+
+
+MUTANT_CASES = json.loads((DATA / "loader_mutants.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", MUTANT_CASES, ids=[f"{i}-{case['base']}" for i, case in enumerate(MUTANT_CASES)]
+)
+def test_mutated_documents_report_the_recorded_error(case, tmp_path):
+    """``check`` on seeded mutants of the shipped censuses and of
+    ``layered-5x4.json``, each with two to four edits of
+    ``test_fuzz.mutate`` (values retyped, keys and items dropped, entries
+    duplicated, lists reversed), recorded before the loader's checks were
+    folded into shared helpers.  Stderr and the exit code, line for line:
+    of several faults, the same one is reported first."""
+    _out, err, code = check_case(case, tmp_path)
+    assert err == case["stderr"]
     assert code == case["exit"]

@@ -200,6 +200,24 @@ def test_solve_structural_identity_exits_2(tmp_path, capsys):
     assert "arbitrary census data" in captured.err
 
 
+def test_solve_without_the_fiber_census_an_identity_reads_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(load_entry("cusp-linear").raw))
+    del doc["fiber_censuses"]
+    del doc["fibration"]["fiber_chi"]["V1"]["0"]
+    hole = tmp_path / "hole.json"
+    hole.write_text(json.dumps(doc))
+    code = main(
+        ["solve", str(hole), "--identity", "prop_brasselet_vs_fiber_eu", "--at", "0",
+         "--unknown", "fiber_chi.V1.0"]
+    )
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: identity 'prop_brasselet_vs_fiber_eu' cannot be evaluated, further data "
+        "is missing: fiber_census.0\n",
+    )
+
+
 def test_fubini_bundle(tmp_path, capsys):
     bundle = {
         "complex_src": {"simplices": [[0], [1], [2], [0, 1], [1, 2], [0, 2]]},

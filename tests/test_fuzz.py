@@ -16,6 +16,7 @@ exit 0 or 2, and an aliased key must exit 2.
 """
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -27,7 +28,7 @@ from strat_euler.entries import list_entries
 from strat_euler.errors import CensusError
 from strat_euler.fibered import IDENTITIES
 
-from conftest import DATA, random_weighted_map
+from conftest import DATA, apply_edit, random_weighted_map
 
 SEED = 20261018
 MUTANTS = 200  # six calls each
@@ -40,37 +41,43 @@ def base_documents():
 
 
 def slots(doc):
-    """Every (container, key) pair of a JSON document, the root excluded."""
+    """The path of every value of a JSON document, the root excluded."""
     out = []
-    stack = [doc]
+    stack = [(doc, [])]
     while stack:
-        node = stack.pop()
+        node, path = stack.pop()
         keys = list(node) if isinstance(node, dict) else range(len(node))
         for key in keys:
-            out.append((node, key))
+            out.append(path + [key])
             if isinstance(node[key], (dict, list)):
-                stack.append(node[key])
+                stack.append((node[key], path + [key]))
     return out
 
 
 def mutate(doc, rng):
-    """Apply one random edit in place and name it."""
-    node, key = rng.choice(slots(doc))
-    value = node[key]
+    """Apply one random edit in place and return it as ``apply_edit`` reads
+    it, or None for a reversal drawn on a scalar."""
+    path = rng.choice(slots(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
     kind = rng.choice(("drop", "retype", "duplicate", "reverse"))
     if kind == "drop":
-        del node[key]
+        edit = [path]
     elif kind == "retype":
-        node[key] = rng.choice([v for v in RETYPED if type(v) is not type(value)])
+        edit = [path, rng.choice([v for v in RETYPED if type(v) is not type(value)])]
     elif kind == "duplicate" and isinstance(node, list):
-        node.insert(key, json.loads(json.dumps(value)))
+        edit = [path, value, "insert"]
     elif kind == "duplicate":
-        node[rng.choice(list(node))] = json.loads(json.dumps(value))
+        edit = [path[:-1] + [rng.choice(list(node))], value]
     elif isinstance(value, (list, dict)):
-        node[key] = value[::-1] if isinstance(value, list) else dict(reversed(value.items()))
+        edit = [path, value[::-1] if isinstance(value, list) else dict(reversed(value.items()))]
     else:
-        kind = "noop"
-    return f"{kind} {key!r}"
+        return None
+    apply_edit(doc, edit)
+    # a copy: a later edit may change the value where it still sits
+    return copy.deepcopy(edit)
 
 
 def run(argv):
@@ -99,7 +106,7 @@ def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
     for m in range(MUTANTS):
         base = rng.randrange(len(bases))
         doc = json.loads(json.dumps(bases[base]))
-        edits = [mutate(doc, rng) for _ in range(rng.randint(1, 3))]
+        edits = [json.dumps(mutate(doc, rng)) for _ in range(rng.randint(1, 3))]
         fib = bases[base].get("fibration", {})
         labels = list(fib.get("special_values", [])) + ["generic", "nonsense"]
         sid = rng.choice([s["id"] for s in bases[base]["strata"]])
@@ -164,7 +171,7 @@ def mutate_bundle(doc, rng):
         key = rng.choice(list(vmap))
         vmap[key] = rng.choice(RETYPED + (-1, 9, "a"))
         return f"image {key!r}"
-    return mutate(doc, rng)
+    return json.dumps(mutate(doc, rng))
 
 
 def alias(doc, rng):

@@ -350,8 +350,7 @@ FOR_TRACED = {
 # what runs only while a census is refused: the compute and solve sweeps
 # read no malformed census
 ERROR_ONLY = {
-    "census_io._bad_ident": "the error of a bad id",
-    "census_io._mistyped": "the error of a mistyped value",
+    "census_io._refuse": "the error of a refused value, with its path",
     "documents._refuse_constant": "the error of a NaN or an infinity in the text",
 }
 

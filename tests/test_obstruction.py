@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from strat_euler.catalog import load_entry
 from strat_euler.entries import list_entries
-from strat_euler.errors import NotAPointStratum, NotEquidimensional
+from strat_euler.errors import NotAPointStratum, NotEquidimensional, UnknownStratum
 from strat_euler.obstruction import (
     check_bdk_point_formula,
     eu_function_of_space,
@@ -75,6 +75,13 @@ def test_curve_singularity_golden_values():
         assert table.entry("V2", table.labels[-1]) == 1, name
         assert table.entry("V2", "V2") == 1
         assert table.entry("V2", "V1") == 0
+
+
+def test_a_table_entry_names_an_unknown_label():
+    table = solve_bdk(census_of("cusp-linear"))
+    with pytest.raises(UnknownStratum) as exc:
+        table.entry("V1", "nope")
+    assert str(exc.value) == "no stratum 'nope' in the table"
 
 
 def test_global_obstruction_golden_values():

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from strat_euler.catalog import load_entry
 from strat_euler.errors import InsufficientData, MissingLinkEntry, UnknownStratum
@@ -23,7 +23,7 @@ from strat_euler.strata import (
     restrict_to_closure,
 )
 
-from conftest import censuses_with_functions
+from conftest import censuses, censuses_with_functions
 from oracles import (
     closure_coefficients,
     down_set,
@@ -226,6 +226,33 @@ def test_equidimensional_flag_demands_pure_top_dimension():
     with pytest.raises(ValueError):
         census.validate()
     StratifiedCensus("loose", p, {}, equidimensional=False).validate()
+
+
+@given(censuses(), st.data())
+def test_an_accepted_equidimensional_census_has_its_regular_part_at_top_dimension(census, data):
+    """Under the equidimensional flag validate() checks only that every
+    other stratum lies below the regular part: the poset refuses a pair that
+    does not raise dimension, so the regular part then has the largest dim.
+    Drawn: the censuses of conftest with their dims redrawn, the flag moved
+    or both."""
+    poset = census.poset
+    top = data.draw(st.sampled_from(poset.ids()))
+    redraw = data.draw(st.booleans())
+    strata = tuple(
+        Stratum(
+            s.id, data.draw(st.integers(0, 3)) if redraw else s.dim, is_regular_part=s.id == top
+        )
+        for s in poset.strata
+    )
+    try:
+        changed = StratifiedCensus(
+            census.name, StratumPoset(strata, poset.relations), census.links,
+            equidimensional=True, chi=census.chi,
+        )
+        changed.validate()
+    except ValueError:
+        return
+    assert changed.regular_part().dim == max(s.dim for s in strata)
 
 
 def test_missing_link_entry_is_a_named_error():
