@@ -26,11 +26,12 @@ Conventions
 
 Each census is solved once.  ``census.solved`` is a :class:`SolvedCensus`:
 the eta-against-closures matrix is upper unitriangular, and its restriction
-to the closure of a stratum is a principal block.  One back-substitution
-serves every vector solve: the obstruction column of one closure, over
-that closure's down-set, and a weight read back through the solver
-(:meth:`SolvedCensus.resolved`), over the whole census, which is what the
-structural rows of ``check`` compare against.  Only the printed
+to the closure of a stratum is a principal block.  Every solve reads the
+links from rows built once (:attr:`SolvedCensus.rows`).  One
+back-substitution serves every vector solve: the obstruction column of one
+closure, over that closure's down-set, and a weight read back through the
+solver (:meth:`SolvedCensus.resolved`), over the whole census, which is
+what the structural rows of ``check`` compare against.  Only the printed
 ``eu-table`` reads the whole table, which the ``table`` module solves and
 lays out.  :func:`restrict_to_closure` builds the sub-census of a closure
 explicitly and stays as the independent route the tests compare against.
@@ -276,8 +277,7 @@ class SolvedWeight:
     def __init__(self, solved: "SolvedCensus", alpha: StratumConstructibleFunction):
         order, above = solved.order, solved.above
         # what eta reads, and not the solved census, which keeps this weight
-        self._order, self._index, self._above = order, solved.index, above
-        self._links = solved.links
+        self._order, self._index, self._rows = order, solved.index, solved.rows
         coeffs = [0] * len(order)
         # Moebius inversion, from the top of the (dim, id) order down
         for j in reversed(range(len(order))):
@@ -287,22 +287,19 @@ class SolvedWeight:
         self._resolved: StratumConstructibleFunction | None = None
 
     def eta(self, at: str) -> int:
-        """eta of alpha at a stratum.  Reads the links from ``at`` to the
-        closures with a nonzero coefficient, in decreasing (dim, id) order,
-        so an absent link raises the same MissingLinkEntry whenever it is
+        """eta of alpha at a stratum, from the link row of ``at``.  It
+        raises MissingLinkEntry for the highest absent link from ``at`` to
+        a closure with a nonzero coefficient, the same one whenever it is
         needed; only values are remembered."""
         i = self._index[at]
         value = self._eta.get(i)
         if value is None:
-            order, links, coeffs = self._order, self._links, self._coeffs
-            value = coeffs[i]
-            for k in reversed(self._above[i]):
+            coeffs = self._coeffs
+            steps, absent = self._rows[i]
+            for k in reversed(absent):
                 if coeffs[k]:
-                    try:
-                        value += coeffs[k] * (1 - links[at, order[k]])
-                    except KeyError:
-                        raise MissingLinkEntry(at, order[k]) from None
-            self._eta[i] = value
+                    raise MissingLinkEntry(at, self._order[k])
+            value = self._eta[i] = coeffs[i] - sum(a * coeffs[k] for k, a in steps)
         return value
 
 
@@ -311,25 +308,24 @@ class SolvedCensus:
 
     Rows and columns follow the (dim, id) linear extension ``order``.  The
     obstruction system M C = I, with M the eta-against-closures matrix,
-    gives entry (i, j) of C as delta_ij plus (link(i, k) - 1) times entry
-    (k, j) for each k strictly above i.  The closure column of stratum j,
-    the obstruction of the closure of j, is column j of C on the down-set
-    of j; the block is a principal one, so it is what re-solving the census
-    of that closure would give.
+    gives entry (i, j) of C as delta_ij plus a times entry (k, j) for each
+    step (k, a) of row i of :attr:`rows`, a = link(i, k) - 1.  The closure
+    column of stratum j, the obstruction of the closure of j, is column j
+    of C on the down-set of j; the block is a principal one, so it is what
+    re-solving the census of that closure would give.
 
     :meth:`_solve` is the one back-substitution for one right-hand side:
     :meth:`column` solves a unit vector over one down-set, and
     :meth:`resolved` eta of a weight over the whole census.
     ``table.solve_rows`` solves all of C row by row for the printed table,
-    each row packed into one integer.
-    Everything is computed on first use, after the links it reads are
-    checked: a column scans its block in row-major order and raises the
+    each row packed into one integer.  Everything is computed on first
+    use, after :meth:`require_links` has checked the links it reads: a
+    column scans its block in row-major order and raises the
     MissingLinkEntry that solving the restricted census would raise, and
-    the readers of the whole space ask for every link through
-    :meth:`require_links`.
+    the readers of the whole space ask for every link.
 
     It holds the census's links and not the census, which holds it, and its
-    weights hold what they read and not it: a census and what it solved
+    weights hold the rows they read and not it: a census and what it solved
     make no reference cycle, so they are freed when the last reference
     goes, without the cyclic GC (which the process entry turns off).
     """
@@ -351,23 +347,31 @@ class SolvedCensus:
         return StratumConstructibleFunction({i: 1 for i in self._ids})
 
     @cached_property
-    def _missing(self) -> tuple[tuple[int, int], ...]:
-        # strict order pairs (i, k) without a link entry, in row-major order
+    def rows(self) -> list[tuple[list[tuple[int, int]], list[int]]]:
+        """Row i: the steps (k, link(i, k) - 1) for each k above i with a
+        link other than 1 (which puts 0 into the eta matrix), and the k
+        above i without a link entry, both ascending in k."""
         order, links = self.order, self.links
-        return tuple(
-            (i, k)
-            for i in range(len(order))
-            for k in self.above[i]
-            if (order[i], order[k]) not in links
-        )
+        rows = []
+        for at, up in zip(order, self.above):
+            steps, absent = [], []
+            for k in up:
+                chi = links.get((at, order[k]))
+                if chi is None:
+                    absent.append(k)
+                elif chi != 1:
+                    steps.append((k, chi - 1))
+            rows.append((steps, absent))
+        return rows
 
     def require_links(self, block: set[int] | None = None) -> None:
-        """Raise for the first absent link, in row-major (dim, id) order, of
-        the given closure block (a down-set of indices), or of the whole
-        matrix."""
-        for i, k in self._missing:
-            if block is None or k in block:
-                raise MissingLinkEntry(self.order[i], self.order[k])
+        """Raise for the first absent link in :attr:`rows`, in row-major
+        (dim, id) order, of the given closure block (a down-set of
+        indices), or of the whole matrix."""
+        for i, (_, absent) in enumerate(self.rows):
+            for k in absent:
+                if block is None or k in block:
+                    raise MissingLinkEntry(self.order[i], self.order[k])
 
     def require_known(self, alpha: StratumConstructibleFunction) -> None:
         """Raise for the first coefficient of alpha on a stratum the census
@@ -390,18 +394,17 @@ class SolvedCensus:
 
     def _solve(self, b: Mapping[int, int], over: Sequence[int]) -> dict[int, int]:
         """Solve M x = b over ``over``, an ascending down-set of indices,
-        from the top down: x_i is b_i plus (link(i, k) - 1) times x_k for
-        each k above i.  Returns x summed over each stratum of ``over`` and
-        its up-set, by index.  The caller has checked the block's links."""
-        order, above, links = self.order, self.above, self.links
+        from the top down: x_i is b_i plus a times x_k for each step (k, a)
+        of row i.  Returns x summed over each stratum of ``over`` and its
+        up-set, by index.  The caller has checked the block's links."""
+        rows, above = self.rows, self.above
         x: dict[int, int] = {}
         for i in reversed(over):
-            at = order[i]
             c = b.get(i, 0)
-            for k in above[i]:
+            for k, a in rows[i][0]:
                 xk = x.get(k)
                 if xk:
-                    c += (links[at, order[k]] - 1) * xk
+                    c += a * xk
             if c:
                 x[i] = c
         return {m: x.get(m, 0) + sum(x.get(k, 0) for k in above[m]) for m in over}

@@ -3,9 +3,9 @@
 Every other reader of a census solves one closure column or one weight of
 ``census.solved`` (see :class:`strata.SolvedCensus`).
 :func:`obstruction.solve_bdk` imports this module when it is asked for the
-whole table: :func:`solve_rows` solves it row by row from the top of the
-(dim, id) order, each row packed into one integer, and
-:class:`LabeledMatrix` lays it out.
+whole table: :func:`solve_rows` solves it from the top of the (dim, id)
+order over the link rows ``census.solved.rows``, each row packed into one
+integer, and :class:`LabeledMatrix` lays it out.
 """
 
 from __future__ import annotations
@@ -21,25 +21,21 @@ def solve_rows(solved: SolvedCensus) -> tuple[tuple[int, ...], ...]:
     link.
 
     Coefficient entry [i][j], the closure-basis coefficient of closure i in
-    the obstruction of the closure of j, is delta_ij plus a_ik = link(i, k)
-    - 1 times entry [k][j] for each k above i; value row m is the sum of
-    the coefficient rows of m and of every stratum above m, and is zero off
-    m and its up-set.  Each row is one int, entry j in a field of w bits at
-    bit w*j, so each step is one big-int multiply-add.  Python ints are
-    exact, so the packed sums lose nothing, and the fields only have to
-    hold the final entries: B_i = 1 + sum |a_ik| B_k bounds row i, and a
-    value row the bounds of the rows it sums.
+    the obstruction of the closure of j, is delta_ij plus a_ik times entry
+    [k][j] for each step (k, a_ik = link(i, k) - 1) of ``solved.rows[i]``;
+    value row m is the sum of the coefficient rows of m and of every stratum
+    above m, and is zero off m and its up-set.  Each row is one int, entry j
+    in a field of w bits at bit w*j, so each step is one big-int multiply-add.
+    Python ints are exact, so the packed sums lose nothing, and the fields
+    only have to hold the final entries: B_i = 1 + sum |a_ik| B_k bounds
+    row i, and a value row the bounds of the rows it sums.
     """
     solved.require_links()
-    order, above, links = solved.order, solved.above, solved.links
-    n = len(order)
-    steps: list[list[tuple[int, int]]] = [[]] * n
+    link_rows, above = solved.rows, solved.above
+    n = len(above)
     bounds = [0] * n
     for i in reversed(range(n)):
-        at = order[i]
-        # a link of chi 1 puts 0 into the eta matrix
-        steps[i] = [(k, a) for k in above[i] if (a := links[at, order[k]] - 1)]
-        bounds[i] = 1 + sum(abs(a) * bounds[k] for k, a in steps[i])
+        bounds[i] = 1 + sum(abs(a) * bounds[k] for k, a in link_rows[i][0])
     top = max(bounds[m] + sum(map(bounds.__getitem__, above[m])) for m in range(n))
     # whole bytes, two bits to spare: every entry lies strictly within half a field
     size = (top.bit_length() + 9) // 8
@@ -47,7 +43,7 @@ def solve_rows(solved: SolvedCensus) -> tuple[tuple[int, ...], ...]:
     rows = [0] * n
     for i in reversed(range(n)):
         row = 1 << (width * i)
-        for k, a in steps[i]:
+        for k, a in link_rows[i][0]:
             row += a * rows[k]
         rows[i] = row
     # half a field added to each makes every field nonnegative

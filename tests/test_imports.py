@@ -18,33 +18,9 @@ from strat_euler.documents import _fixture_dir
 from strat_euler.entries import list_entries
 from strat_euler.fibered import IDENTITIES
 
-from conftest import document_text, faulted_doc
+from conftest import document_text, faulted_doc, imported_by
 
 DATA = Path(__file__).with_name("data")
-
-# runs `python -m strat_euler ARGS` in-process, and prints the strat_euler
-# modules it imported from an atexit handler: the process entry ends the
-# process when the command returns, once it has run the handlers
-RUN_MODULE = """
-import atexit, contextlib, io, runpy, sys
-sys.argv = ["strat_euler", *sys.argv[1:]]
-atexit.register(lambda: print(
-    *sorted(m for m in sys.modules if m.startswith("strat_euler")), file=sys.__stdout__, flush=True
-))
-with contextlib.redirect_stdout(io.StringIO()):
-    runpy.run_module("strat_euler", run_name="__main__", alter_sys=True)
-"""
-
-
-def imported_by(*args):
-    """The exit code of ``python -m strat_euler ARGS`` and the package
-    modules it imported."""
-    run = subprocess.run(
-        [sys.executable, "-c", RUN_MODULE, *args], capture_output=True, text=True
-    )
-    assert "Traceback" not in run.stderr, run.stderr
-    return run.returncode, {m.removeprefix("strat_euler.") for m in run.stdout.split()}
-
 
 def fixture(name):
     return str(_fixture_dir() / f"{name}.json")

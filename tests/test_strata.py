@@ -265,6 +265,20 @@ def test_missing_link_entry_is_a_named_error():
     assert exc.value.pair == ("bot", "top")
 
 
+def test_eta_names_the_highest_absent_link_it_needs():
+    """With both links from bot to the middle strata absent, eta at bot
+    names the highest of them with a nonzero closure coefficient."""
+    links = {("bot", "top"): 2, ("midA", "top"): 3, ("midB", "top"): 1}
+    census = StratifiedCensus("gaps", diamond_poset(), links)
+    both = StratumConstructibleFunction({"midA": 1, "midB": 1})
+    with pytest.raises(MissingLinkEntry) as exc:
+        eta(census, "bot", both)
+    assert exc.value.pair == ("bot", "midB")
+    with pytest.raises(MissingLinkEntry) as exc:
+        eta(census, "bot", StratumConstructibleFunction({"midA": 1}))
+    assert exc.value.pair == ("bot", "midA")
+
+
 def node_census():
     return load_entry("node-linear").census.base
 
