@@ -39,6 +39,7 @@ from .fibered import (
     IDENTITIES,
     CheckLine,
     check_identity,
+    eu_of_f_at,
     local_fiber_defect,
     row_detail,
     total_brasselet_infinity,
@@ -71,7 +72,7 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
     defect_at_<point>, B_polar_at_<value>, B_polar_generic.
     """
     # the invariants only these keys read live with the runs that read them
-    from .catalog_run import _eu_of_space_at, _polar, eu_of_f_at, total_lambda_infinity
+    from .catalog_run import _eu_of_space_at, _polar
     from .compute import detect_irregular_values
 
     census = bundle.census
@@ -81,7 +82,7 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
     if key == "chi_global":
         return chi_global(base, indicator_of_space(base))
     if key == "lambda_total":
-        return total_lambda_infinity(census)
+        return total_brasselet_infinity(census)
     if key == "binf_total":
         return total_brasselet_infinity(census, eu_weight(census))
     if key == "irregular_values":

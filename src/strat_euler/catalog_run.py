@@ -18,23 +18,11 @@ from .census_io import CensusBundle
 from .entries import list_entries
 from .errors import InsufficientData, UnknownStratum
 from .fibered import CheckLine
-from .fibration import FiberedCensus, brasselet, eu_weight, lambda_infinity
 from .records import record
-from .strata import StratifiedCensus, chi_global
+from .strata import StratifiedCensus
 
 
 # --- what only expected keys read ------------------------------------------
-
-
-def eu_of_f_at(census: FiberedCensus, at: str) -> int:
-    """Global obstruction of the function at a value: the defect between the
-    obstruction of the space and the Brasselet number of the fiber."""
-    w = eu_weight(census)
-    return chi_global(census.base, w) - brasselet(census, at, w)
-
-
-def total_lambda_infinity(census: FiberedCensus) -> int:
-    return sum(lambda_infinity(census, a) for a in census.special_values)
 
 
 def _eu_of_space_at(census: StratifiedCensus, stratum_id: str) -> int:

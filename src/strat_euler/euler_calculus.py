@@ -73,9 +73,6 @@ class Simplex:
     def __iter__(self) -> Iterator[object]:
         return iter(self.vertices)
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def __repr__(self) -> str:
         return "<" + ",".join(map(repr, self.vertices)) + ">"
 
@@ -99,9 +96,6 @@ class SimplicialComplex:
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self.simplices
-
-    def __len__(self) -> int:
-        return len(self.simplices)
 
 
 def _label_key(v: object) -> tuple:
@@ -127,8 +121,7 @@ def validate(complex_: SimplicialComplex) -> None:
 class SimplicialConstructibleFunction:
     """Integer weights on the open simplices of a host complex.
 
-    Missing simplices carry weight zero.  Instances compare equal when their
-    hosts agree and their nonzero weights agree.
+    Missing simplices carry weight zero.
     """
 
     def __init__(self, host: SimplicialComplex, weights: Mapping[Simplex, int] | None = None):
@@ -146,17 +139,6 @@ class SimplicialConstructibleFunction:
 
     def items(self):
         return self._weights.items()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialConstructibleFunction):
-            return NotImplemented
-        return self.host == other.host and self._weights == other._weights
-
-    def __hash__(self):
-        return hash((self.host, frozenset(self._weights.items())))
-
-    def __repr__(self) -> str:
-        return f"SimplicialConstructibleFunction({len(self._weights)} nonzero weights)"
 
 
 def integrate_all(f: SimplicialConstructibleFunction) -> int:

@@ -85,6 +85,17 @@ def total_brasselet_infinity(
     return sum(brasselet_infinity(census, a, alpha) for a in census.special_values)
 
 
+def eu_of_f_at(
+    census: FiberedCensus, at: str, w: StratumConstructibleFunction | None = None
+) -> int:
+    """chi of the space minus chi of the fiber over a value, both weighted
+    by w; with the obstruction weight (the default) it is the global
+    obstruction of the function at the value."""
+    if w is None:
+        w = eu_weight(census)
+    return chi_global(census.base, w) - brasselet(census, at, w)
+
+
 def signed_count_balance(
     census: FiberedCensus, alpha: StratumConstructibleFunction, counts: Mapping[str, int]
 ) -> int:
@@ -191,14 +202,14 @@ def _prop_brasselet_vs_fiber_eu(census, a, w, counts, fiber) -> tuple[int, int]:
 
 
 def _generic_fiber(census, a, w, counts, fiber) -> tuple[int, int]:
-    lhs = chi_global(census.base, w) - brasselet(census, GENERIC, w)
+    lhs = eu_of_f_at(census, GENERIC, w)
     rhs = signed_count_balance(census, w, counts) - total_brasselet_infinity(census, w)
     return lhs, rhs
 
 
 def _cor_equi(census, a, w, counts, fiber) -> tuple[int, int]:
     base = census.base
-    lhs = chi_global(base, w) - brasselet(census, GENERIC, w)
+    lhs = eu_of_f_at(census, GENERIC, w)
     d = base.top_dim()
     n_top = census.morse_total(base.regular_part().id)
     rhs = (-1 if d % 2 else 1) * n_top - total_brasselet_infinity(census, w)
@@ -207,7 +218,7 @@ def _cor_equi(census, a, w, counts, fiber) -> tuple[int, int]:
 
 def _prop_any_value(census, a, w, counts, fiber) -> tuple[int, int]:
     counts = _morse_totals(census, excluding_value=a)
-    lhs = chi_global(census.base, w) - brasselet(census, a, w)
+    lhs = eu_of_f_at(census, a, w)
     rhs = (
         signed_count_balance(census, w, counts)
         - total_brasselet_infinity(census, w)
@@ -277,10 +288,6 @@ IDENTITIES: dict[str, Identity] = {
     "cor_generic_vs_any": Identity(_cor_generic_vs_any, values="special", weight="Eu"),
     "value_consistency": Identity(_value_consistency, values="special", weight="1"),
 }
-
-IDENTITY_NAMES = tuple(IDENTITIES)
-
-STRUCTURAL_IDENTITIES = frozenset(name for name, e in IDENTITIES.items() if e.structural)
 
 
 # --- the rows of a verification run ---------------------------------
@@ -452,7 +459,7 @@ def solve_unknown(
         )
     slope = g1 - g0
     if slope == 0:
-        if identity in STRUCTURAL_IDENTITIES:
+        if IDENTITIES[identity].structural:
             raise NotSolvable(
                 f"identity {identity!r} holds for arbitrary census data; "
                 f"it does not constrain {fieldpath!r}"

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import InsufficientData, PointNotInClosure, UnknownCriticalPoint, UnknownValueLabel
+from .errors import PointNotInClosure, UnknownCriticalPoint, UnknownValueLabel
 from .obstruction import eu_function_of_space
 from .records import field, record
-from .strata import StratifiedCensus, StratumConstructibleFunction, indicator_of_space
+from .strata import StratifiedCensus, StratumConstructibleFunction, indicator_of_space, weighted_sum
 
 GENERIC = "generic"
 
@@ -185,23 +185,10 @@ def brasselet(
     if alpha is None:
         alpha = indicator_of_space(census.base)
     census.base.solved.require_known(alpha)
-    # only the support of alpha contributes
-    total = 0
-    missing = set()
-    for sid, a in alpha.coeffs.items():
-        if a == 0:
-            continue
-        v = census.fiber_chi.get(sid, {}).get(at)
-        if v is None:
-            missing.add(sid)
-            continue
-        total += a * v
-    if missing:
-        # named in the order the census declares its strata
-        raise InsufficientData(
-            [f"fiber_chi.{sid}.{at}" for sid in census.base.poset.ids() if sid in missing]
-        )
-    return total
+    fiber = census.fiber_chi
+    return weighted_sum(
+        census.base, alpha, lambda sid: fiber.get(sid, {}).get(at), lambda sid: f"fiber_chi.{sid}.{at}"
+    )
 
 
 def eu_weight(census: FiberedCensus) -> StratumConstructibleFunction:
@@ -219,12 +206,14 @@ def brasselet_infinity(
         alpha = indicator_of_space(census.base)
     if at == GENERIC:
         return 0
-    # absent entries are zero (the one documented default), so only the
-    # support of alpha contributes, and a coefficient on an unknown stratum
-    # meets no entry
+    # absent entries are zero (the one documented default), so none is
+    # missing, and a coefficient on an unknown stratum meets no entry
     infinity = census.infinity_chi
-    return sum(
-        a * infinity[sid].get(at, 0) for sid, a in alpha.coeffs.items() if sid in infinity
+    return weighted_sum(
+        census.base,
+        alpha,
+        lambda sid: infinity.get(sid, {}).get(at, 0),
+        lambda sid: f"infinity_chi.{sid}.{at}",
     )
 
 

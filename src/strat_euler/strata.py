@@ -42,7 +42,7 @@ order in ``order_errors`` and the whole table in ``table``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
 
 from .errors import (
@@ -246,6 +246,26 @@ def indicator_of_space(census: StratifiedCensus) -> StratumConstructibleFunction
     return census.solved.one
 
 
+def weighted_sum(
+    census: StratifiedCensus, alpha: StratumConstructibleFunction, entry: Callable, slot: Callable
+) -> int:
+    """The Euler integral of alpha against one per-stratum column: over the
+    support of alpha, each coefficient times ``entry`` of its stratum, None
+    where the census lacks it.  One InsufficientData names every such entry
+    by ``slot`` of its stratum, in the order the census declares its strata."""
+    total = 0
+    missing = set()
+    for sid, a in alpha.coeffs.items():
+        v = entry(sid) if a else 0
+        if v is None:
+            missing.add(sid)
+        else:
+            total += a * v
+    if missing:
+        raise InsufficientData([slot(sid) for sid in census.poset.ids() if sid in missing])
+    return total
+
+
 def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) -> int:
     """Euler characteristic of the space weighted by alpha.
 
@@ -253,20 +273,7 @@ def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) ->
     the per-stratum Euler characteristics.
     """
     census.solved.require_known(alpha)
-    missing = []
-    total = 0
-    for s in census.poset.strata:
-        a = alpha.value(s.id)
-        if a == 0:
-            continue
-        chi = census.chi.get(s.id)
-        if chi is None:
-            missing.append(f"chi.{s.id}")
-            continue
-        total += a * chi
-    if missing:
-        raise InsufficientData(missing)
-    return total
+    return weighted_sum(census, alpha, census.chi.get, lambda sid: f"chi.{sid}")
 
 
 class SolvedWeight:
@@ -364,13 +371,23 @@ class SolvedCensus:
             rows.append((steps, absent))
         return rows
 
+    @cached_property
+    def _first_absent(self) -> tuple[str, str] | None:
+        """The first absent link of the whole matrix, in row-major order."""
+        firsts = ((i, absent[0]) for i, (_, absent) in enumerate(self.rows) if absent)
+        return next(((self.order[i], self.order[k]) for i, k in firsts), None)
+
     def require_links(self, block: set[int] | None = None) -> None:
         """Raise for the first absent link in :attr:`rows`, in row-major
         (dim, id) order, of the given closure block (a down-set of
-        indices), or of the whole matrix."""
+        indices), or of the whole matrix, which is looked up once."""
+        if block is None:
+            if self._first_absent:
+                raise MissingLinkEntry(*self._first_absent)
+            return
         for i, (_, absent) in enumerate(self.rows):
             for k in absent:
-                if block is None or k in block:
+                if k in block:
                     raise MissingLinkEntry(self.order[i], self.order[k])
 
     def require_known(self, alpha: StratumConstructibleFunction) -> None:

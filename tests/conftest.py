@@ -15,8 +15,9 @@ from hypothesis import assume, settings, strategies as st
 
 from strat_euler.catalog import load_entry
 from strat_euler.euler_calculus import Simplex, SimplicialConstructibleFunction, SimplicialMap
+from strat_euler.records import replace
 from strat_euler.slots import FieldPath
-from strat_euler.fibration import GENERIC, FiberedCensus
+from strat_euler.fibration import GENERIC, CriticalPoint, FiberedCensus
 from strat_euler.strata import (
     StratifiedCensus,
     Stratum,
@@ -24,7 +25,7 @@ from strat_euler.strata import (
     StratumPoset,
 )
 
-from oracles import closed
+from oracles import closed, consistent_fiber_chi
 
 DATA = Path(__file__).with_name("data")
 
@@ -255,3 +256,51 @@ def fibered_censuses(draw):
     )
     fibered.validate()
     return fibered
+
+
+@st.composite
+def consistent_censuses(draw, max_strata=61):
+    """A layered or wide census of at most ``max_strata`` strata, with
+    random links, chi, infinity columns and critical points, and the fiber
+    columns ``oracles.consistent_fiber_chi`` makes every identity hold with.
+
+    Layered: up to five levels of up to twelve strata.  Wide: many points
+    under a few curves.  Each stratum lies below a random part of the next
+    level, at least one stratum and at most half of it, and every stratum
+    below one regular part.
+    """
+    if draw(st.booleans()):
+        widths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    else:
+        widths = [draw(st.integers(10, 40)), draw(st.integers(1, 8))]
+    rng = draw(st.randoms(use_true_random=False))
+    while sum(widths) >= max_strata:
+        widths[widths.index(max(widths))] -= 1
+    grid = [[f"L{d}_{w}" for w in range(width)] for d, width in enumerate(widths)]
+    strata = [Stratum(sid, d) for d, row in enumerate(grid) for sid in row]
+    strata.append(Stratum("T", len(grid), is_regular_part=True))
+    pairs = {(s.id, "T") for s in strata[:-1]}
+    for lower, upper in zip(grid, grid[1:]):
+        for sid in lower:
+            pairs |= {(sid, t) for t in rng.sample(upper, rng.randint(1, (len(upper) + 1) // 2))}
+    poset = StratumPoset(tuple(strata), frozenset(pairs))
+    links = {pair: rng.randint(-1, 3) for pair in sorted(poset.relations)}
+    chi = {s.id: rng.randint(-3, 3) for s in strata}
+    base = StratifiedCensus("consistent", poset, links, equidimensional=True, chi=chi)
+    values = ("0", "1")[: rng.randint(1, 2)]
+    ids = poset.ids()
+    infinity = {
+        sid: {c: rng.randint(-2, 2) for c in values} for sid in ids if rng.random() < 0.3
+    }
+    points = []
+    for i in range(draw(st.integers(1, 4))):
+        at = rng.choice(ids)
+        above = [sid for sid in ids if poset.lt(at, sid)]
+        counts = {sid: rng.randint(0, 2) for sid in [at] + rng.sample(above, min(2, len(above)))}
+        points.append(CriticalPoint(f"q{i}", at, rng.choice(values), counts))
+    census = FiberedCensus(
+        base, special_values=values, infinity_chi=infinity, critical_points=tuple(points)
+    )
+    census = replace(census, fiber_chi=consistent_fiber_chi(census))
+    census.validate()
+    return census

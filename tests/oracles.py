@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 from strat_euler.errors import MissingLinkEntry
 from strat_euler.euler_calculus import Simplex, SimplicialComplex, SimplicialMap
-from strat_euler.fibration import FiberedCensus
+from strat_euler.fibration import GENERIC, FiberedCensus
 from strat_euler.strata import (
     StratifiedCensus,
     Stratum,
@@ -108,6 +108,64 @@ def function_from_closure_coefficients(
     for j in poset.ids():
         out[j] = sum(v for k, v in coeffs.items() if k == j or poset.lt(j, k))
     return StratumConstructibleFunction(out)
+
+
+def eu_of_space(census: StratifiedCensus) -> StratumConstructibleFunction:
+    """The obstruction of an equidimensional space from its definition:
+    the closure-basis combination x with eta of it equal to 1 on the
+    regular part and 0 elsewhere, solved by back-substitution through the
+    eta matrix entry by entry, then expanded into per-stratum values."""
+    order = census.poset.linear_extension()
+    top = census.regular_part().id
+    x: dict[str, int] = {}
+    for i in reversed(range(len(order))):
+        at = order[i]
+        x[at] = int(at == top) - sum(eta_entry(census, at, k) * x[k] for k in order[i + 1 :])
+    return function_from_closure_coefficients(census, x)
+
+
+def consistent_fiber_chi(census: FiberedCensus) -> dict[str, dict[str, int]]:
+    """Fiber columns that make every non-structural identity hold at every
+    weight, from the census's chi, infinity columns and Morse counts.
+
+    Each of those identities is linear in the weight w, and its count side
+    enters through eta(w) = K w, with K(S, T) eta of the indicator of T at
+    S.  With N_S the total Morse count on S, and N^{!=a}_S the count
+    without the points over a, each stratum T gets
+      fiber_chi[T][generic] = chi(T) + sum_c infinity_chi[T][c]
+                              - sum_S (-1)^dim S N_S K(S, T),
+      fiber_chi[T][a] = chi(T) + sum_{c != a} infinity_chi[T][c]
+                        - sum_S (-1)^dim S N^{!=a}_S K(S, T).
+    K is computed from :func:`closure_coefficients` and :func:`eta_entry`
+    alone, and only at the strata that carry counts.
+    """
+    base = census.base
+    poset = base.poset
+    counted = sorted({s for q in census.critical_points for s, n in q.morse_counts.items() if n})
+    K = {}
+    for t in poset.ids():
+        coeffs = closure_coefficients(base, StratumConstructibleFunction({t: 1}))
+        for s in counted:
+            K[s, t] = sum(c * eta_entry(base, s, k) for k, c in coeffs.items() if c)
+
+    def balance(t: str, without: str | None) -> int:
+        return sum(
+            (-1) ** poset.stratum(s).dim * n * K[s, t]
+            for q in census.critical_points
+            if q.value != without
+            for s, n in q.morse_counts.items()
+            if n
+        )
+
+    columns = {}
+    for t in poset.ids():
+        infinity = census.infinity_chi.get(t, {})
+        chi = base.chi[t]
+        columns[t] = {GENERIC: chi + sum(infinity.values()) - balance(t, None)}
+        for a in census.special_values:
+            rest = sum(v for c, v in infinity.items() if c != a)
+            columns[t][a] = chi + rest - balance(t, a)
+    return columns
 
 
 def closure_sums(

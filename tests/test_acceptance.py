@@ -12,12 +12,11 @@ import time
 import pytest
 
 from strat_euler.catalog import load_entry
-from strat_euler.catalog_run import total_lambda_infinity
 from strat_euler.compute import detect_irregular_values
 from strat_euler.entries import list_entries
 from strat_euler.errors import NotSolvable
 from strat_euler.euler_calculus import check_fubini
-from strat_euler.fibered import IDENTITY_NAMES, STRUCTURAL_IDENTITIES, check_identity, solve_unknown
+from strat_euler.fibered import IDENTITIES, check_identity, solve_unknown, total_brasselet_infinity
 from strat_euler.fibration import GENERIC, brasselet, eu_weight, lambda_infinity
 from strat_euler.obstruction import global_euler_obstruction, invert_unitriangular, solve_bdk
 from strat_euler.polar import brasselet_from_polar, stv_global_eu
@@ -128,7 +127,7 @@ def test_criterion_05_generic_fiber_balance():
 
 def test_criterion_06_corrections_at_infinity():
     census = load_entry("broughton").census
-    ok = total_lambda_infinity(census) == -1
+    ok = total_brasselet_infinity(census) == -1
     ok = ok and lambda_infinity(census, "0") == -1
     ok = ok and detect_irregular_values(census) == ["0"]
     w = eu_weight(census)
@@ -250,7 +249,7 @@ def blanking_plan(bundle):
         "cor_generic_vs_any": (special_slot, {"at": a0}),
         "value_consistency": (generic_slot, {}),
     }
-    assert set(plan) == set(IDENTITY_NAMES)
+    assert set(plan) == set(IDENTITIES)
     return plan
 
 
@@ -265,7 +264,7 @@ def test_criterion_10_solver_round_trips():
                 kwargs = {"at": census.special_values[0]}
             original = census.fiber_chi[field.split(".")[1]][field.split(".")[2]]
             blanked = blank_field(census, field)
-            if identity in STRUCTURAL_IDENTITIES:
+            if IDENTITIES[identity].structural:
                 # these hold for arbitrary data, so no slot is recoverable
                 with pytest.raises(NotSolvable):
                     solve_unknown(blanked, identity, field, **kwargs)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 
 from strat_euler.catalog import load_entry
-from strat_euler.catalog_run import eu_of_f_at, total_lambda_infinity
 from strat_euler.census_io import load_document
 from strat_euler.compute import detect_irregular_values
 from strat_euler.errors import (
@@ -18,19 +17,32 @@ from strat_euler.errors import (
 )
 from strat_euler.fibered import (
     IDENTITIES,
-    IDENTITY_NAMES,
-    STRUCTURAL_IDENTITIES,
     check_identity,
+    eu_of_f_at,
     local_fiber_defect,
     restrict_fibered,
     solve_unknown,
     total_brasselet_infinity,
 )
-from strat_euler.fibration import GENERIC, brasselet, eu_weight, lambda_infinity, resolve_value_label
+from strat_euler.fibration import (
+    GENERIC,
+    FiberedCensus,
+    brasselet,
+    brasselet_infinity,
+    eu_weight,
+    lambda_infinity,
+    resolve_value_label,
+)
 from strat_euler.polar import eu_of_function_local
 from strat_euler.records import replace
 from strat_euler.slots import FieldPath
-from strat_euler.strata import StratumConstructibleFunction
+from strat_euler.strata import (
+    StratifiedCensus,
+    Stratum,
+    StratumConstructibleFunction,
+    StratumPoset,
+    chi_global,
+)
 
 from conftest import blank_field, fibered_censuses
 
@@ -86,7 +98,7 @@ def test_eu_of_f_at_golden_values():
 def test_infinity_corrections_on_the_plane_family():
     census = fibered("broughton")
     assert lambda_infinity(census, "0") == -1
-    assert total_lambda_infinity(census) == -1
+    assert total_brasselet_infinity(census) == -1
     assert total_brasselet_infinity(census, eu_weight(census)) == -1
 
 
@@ -127,7 +139,7 @@ def test_check_identity_rejects_unknown_names_and_missing_targets():
 def test_all_identities_verify_on_the_cusp():
     census = fibered("cusp-linear")
     bundle = load_entry("cusp-linear")
-    for name in IDENTITY_NAMES:
+    for name in IDENTITIES:
         kwargs = {}
         if IDENTITIES[name].values is not None:
             kwargs["at"] = "0"
@@ -147,6 +159,36 @@ def test_missing_fiber_slots_are_named_in_declared_order():
     declared = [f"fiber_chi.{sid}.0" for sid in census.base.poset.ids() if w.value(sid)]
     assert list(exc.value.fields) == declared
     assert declared != [f"fiber_chi.{sid}.0" for sid in w.coeffs]
+
+
+def test_every_absent_entry_is_named_once_in_declared_order():
+    """Two absent chi values and two absent fiber slots, under a weight
+    that lists its coefficients in reverse declaration order: one error
+    names both, in the order the census declares its strata, which is
+    neither the sorted nor the (dim, id) order.  At infinity an absent
+    entry is 0, and a coefficient on an unknown stratum meets none."""
+    top = Stratum("T", 2, is_regular_part=True)
+    strata = (Stratum("q", 0), Stratum("p", 1), Stratum("c", 0), top)
+    poset = StratumPoset(strata, frozenset({("q", "p"), ("c", "p"), ("p", "T")}))
+    links = {pair: 2 for pair in poset.relations}
+    base = StratifiedCensus("holes", poset, links, chi={"q": None, "p": 1, "T": 1})
+    census = FiberedCensus(
+        base,
+        special_values=("0",),
+        fiber_chi={"q": {GENERIC: 1}, "p": {}, "T": {GENERIC: 1}},
+        infinity_chi={"p": {"0": 5}},
+    )
+    census.validate()
+    w = StratumConstructibleFunction({"T": 1, "c": 2, "p": -1, "q": 3})
+    with pytest.raises(InsufficientData) as exc:
+        chi_global(base, w)
+    assert exc.value.fields == ("chi.q", "chi.c")
+    with pytest.raises(InsufficientData) as exc:
+        brasselet(census, GENERIC, w)
+    assert exc.value.fields == ("fiber_chi.p.generic", "fiber_chi.c.generic")
+    unknown = StratumConstructibleFunction({"zz": 4, **w.coeffs})
+    assert brasselet_infinity(census, "0", unknown) == -5
+    assert brasselet_infinity(census, GENERIC, unknown) == 0
 
 
 def test_milnor_variant_needs_a_general_function():
@@ -185,7 +227,7 @@ def test_declared_ambient_obstruction_is_cross_checked():
 
 @given(fibered_censuses())
 def test_structural_identities_hold_for_arbitrary_data(census):
-    for name in sorted(STRUCTURAL_IDENTITIES):
+    for name in sorted(n for n, e in IDENTITIES.items() if e.structural):
         if name in ("bdk_global_1", "bdk_global_3"):
             for at in census.special_values + (GENERIC,):
                 assert check_identity(census, name, at=at).ok
@@ -213,7 +255,7 @@ def test_solver_refuses_present_fields_and_structural_identities():
     with pytest.raises(NotSolvable):
         solve_unknown(census, "thm_generic_fiber", "fiber_chi.V1.generic")
     blanked = blank_field(census, "fiber_chi.V1.generic")
-    for name in sorted(STRUCTURAL_IDENTITIES):
+    for name in sorted(n for n, e in IDENTITIES.items() if e.structural):
         at = None if IDENTITIES[name].values is None else "0"
         with pytest.raises(NotSolvable) as exc:
             solve_unknown(blanked, name, "fiber_chi.V1.generic", at=at)

@@ -342,6 +342,7 @@ SHARED = {
         "fibration.FiberedCensus.morse_total": "the identities' Morse counts",
         "fibration.FiberedCensus.point": "the fiber defect and the polar routes",
         "fibration.FiberedCensus.points_at": "the identities and the polar routes",
+        "strata.StratumConstructibleFunction.value": "eta's closure coefficients",
         "strata.StratumPoset.linear_extension": "the order of check's rows",
     },
     "solve": {
