@@ -125,11 +125,19 @@ def local_fiber_defect(census: FiberedCensus, point_id: str) -> int:
 # --- identity verifiers ------------------------------------------------
 
 
-def _morse_totals(census: FiberedCensus, excluding_value: str | None = None) -> dict[str, int]:
-    return {
-        sid: census.morse_total(sid, excluding_value)
-        for sid in census.base.poset.ids()
-    }
+def count_totals(
+    census: FiberedCensus, kind: str = "morse_counts", excluding_value: str | None = None
+) -> dict[str, int]:
+    """Per-stratum totals of the critical points' ``morse_counts`` or
+    ``milnor_numbers``, optionally without the points over one value, on
+    every declared stratum in declaration order; others' counts are left out."""
+    totals = dict.fromkeys(census.base.poset.ids(), 0)
+    for q in census.critical_points:
+        if q.value != excluding_value:
+            for sid, n in getattr(q, kind).items():
+                if sid in totals:
+                    totals[sid] += n
+    return totals
 
 
 def _milnor_totals(census: FiberedCensus) -> dict[str, int]:
@@ -142,12 +150,7 @@ def _milnor_totals(census: FiberedCensus) -> dict[str, int]:
     ]
     if missing:
         raise InsufficientData(missing)
-    out: dict[str, int] = {}
-    for q in census.critical_points:
-        for sid, n in (q.milnor_numbers or {}).items():
-            out[sid] = out.get(sid, 0) + n
-    # in stratum order, as the Morse totals
-    return {sid: out[sid] for sid in census.base.poset.ids() if sid in out}
+    return count_totals(census, "milnor_numbers")
 
 
 def _closure_sums(integral: Callable[..., int]) -> Callable[..., tuple[int, int]]:
@@ -211,13 +214,13 @@ def _cor_equi(census, a, w, counts, fiber) -> tuple[int, int]:
     base = census.base
     lhs = eu_of_f_at(census, GENERIC, w)
     d = base.top_dim()
-    n_top = census.morse_total(base.regular_part().id)
+    n_top = count_totals(census)[base.regular_part().id]
     rhs = (-1 if d % 2 else 1) * n_top - total_brasselet_infinity(census, w)
     return lhs, rhs
 
 
 def _prop_any_value(census, a, w, counts, fiber) -> tuple[int, int]:
-    counts = _morse_totals(census, excluding_value=a)
+    counts = count_totals(census, excluding_value=a)
     lhs = eu_of_f_at(census, a, w)
     rhs = (
         signed_count_balance(census, w, counts)
@@ -232,7 +235,7 @@ def _cor_generic_vs_any(census, a, w, counts, fiber) -> tuple[int, int]:
     lhs = brasselet(census, a, w) - brasselet(census, GENERIC, w)
     d = base.top_dim()
     top = base.regular_part().id
-    dropped = census.morse_total(top) - census.morse_total(top, excluding_value=a)
+    dropped = count_totals(census)[top] - count_totals(census, excluding_value=a)[top]
     rhs = (-1 if d % 2 else 1) * dropped - brasselet_infinity(census, a, w)
     return lhs, rhs
 
@@ -392,7 +395,7 @@ def check_identity(
         raise InsufficientData([f"fiber_census.{at}"])
     counts = None
     if entry.counts:
-        counts = _milnor_totals(census) if use_milnor else _morse_totals(census)
+        counts = _milnor_totals(census) if use_milnor else count_totals(census)
     if entry.weight == "Eu":
         w = eu_weight(census)
     elif entry.weight == "alpha" and alpha is not None:

@@ -148,17 +148,6 @@ class FiberedCensus:
     def points_at(self, label: str) -> list[CriticalPoint]:
         return [q for q in self.critical_points if q.value == label]
 
-    def morse_total(self, sid: str, excluding_value: str | None = None) -> int:
-        """Total Morse count on one stratum, optionally dropping the points
-        sitting over one special value."""
-        self.base.poset.stratum(sid)
-        total = 0
-        for q in self.critical_points:
-            if excluding_value is not None and q.value == excluding_value:
-                continue
-            total += q.morse_counts.get(sid, 0)
-        return total
-
 
 def resolve_value_label(census: FiberedCensus, label: str) -> str:
     """Map a value label onto the census's column set.

@@ -263,6 +263,8 @@ def consistent_censuses(draw, max_strata=61):
     """A layered or wide census of at most ``max_strata`` strata, with
     random links, chi, infinity columns and critical points, and the fiber
     columns ``oracles.consistent_fiber_chi`` makes every identity hold with.
+    The function is general, and each point's Milnor numbers are its Morse
+    counts, so the rows with Milnor counts hold too.
 
     Layered: up to five levels of up to twelve strata.  Wide: many points
     under a few curves.  Each stratum lies below a random part of the next
@@ -297,9 +299,13 @@ def consistent_censuses(draw, max_strata=61):
         at = rng.choice(ids)
         above = [sid for sid in ids if poset.lt(at, sid)]
         counts = {sid: rng.randint(0, 2) for sid in [at] + rng.sample(above, min(2, len(above)))}
-        points.append(CriticalPoint(f"q{i}", at, rng.choice(values), counts))
+        points.append(CriticalPoint(f"q{i}", at, rng.choice(values), counts, milnor_numbers=counts))
     census = FiberedCensus(
-        base, special_values=values, infinity_chi=infinity, critical_points=tuple(points)
+        base,
+        special_values=values,
+        infinity_chi=infinity,
+        critical_points=tuple(points),
+        f_general=True,
     )
     census = replace(census, fiber_chi=consistent_fiber_chi(census))
     census.validate()

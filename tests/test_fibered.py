@@ -198,6 +198,28 @@ def test_milnor_variant_needs_a_general_function():
     assert exc.value.fields == ("f_general",)
 
 
+def test_counts_on_an_undeclared_stratum_are_left_out_of_the_totals():
+    """A count on a stratum the census does not declare, which nothing
+    validates here, changes no side of a row that reads the totals."""
+    census = fibered("cusp-linear")
+    first, *rest = census.critical_points
+    stray = replace(
+        first,
+        morse_counts={**first.morse_counts, "ZZ": 5},
+        milnor_numbers={**first.milnor_numbers, "ZZ": 7},
+    )
+    strayed = replace(census, critical_points=(stray, *rest))
+    for name, kwargs in (
+        ("thm_generic_fiber", {}),
+        ("thm_generic_fiber", {"use_milnor": True}),
+        ("cor_equi", {}),
+        ("prop_any_value", {"at": "0"}),
+        ("cor_generic_vs_any", {"at": "0"}),
+    ):
+        want = check_identity(census, name, **kwargs)
+        assert check_identity(strayed, name, **kwargs).sides == want.sides, (name, kwargs)
+
+
 def test_declared_ambient_obstruction_is_cross_checked():
     bundle = load_entry("node-linear")
     census = bundle.census

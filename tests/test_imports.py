@@ -339,7 +339,6 @@ SHARED = {
     },
     "compute": {
         "strata.StratifiedCensus.with_chi": "solve's chi slots",
-        "fibration.FiberedCensus.morse_total": "the identities' Morse counts",
         "fibration.FiberedCensus.point": "the fiber defect and the polar routes",
         "fibration.FiberedCensus.points_at": "the identities and the polar routes",
         "strata.StratumConstructibleFunction.value": "eta's closure coefficients",
