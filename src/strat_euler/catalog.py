@@ -27,6 +27,7 @@ from .census_io import CensusBundle, load_document, load_file
 from .documents import _fixture_dir, read_json
 from .errors import (
     AmbientObstructionMismatch,
+    CensusError,
     InsufficientData,
     MissingLinkEntry,
     MissingPolarData,
@@ -258,7 +259,13 @@ def rows_text(rows) -> str:
 def cmd_check(args) -> int:
     """The ``check`` subcommand: every row of the battery, then a count."""
     bundle = load_file(args.census)
-    slice_bundle = None if args.hyperplane is None else load_file(args.hyperplane)
+    slice_bundle = None
+    if args.hyperplane is not None:
+        # a refused slice must not read as a refused census
+        try:
+            slice_bundle = load_file(args.hyperplane)
+        except (CensusError, ValueError) as exc:
+            raise CensusError(f"--hyperplane: {exc}") from exc
     rows = standard_check_lines(bundle, slice_bundle)
     failed = sum(1 for row in rows if row.status == "FAIL")
     skipped = sum(1 for row in rows if row.status == "SKIP")

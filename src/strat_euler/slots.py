@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .census_io import apply_field_to_raw, load_file
-from .errors import CensusError, NotSolvable, SchemaError, UnknownValueLabel, formatting
+from .errors import CensusError, NotSolvable, PointNotInClosure, SchemaError, UnknownValueLabel, formatting
 from .fibered import solve_unknown
 from .fibration import FiberedCensus, eu_weight
 from .records import record, replace
@@ -62,11 +62,19 @@ class FieldPath:
 
     def get(self, census: FiberedCensus) -> int | None:
         """The slot's value, or None where the census leaves it absent.
-        Unknown ids and labels raise, whether or not the slot is set."""
+        Unknown ids and labels raise, whether or not the slot is set, and
+        so does a Morse count on a stratum whose closure does not contain
+        the point, which no census may hold."""
         if self.kind == "morse_counts":
-            counts = census.point(self.key).morse_counts
-            census.base.poset.stratum(self.sub)
-            return counts.get(self.sub)
+            point = census.point(self.key)
+            poset = census.base.poset
+            poset.stratum(self.sub)
+            if not poset.leq(point.stratum, self.sub):
+                raise PointNotInClosure(
+                    f"critical point {self.key!r} carries a count on {self.sub!r} "
+                    "whose closure does not contain it"
+                )
+            return point.morse_counts.get(self.sub)
         census.base.poset.stratum(self.key)
         if self.kind == "chi":
             return census.base.chi.get(self.key)

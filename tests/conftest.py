@@ -7,8 +7,10 @@ exact integer identities, so there is no tolerance knob anywhere.
 
 import copy
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from hypothesis import assume, settings, strategies as st
@@ -55,6 +57,66 @@ def imported_by(*args):
     )
     assert "Traceback" not in run.stderr, run.stderr
     return run.returncode, {m.removeprefix("strat_euler.") for m in run.stdout.split()}
+
+
+# the C locale with neither locale coercion nor UTF-8 mode: the locale's
+# preferred encoding is ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+# every call's output must not depend on the order sets iterate in or on
+# the locale, since goldens and recordings pin it byte for byte
+ENVIRONMENTS = {f"PYTHONHASHSEED={seed}": {"PYTHONHASHSEED": str(seed)} for seed in range(4)}
+ENVIRONMENTS["C locale"] = C_LOCALE
+
+# runs each argv of the JSON list on stdin through cli.main, with stdout and
+# stderr written in the encoding and error handler of the process's own, and
+# prints the exit code, stdout and stderr of each as JSON
+RUN_EACH = """
+import contextlib, io, json, sys
+from strat_euler.cli import main
+streams, runs = (sys.stdout, sys.stderr), []
+for argv in json.load(sys.stdin):
+    out, err = (io.TextIOWrapper(io.BytesIO(), s.encoding, s.errors) for s in streams)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    texts = (w.detach().getvalue().decode(s.encoding, s.errors) for w, s in zip((out, err), streams))
+    runs.append((code, *texts))
+print(json.dumps(runs))
+"""
+
+
+def run_under_each_environment(calls):
+    """Each of ``ENVIRONMENTS`` mapped to the (exit code, stdout, stderr)
+    of every argv in ``calls``, in order, run through ``cli.main`` in one
+    process with that environment."""
+
+    def run(env):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_EACH],
+            input=json.dumps(calls),
+            capture_output=True,
+            text=True,
+            env={**os.environ, **env},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return tuple(tuple(call) for call in json.loads(proc.stdout))
+
+    with ThreadPoolExecutor(len(ENVIRONMENTS)) as pool:
+        return dict(zip(ENVIRONMENTS, pool.map(run, ENVIRONMENTS.values())))
+
+
+def the_same_under_each_environment(calls):
+    """The (exit code, stdout, stderr) of every argv in ``calls``, which
+    must be the same under each of ``ENVIRONMENTS``."""
+    runs = run_under_each_environment(calls)
+    first = runs["PYTHONHASHSEED=0"]
+    for name, got in runs.items():
+        differ = [" ".join(argv) for argv, a, b in zip(calls, first, got) if a != b]
+        assert not differ, f"{name}: {differ}"
+    return first
 
 
 def blank_field(census: FiberedCensus, path: str) -> FiberedCensus:

@@ -21,7 +21,8 @@ from strat_euler.errors import CensusError, IdentityArgumentError
 from strat_euler.fibered import IDENTITIES, check_identity
 from strat_euler.fibration import eu_weight
 
-from conftest import edited, faulted_doc
+from conftest import apply_edit, document_text, edited, faulted_doc
+from conftest import run_under_each_environment, the_same_under_each_environment
 from test_imports import sweep_calls
 
 DATA = Path(__file__).parent / "data"
@@ -158,6 +159,19 @@ def test_solve_round_trip_through_files(tmp_path, capsys):
     assert filled["fibration"]["fiber_chi"]["V2"]["generic"] == 2
     assert main(["check", str(out_file)]) == 0
     assert "0 failed" in capsys.readouterr().out
+
+
+def test_solve_refuses_a_morse_count_off_the_points_closure(tmp_path, capsys):
+    """No census can hold a count of q0 (on P2) on P0, whose closure does
+    not contain P2: the slot is refused, and no completed census written."""
+    out = tmp_path / "completed.json"
+    argv = ["solve", str(DATA / "wide-n21.json"), "--identity", "thm_generic_fiber",
+            "--unknown", "morse_counts.q0.P0", "--emit-completed", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: critical point 'q0' carries a count on 'P0' whose closure does not contain it\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["no-such-dir/x.json", "."])
@@ -332,44 +346,21 @@ SEEDED_BUNDLES = [
     ),
 ]
 
-# runs `fubini` through cli.main on each file named in argv[1:], printing the
-# exit code and the error line of each
-FUBINI_EACH = """
-import contextlib, io, sys
-from strat_euler.cli import main
-for path in sys.argv[1:]:
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["fubini", path])
-    print(code, err.getvalue(), end="")
-"""
+
+def map_bundle(src, dst, vertex_map, weights=()):
+    """The text of a map bundle for ``fubini``."""
+    bundle = {"complex_src": {"simplices": src}, "complex_dst": {"simplices": dst}}
+    return json.dumps({**bundle, "vertex_map": vertex_map, "weights": list(weights)}, ensure_ascii=False)
 
 
 def test_fubini_errors_are_the_same_under_every_hash_seed(tmp_path):
-    paths = []
+    calls = []
     for i, (src, dst, vertex_map, _error) in enumerate(SEEDED_BUNDLES):
         path = tmp_path / f"{i}.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "complex_src": {"simplices": src},
-                    "complex_dst": {"simplices": dst},
-                    "vertex_map": vertex_map,
-                    "weights": [],
-                }
-            )
-        )
-        paths.append(str(path))
-    want = "".join(f"2 {error}\n" for *_, error in SEEDED_BUNDLES)
-    for seed in ("0", "1", "2", "3"):
-        run = subprocess.run(
-            [sys.executable, "-c", FUBINI_EACH, *paths],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONHASHSEED": seed},
-        )
-        assert run.stdout == want, f"PYTHONHASHSEED={seed}"
+        path.write_text(map_bundle(src, dst, vertex_map))
+        calls.append(["fubini", str(path)])
+    want = tuple((2, "", f"{error}\n") for *_, error in SEEDED_BUNDLES)
+    assert the_same_under_each_environment(calls) == want
 
 
 def test_catalog_run_refuses_a_path_out_of_the_catalog(tmp_path, capsys):
@@ -381,7 +372,7 @@ def test_catalog_run_refuses_a_path_out_of_the_catalog(tmp_path, capsys):
     assert err.startswith(f"error: no catalog entry {name!r}; available: ")
 
 
-def into_a_closed_pipe(args, env=None):
+def into_a_closed_pipe(args, env):
     """``python -m strat_euler ARGS`` with the read end of its stdout closed
     before it starts, so no pipe buffer can absorb the output."""
     read, write = os.pipe()
@@ -404,24 +395,21 @@ def assert_reported_closed_stdout(proc):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "args",
-    [("catalog", "run"), ("check", "zk-2"), ("compute", "zk-2", "--what", "eu-global")],
-    ids=lambda args: args[0],
+    [("catalog", "run"), ("check", "zk-2"), ("compute", "zk-2", "--what", "eu-global"), ("-h",),
+     ("check", "-h"), ("check", "wide-n21.json"), ("compute", "layered-5x4.json", "--what", "eu-table")],
+    ids=" ".join,
 )
-def test_a_closed_stdout_exits_2_without_a_traceback(args):
+def test_a_closed_stdout_exits_2_without_a_traceback(args, unbuffered):
     """The reader of stdout is gone before the first write: bad output, not
-    a failed identity, and no traceback from the write or the exit flush."""
-    args = [fixture_path(arg) if arg == "zk-2" else arg for arg in args]
-    assert_reported_closed_stdout(into_a_closed_pipe(args))
-
-
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("args", [("-h",), ("check", "-h")], ids=" ".join)
-def test_help_into_a_closed_stdout_exits_2_without_a_traceback(args, unbuffered):
-    """Help into a closed stdout is reported like any command's output:
-    buffered, not left to the interpreter's exit flush (status 120);
-    unbuffered, not dropped by argparse's own write (status 0)."""
+    a failed identity (``check`` on wide-n21 exits 1 otherwise), and no
+    traceback from the write or the exit flush, for the largest output too.
+    Help is reported like any command's output: buffered, not left to the
+    interpreter's exit flush (status 120); unbuffered, not dropped by
+    argparse's own write (status 0)."""
+    args = [census_path(a) if a in ("zk-2", "wide-n21.json", "layered-5x4.json") else a for a in args]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -502,48 +490,35 @@ def test_deeply_nested_json_is_bad_input(tmp_path, command):
     assert proc.stderr == "error: $: not valid JSON: nested too deeply\n"
 
 
-# the C locale with neither locale coercion nor UTF-8 mode: the locale's
-# preferred encoding is ASCII
-C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-
-
-@pytest.mark.parametrize("locale", [{}, C_LOCALE], ids=["default", "C"])
-def test_json_files_are_read_as_utf8_under_any_locale(tmp_path, locale):
+def test_json_files_are_read_as_utf8_under_any_locale(tmp_path):
     doc = json.loads(json.dumps(load_entry("node-linear").raw))
     doc["derivation_notes"]["eu_global"] = "Lê–Teissier, by hand"
     census = tmp_path / "census.json"
     census.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     bundle = tmp_path / "bundle.json"
-    bundle.write_text(
-        json.dumps(
-            {
-                "complex_src": {"simplices": [["a"], ["é"], ["a", "é"]]},
-                "complex_dst": {"simplices": [["x"]]},
-                "vertex_map": {"a": "x", "é": "x"},
-                "weights": [[["a", "é"], 1]],
-            },
-            ensure_ascii=False,
-        ),
-        encoding="utf-8",
-    )
+    text = map_bundle([["a"], ["é"], ["a", "é"]], [["x"]], {"a": "x", "é": "x"}, [[["a", "é"], 1]])
+    bundle.write_text(text, encoding="utf-8")
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff{}")
-    env = dict(os.environ, STRAT_EULER_COLOR="0", **locale)
     undecodable = (
         f"error: $: cannot read {bad}: "
         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
     )
-    want = {
-        ("check", str(census)): (0, run_cli("check", fixture_path("node-linear")).stdout, ""),
-        ("fubini", str(bundle)): (0, "lhs = -1\nrhs = -1\nOK\n", ""),
-        ("check", str(bad)): (2, "", undecodable),
-        ("fubini", str(bad)): (2, "", undecodable),
-    }
-    for argv, expected in want.items():
-        proc = subprocess.run(
-            [sys.executable, "-m", "strat_euler", *argv], capture_output=True, text=True, env=env
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+    calls = [
+        ["check", fixture_path("node-linear")],
+        ["check", str(census)],
+        ["fubini", str(bundle)],
+        ["check", str(bad)],
+        ["fubini", str(bad)],
+    ]
+    plain, *got = the_same_under_each_environment(calls)
+    assert plain[0] == 0
+    assert got == [
+        plain,
+        (0, "lhs = -1\nrhs = -1\nOK\n", ""),
+        (2, "", undecodable),
+        (2, "", undecodable),
+    ]
 
 
 # --- integers longer than Python converts to text --------------------------
@@ -573,44 +548,6 @@ def long_link_census(fibration=False):
     return json.dumps(doc).replace('"@"', "7" * 3000)
 
 
-def test_an_integer_literal_past_the_limit_is_a_schema_error_at_the_root(tmp_path):
-    """A census or a map bundle with an integer of 5,000 digits is bad input
-    at ``$``, in the package's words, on one line, with nothing on stdout."""
-    census = json.loads(json.dumps(load_entry("cusp-linear").raw))
-    census["strata"][0]["chi"] = "@"
-    bundle = json.loads((DATA / "bundle.json").read_text())
-    bundle["weights"][0][1] = "@"
-    want = f"error: $: an integer has more than {sys.get_int_max_str_digits()} digits\n"
-    for command, doc in (("check", census), ("compute", census), ("fubini", bundle)):
-        path = tmp_path / f"{command}.json"
-        # json.dumps would refuse to write the literal
-        path.write_text(json.dumps(doc).replace('"@"', "9" * 5000))
-        extra = ["--what", "eu-global"] if command == "compute" else []
-        proc = run_cli(command, str(path), *extra)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want), command
-
-
-@pytest.mark.parametrize(
-    "args, fibration",
-    [
-        (["compute", "{census}", "--what", "eu-table"], False),
-        (["compute", "{census}", "--what", "eu-global"], False),
-        (["check", "{census}"], True),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
-)
-def test_a_result_too_long_to_print_prints_nothing_but_the_error(tmp_path, args, fibration):
-    """The output is formatted whole before any of it is written: a result
-    longer than Python converts to text leaves stdout empty (it used to get
-    the table's header, or the rows before the long one) and is one error
-    line, exit 2."""
-    path = tmp_path / "long.json"
-    path.write_text(long_link_census(fibration))
-    proc = run_cli(*(str(path) if a == "{census}" else a for a in args))
-    want = f"error: a result has more than {sys.get_int_max_str_digits()} digits, too many to print\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
-
-
 def test_catalog_run_with_a_result_too_long_to_print_prints_nothing(tmp_path, monkeypatch, capsys):
     (tmp_path / "long.json").write_text(long_link_census(fibration=True))
     (tmp_path / "zk-2.json").write_text(json.dumps(load_entry("zk-2").raw))
@@ -620,6 +557,149 @@ def test_catalog_run_with_a_result_too_long_to_print_prints_nothing(tmp_path, mo
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits, too many to print\n"
+
+
+# --- the same output under every hash seed and under the C locale ---------
+
+# node-linear with a critical point on an isolated point stratum, off the
+# closure of the regular part
+OFF_CLOSURE = {"base": "node-linear", "edits": [
+    [["equidimensional"], False],
+    [["strata", 2], {"id": "W", "dim": 0, "chi": 1}, "insert"],
+    [["fibration", "fiber_chi", "W"], {"0": 1, "generic": 0}],
+    [
+        ["fibration", "critical_points", 1],
+        {"id": "qw", "stratum": "W", "value": "0", "morse_counts": {"W": 1}},
+        "insert",
+    ],
+]}
+
+
+def edge_inputs(tmp_path):
+    """The files the calls below name as ``{name}``, written to ``tmp_path``:
+    each name mapped to its path."""
+    layered = [s["id"] for s in edited({"base": "layered-5x4.json", "edits": []})["strata"]]
+    fiber = ["fibration", "fiber_chi"]
+    cases = {
+        "gap": ("layered-5x4.json", [[fiber + ["T", "generic"]]]),
+        # two absent chi values and two absent generic fiber slots: each
+        # error names both, in the order the census declares its strata
+        "holes": ("layered-5x4.json", [
+            [path]
+            for sid in ("T", "L0_2")
+            for path in (["strata", layered.index(sid), "chi"], fiber + [sid, "generic"])
+        ]),
+        "unlinked": ("layered-5x4.json", [[["links", 0]]]),
+        "polarless": ("cusp-linear", [[["polar"]]]),
+        "offpoint": (OFF_CLOSURE["base"], OFF_CLOSURE["edits"]),
+        "listimage": ("bundle.json", [[["vertex_map", "0"], []]]),
+        "aliased": ("bundle.json", [[["vertex_map", "02"], 1]]),
+        # 5,000-digit integer literals, past Python's int to text limit
+        "longliteral": ("cusp-linear", [[["strata", 0, "chi"], {"integer_digits": 5000}]]),
+        "longweight": ("bundle.json", [[["weights", 0, 1], {"integer_digits": 5000}]]),
+        "badslice": ("broughton-slice", [[["strata", 0, "dim"], "x"]]),
+    }
+    texts = {name: document_text({"base": base, "edits": edits}) for name, (base, edits) in cases.items()}
+    texts["unmapped"] = map_bundle([[v] for v in "abcde"], [["x"]], {})
+    # links of 3,000 digits, whose obstructions have more
+    texts["longresult"] = long_link_census()
+    texts["longrows"] = long_link_census(fibration=True)
+    # links of -10^25 and 10^30: obstructions past 2^64 either way
+    wide = json.loads(long_link_census())
+    for i, chi in enumerate((-(10**25), 10**30, -7)):
+        apply_edit(wide, [["links", i, "chi"], chi])
+    texts["widelinks"] = json.dumps(wide)
+    paths = {"tmp": str(tmp_path), "fixtures": str(_fixture_dir()), "data": str(DATA)}
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(text)
+    return paths
+
+
+# each call, ``{name}`` naming a file of ``edge_inputs``, and its exit code
+EVERYWHERE = {
+    "catalog run": 0,
+    "catalog list": 0,
+    "catalog run zk-2 zk-2": 0,
+    "catalog list cusp-linear": 2,
+    "catalog list zk-2": 2,
+    "check {data}/wide-n21.json": 1,
+    "check {fixtures}/broughton.json --hyperplane {fixtures}/broughton-slice.json": 0,
+    "check {fixtures}/broughton.json --hyperplane {badslice}": 2,
+    "check {data}/wide-n21.json --hyper {fixtures}/broughton-slice.json": 1,
+    "check {polarless} --hyperplane {fixtures}/broughton-slice.json": 0,
+    "check {offpoint}": 0,
+    "check {longliteral}": 2,
+    "check {longrows}": 2,
+    "check {data}/layered-5x4.json": 1,
+    "check {gap}": 1,
+    "check {unlinked}": 1,
+    "check {holes}": 0,
+    "fubini {data}/bundle.json": 0,
+    "fubini {listimage}": 2,
+    "fubini {aliased}": 2,
+    "fubini {unmapped}": 2,
+    "fubini {longweight}": 2,
+    "compute {data}/wide-n21.json --what eu-table": 0,
+    "compute {data}/wide-n21.json --what eu-global": 0,
+    "compute {data}/wide-n21.json --what eu-global --at 0": 2,
+    "compute {data}/wide-n21.json --what binf --at generic": 0,
+    "compute {data}/layered-5x4.json --what eu-global": 0,
+    "compute {data}/layered-5x4.json --what eu-table": 0,
+    "compute {data}/layered-5x4.json --what eu-table --at 0": 2,
+    "compute {holes} --what eu-global": 2,
+    "compute {holes} --what brasselet --at generic": 2,
+    "compute {unlinked} --what eu-table": 2,
+    "compute {unlinked} --what eu-global": 2,
+    "compute {longresult} --what eu-table": 2,
+    "compute {longresult} --what eu-global": 2,
+    "compute {longliteral} --what eu-global": 2,
+    "compute {widelinks} --what eu-table": 0,
+    "solve {gap} --identity cor_equi --unknown fiber_chi.T.generic": 0,
+    "solve {gap} --identity cor_equi --unknown fiber_chi.T.generic --emit-completed {tmp}": 2,
+    "-h": 0,
+    "check": 2,
+}
+
+
+def test_every_call_prints_the_same_under_every_hash_seed_and_the_c_locale(tmp_path):
+    """Stdout, stderr and the exit code of each call do not depend on how
+    sets iterate or on an ASCII locale.  No call ends in a traceback, and
+    bad input but a usage error is one error line.  An integer literal past
+    the limit is bad input at ``$``.  A result too long to print is
+    formatted whole before any of it is written, so stdout stays empty (it
+    used to get the table's header, or the rows before the long one).  A
+    refused slice says it is the slice."""
+    paths = edge_inputs(tmp_path)
+    argvs = [[arg.format(**paths) for arg in call.split()] for call in EVERYWHERE]
+    runs = dict(zip(EVERYWHERE, the_same_under_each_environment(argvs)))
+    digits = sys.get_int_max_str_digits()
+    for call, (code, out, err) in runs.items():
+        assert code == EVERYWHERE[call] and "Traceback" not in out + err, call
+        if code == 2 and call != "check":
+            assert (err.count("\n"), err[-1:]) == (1, "\n"), call
+        if "{longliteral}" in call or "{longweight}" in call:
+            assert (out, err) == ("", f"error: $: an integer has more than {digits} digits\n"), call
+        elif "{longresult}" in call or "{longrows}" in call:
+            assert (out, err) == ("", f"error: a result has more than {digits} digits, too many to print\n"), call
+    assert runs["check {fixtures}/broughton.json --hyperplane {badslice}"] == (
+        2, "", "error: --hyperplane: $.strata[0].dim: expected an integer, got str\n"
+    )
+
+
+def test_a_non_ascii_stratum_id_is_refused_as_output_under_the_c_locale(tmp_path):
+    """Pinned as it is: cusp-linear with a stratum named ``é1`` checks as
+    cusp-linear does, but under an ASCII locale its rows cannot be written,
+    so nothing reaches stdout and the encoding error is the one line."""
+    path = tmp_path / "accented.json"
+    text = json.dumps(edited({"base": "cusp-linear", "edits": []}), ensure_ascii=False)
+    path.write_text(text.replace("V1", "é1"), encoding="utf-8")
+    runs = run_under_each_environment([["check", fixture_path("cusp-linear")], ["check", str(path)]])
+    plain, (code, out, err) = runs.pop("C locale")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: 'ascii' codec can't encode character '\\xe9' in position ")
+    for got in runs.values():
+        assert got == (plain, (0, plain[1].replace("V1", "é1"), ""))
 
 
 # --- identity argument errors are input errors ---------------------------
@@ -732,14 +812,8 @@ def test_a_point_off_the_regular_closure_skips_its_local_terms(tmp_path, capsys)
     """A critical point on an isolated point stratum has no local term on
     the regular part's closure: the rows that need one SKIP, naming the
     point, and every other row is still checked."""
-    doc = json.loads(json.dumps(load_entry("node-linear").raw))
-    doc["equidimensional"] = False
-    doc["strata"].append({"id": "W", "dim": 0, "chi": 1})
-    fib = doc["fibration"]
-    fib["fiber_chi"]["W"] = {"0": 1, "generic": 0}
-    fib["critical_points"].append({"id": "qw", "stratum": "W", "value": "0", "morse_counts": {"W": 1}})
     path = tmp_path / "off-closure.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(edited(OFF_CLOSURE)))
     loose = "SKIP (census 'node-linear' is not declared equidimensional)"
     off = "SKIP (critical point 'qw' does not lie in the closure of 'V2')"
     assert main(["check", str(path)]) == 0

@@ -331,6 +331,8 @@ def test_restrict_fibered_filters_points_and_columns():
         # the point is looked up before the stratum
         ("morse_counts.nope.nope", UnknownCriticalPoint),
         ("morse_counts.q1.nope", UnknownStratum),
+        # q2 lies on V2, which the closure of V1 does not contain
+        ("morse_counts.q2.V1", PointNotInClosure),
         ("weird.path", NotSolvable),
         ("chi", NotSolvable),
         ("chi.V1.0", NotSolvable),

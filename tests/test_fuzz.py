@@ -6,7 +6,8 @@ value duplicated, a list reversed.  Each mutant runs through ``check`` (with
 and without a hyperplane slice), ``compute --what eu-table|brasselet|binf``
 and ``solve``.  Every call must end in exit 0, 1 or 2 with no exception
 escaping ``cli.main``, and a census that loads must get its rows: ``check``
-exits 0 or 1 on it, whatever its optional fields hold.
+exits 0 or 1 on it, whatever its optional fields hold.  The calls on the
+first mutants print the same under every hash seed and the C locale.
 
 A second run mutates ``fubini`` map bundles (``tests/data/bundle.json`` and
 a few seeded ``random_weighted_map`` bundles) with the same edits, a key of
@@ -18,6 +19,7 @@ exit 0 or 2, and an aliased key must exit 2.
 import contextlib
 import copy
 import io
+import itertools
 import json
 import random
 
@@ -28,7 +30,7 @@ from strat_euler.entries import list_entries
 from strat_euler.errors import CensusError
 from strat_euler.fibered import IDENTITIES
 
-from conftest import DATA, apply_edit, random_weighted_map
+from conftest import DATA, apply_edit, random_weighted_map, the_same_under_each_environment
 
 SEED = 20261018
 MUTANTS = 200  # six calls each
@@ -94,15 +96,15 @@ def loads(path) -> bool:
     return True
 
 
-def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
+def census_mutants(tmp_path):
+    """Each seeded mutant, written to a file of its own in ``tmp_path``:
+    where it comes from, its path and its six calls."""
     rng = random.Random(SEED)
     bases = base_documents()
     slices = []
     for i, doc in enumerate(bases):
         slices.append(tmp_path / f"slice-{i}.json")
         slices[-1].write_text(json.dumps(doc))
-    path = tmp_path / "mutant.json"
-    codes, problems = [], []
     for m in range(MUTANTS):
         base = rng.randrange(len(bases))
         doc = json.loads(json.dumps(bases[base]))
@@ -114,6 +116,7 @@ def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
         # the slot solve asks for is blanked where the mutant still has it
         with contextlib.suppress(KeyError, TypeError, IndexError):
             del doc["fibration"]["fiber_chi"][sid][label]
+        path = tmp_path / f"mutant-{m}.json"
         path.write_text(json.dumps(doc))
         slot = f"fiber_chi.{sid}.{label}"
         solve = ["solve", str(path), "--identity", rng.choice(list(IDENTITIES)), "--unknown", slot]
@@ -127,10 +130,15 @@ def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
             ["compute", str(path), "--what", "binf", "--at", rng.choice(labels)],
             solve,
         ]
+        yield f"mutant {m} of base {base} ({'; '.join(edits)})", path, calls
+
+
+def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
+    codes, problems = [], []
+    for mutant, path, calls in census_mutants(tmp_path):
         loaded = loads(path)
         for argv in calls:
-            where = f"mutant {m} of base {base} ({'; '.join(edits)}): "
-            where += " ".join(argv[:1] + argv[2:])
+            where = f"{mutant}: " + " ".join(argv[:1] + argv[2:])
             try:
                 code = run(argv)
             except Exception as exc:  # the contract under test: nothing escapes
@@ -145,6 +153,13 @@ def test_mutated_censuses_keep_the_exit_code_contract(tmp_path):
     assert len(codes) >= 1000
     # the mutants reach both sides of the contract
     assert {0, 2} <= set(codes)
+
+
+def test_mutated_censuses_print_the_same_under_every_environment(tmp_path):
+    """Every call on the first 25 mutants, errors included, prints the same
+    whatever the hash seed and under an ASCII locale."""
+    mutants = itertools.islice(census_mutants(tmp_path), 25)
+    the_same_under_each_environment([argv for _, _, calls in mutants for argv in calls])
 
 
 BUNDLE_MUTANTS = 600
