@@ -4,14 +4,15 @@ Subcommands: check, compute, solve, fubini, catalog, each run by the
 module that ``_COMMANDS`` names.  Exit codes: 0 when
 everything asked for verified or computed cleanly, 1 when some identity or
 expectation failed, 2 for malformed or insufficient input (argparse uses 2
-for bad invocations as well).  Output is line oriented and deterministic;
-ANSI color is applied only on a terminal and can be disabled by setting
-STRAT_EULER_COLOR=0.
+for bad invocations as well).  Output is line oriented, deterministic and
+UTF-8 under any locale; ANSI color is applied only on a terminal and can
+be disabled by setting STRAT_EULER_COLOR=0.
 """
 
 from __future__ import annotations
 
 import atexit
+import codecs
 import gc
 import os
 import sys
@@ -129,6 +130,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: cannot write to standard output: it is closed", file=sys.stderr)
         return 2
     try:
+        # output is UTF-8 whatever the locale, as documents read input; a
+        # stream without an encoding (io.StringIO) takes text as it is
+        encoding = getattr(sys.stdout, "encoding", None)
+        if encoding and codecs.lookup(encoding).name != "utf-8":
+            sys.stdout.reconfigure(encoding="utf-8")
         args = read_plain(argv)
         if args is None:
             from .arguments import parse

@@ -24,14 +24,17 @@ Conventions
   matrix needs its rows and columns ordered.  Dimensions strictly increase
   along the frontier order, so this is always a valid linear extension.
 
-Each census is solved once.  ``census.solved`` is a :class:`SolvedCensus`:
-the eta-against-closures matrix is upper unitriangular, and its restriction
-to the closure of a stratum is a principal block.  Every solve reads the
-links from rows built once (:attr:`SolvedCensus.rows`).  One
-back-substitution serves every vector solve: the obstruction column of one
-closure, over that closure's down-set, and a weight read back through the
-solver (:meth:`SolvedCensus.resolved`), over the whole census, which is
-what the structural rows of ``check`` compare against.  Only the printed
+Each census is solved once, into one object: ``census.solved`` is a
+:class:`SolvedCensus`, and every invariant reads from it.  The
+eta-against-closures matrix is upper unitriangular, and its restriction to
+the closure of a stratum is a principal block.  The solved census reads
+the links from rows built once (:attr:`SolvedCensus.rows`) and keeps, for
+each weight, its closure-basis coefficients, its eta values
+(:meth:`SolvedCensus.eta`) and the weight read back through the solver
+(:meth:`SolvedCensus.resolved`), which is what the structural rows of
+``check`` compare against.  One back-substitution serves every vector
+solve: the obstruction column of one closure, over that closure's
+down-set, and a resolved weight, over the whole census.  Only the printed
 ``eu-table`` reads the whole table, which the ``table`` module solves and
 lays out.  :func:`restrict_to_closure` builds the sub-census of a closure
 explicitly and stays as the independent route the tests compare against.
@@ -276,42 +279,9 @@ def chi_global(census: StratifiedCensus, alpha: StratumConstructibleFunction) ->
     return weighted_sum(census, alpha, census.chi.get, lambda sid: f"chi.{sid}")
 
 
-class SolvedWeight:
-    """One weight alpha on a solved census: its closure-basis coefficients,
-    eta of alpha at each stratum, and alpha read back through the solver
-    (:meth:`SolvedCensus.resolved`), each computed on first use."""
-
-    def __init__(self, solved: "SolvedCensus", alpha: StratumConstructibleFunction):
-        order, above = solved.order, solved.above
-        # what eta reads, and not the solved census, which keeps this weight
-        self._order, self._index, self._rows = order, solved.index, solved.rows
-        coeffs = [0] * len(order)
-        # Moebius inversion, from the top of the (dim, id) order down
-        for j in reversed(range(len(order))):
-            coeffs[j] = alpha.value(order[j]) - sum(coeffs[k] for k in above[j])
-        self._coeffs = coeffs
-        self._eta: dict[int, int] = {}
-        self._resolved: StratumConstructibleFunction | None = None
-
-    def eta(self, at: str) -> int:
-        """eta of alpha at a stratum, from the link row of ``at``.  It
-        raises MissingLinkEntry for the highest absent link from ``at`` to
-        a closure with a nonzero coefficient, the same one whenever it is
-        needed; only values are remembered."""
-        i = self._index[at]
-        value = self._eta.get(i)
-        if value is None:
-            coeffs = self._coeffs
-            steps, absent = self._rows[i]
-            for k in reversed(absent):
-                if coeffs[k]:
-                    raise MissingLinkEntry(at, self._order[k])
-            value = self._eta[i] = coeffs[i] - sum(a * coeffs[k] for k, a in steps)
-        return value
-
-
 class SolvedCensus:
-    """A census solved once, read through ``StratifiedCensus.solved``.
+    """A census solved once, read through ``StratifiedCensus.solved``: the
+    one object every invariant of the census reads.
 
     Rows and columns follow the (dim, id) linear extension ``order``.  The
     obstruction system M C = I, with M the eta-against-closures matrix,
@@ -321,20 +291,23 @@ class SolvedCensus:
     of C on the down-set of j; the block is a principal one, so it is what
     re-solving the census of that closure would give.
 
+    Each weight alpha gets one entry, keyed by ``id(alpha)``: its
+    closure-basis coefficients, the values of :meth:`eta` computed so far,
+    and :meth:`resolved`.  The weights the package passes around
+    (:attr:`one`, the columns of :meth:`eu_function`) are one object each
+    per census.  The entry keeps alpha, so its id is not reused; an equal
+    but distinct function gets its own, equal, entry.
+
     :meth:`_solve` is the one back-substitution for one right-hand side:
     :meth:`column` solves a unit vector over one down-set, and
     :meth:`resolved` eta of a weight over the whole census.
     ``table.solve_rows`` solves all of C row by row for the printed table,
     each row packed into one integer.  Everything is computed on first
     use, after :meth:`require_links` has checked the links it reads: a
-    column scans its block in row-major order and raises the
-    MissingLinkEntry that solving the restricted census would raise, and
-    the readers of the whole space ask for every link.
-
-    It holds the census's links and not the census, which holds it, and its
-    weights hold the rows they read and not it: a census and what it solved
-    make no reference cycle, so they are freed when the last reference
-    goes, without the cyclic GC (which the process entry turns off).
+    column checks its block and raises the MissingLinkEntry that solving
+    the restricted census would raise, and the readers of the whole space
+    ask for every link.  It holds the census's links and not the census,
+    which holds it.
     """
 
     def __init__(self, census: StratifiedCensus):
@@ -345,7 +318,8 @@ class SolvedCensus:
         self.index: dict[str, int] = poset._index
         self.below: tuple[tuple[int, ...], ...] = poset._below
         self.above: tuple[tuple[int, ...], ...] = poset._above
-        self._weights: dict[int, tuple[StratumConstructibleFunction, SolvedWeight]] = {}
+        # id(alpha) -> [alpha, coefficients, eta by index, resolved or None]
+        self._weights: dict[int, list] = {}
         self._eu_functions: dict[int, StratumConstructibleFunction] = {}
 
     @cached_property
@@ -372,23 +346,17 @@ class SolvedCensus:
         return rows
 
     @cached_property
-    def _first_absent(self) -> tuple[str, str] | None:
-        """The first absent link of the whole matrix, in row-major order."""
-        firsts = ((i, absent[0]) for i, (_, absent) in enumerate(self.rows) if absent)
-        return next(((self.order[i], self.order[k]) for i, k in firsts), None)
+    def _absent(self) -> list[tuple[int, int]]:
+        """Every absent link (i, k) of :attr:`rows`, in row-major order."""
+        return [(i, k) for i, (_, absent) in enumerate(self.rows) for k in absent]
 
     def require_links(self, block: set[int] | None = None) -> None:
-        """Raise for the first absent link in :attr:`rows`, in row-major
-        (dim, id) order, of the given closure block (a down-set of
-        indices), or of the whole matrix, which is looked up once."""
-        if block is None:
-            if self._first_absent:
-                raise MissingLinkEntry(*self._first_absent)
-            return
-        for i, (_, absent) in enumerate(self.rows):
-            for k in absent:
-                if k in block:
-                    raise MissingLinkEntry(self.order[i], self.order[k])
+        """Raise for the first absent link, in row-major (dim, id) order,
+        of the given closure block (a down-set of indices), or of the whole
+        matrix."""
+        for i, k in self._absent:
+            if block is None or k in block:
+                raise MissingLinkEntry(self.order[i], self.order[k])
 
     def require_known(self, alpha: StratumConstructibleFunction) -> None:
         """Raise for the first coefficient of alpha on a stratum the census
@@ -397,17 +365,39 @@ class SolvedCensus:
             if k not in self.index:
                 raise UnknownStratum(f"coefficient on unknown stratum {k!r}")
 
-    def weight(self, alpha: StratumConstructibleFunction) -> SolvedWeight:
-        """The solved weight of alpha, keyed by ``id(alpha)``: the weights
-        the package passes around (:attr:`one`, the columns of
-        :meth:`eu_function`) are one object each per census.  The entry
-        keeps alpha, so its id is not reused; an equal but distinct function
-        gets its own, equal, weight.  Alpha's strata are checked once."""
-        hit = self._weights.get(id(alpha))
-        if hit is None:
+    def _weight(self, alpha: StratumConstructibleFunction) -> list:
+        """Alpha's entry, made on first use once its strata are checked:
+        the Moebius inversion of alpha, from the top of the (dim, id) order
+        down, gives its closure-basis coefficients by index."""
+        entry = self._weights.get(id(alpha))
+        if entry is None:
             self.require_known(alpha)
-            hit = self._weights[id(alpha)] = (alpha, SolvedWeight(self, alpha))
-        return hit[1]
+            order, above = self.order, self.above
+            coeffs = [0] * len(order)
+            for j in reversed(range(len(order))):
+                coeffs[j] = alpha.value(order[j]) - sum(coeffs[k] for k in above[j])
+            entry = self._weights[id(alpha)] = [alpha, coeffs, {}, None]
+        return entry
+
+    def eta(self, alpha: StratumConstructibleFunction, at: str) -> int:
+        """eta of alpha at a stratum, from the link row of ``at``.  It
+        raises MissingLinkEntry for the highest absent link from ``at`` to
+        a closure with a nonzero coefficient, the same one whenever it is
+        needed; only values are remembered."""
+        _, coeffs, values, _ = self._weight(alpha)
+        i = self.index[at]
+        value = values.get(i)
+        if value is None:
+            steps, absent = self.rows[i]
+            for k in reversed(absent):
+                if coeffs[k]:
+                    raise MissingLinkEntry(at, self.order[k])
+            value = values[i] = coeffs[i] - sum(a * coeffs[k] for k, a in steps)
+        return value
+
+    def _function(self, values: Mapping[int, int]) -> StratumConstructibleFunction:
+        """The function with the given values by index, zero elsewhere."""
+        return StratumConstructibleFunction({self.order[m]: v for m, v in values.items() if v})
 
     def _solve(self, b: Mapping[int, int], over: Sequence[int]) -> dict[int, int]:
         """Solve M x = b over ``over``, an ascending down-set of indices,
@@ -440,16 +430,13 @@ class SolvedCensus:
         obstruction: eta back-substituted through the system.  Obstructions
         and eta are dual bases, so this is alpha again, computed through
         the links and so a check of the solver."""
-        weight = self.weight(alpha)
-        if weight._resolved is None:
+        entry = self._weight(alpha)
+        if entry[3] is None:
             self.require_links()
             order = self.order
-            b = {i: weight.eta(at) for i, at in enumerate(order)}
-            values = self._solve(b, range(len(order)))
-            weight._resolved = StratumConstructibleFunction(
-                {order[m]: v for m, v in values.items() if v}
-            )
-        return weight._resolved
+            b = {i: self.eta(alpha, at) for i, at in enumerate(order)}
+            entry[3] = self._function(self._solve(b, range(len(order))))
+        return entry[3]
 
     def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
         """The obstruction of the closure of one stratum, as a function,
@@ -458,10 +445,7 @@ class SolvedCensus:
         j = self.index[closure_of]
         f = self._eu_functions.get(j)
         if f is None:
-            values = self.column(j)
-            f = self._eu_functions[j] = StratumConstructibleFunction(
-                {self.order[m]: v for m, v in values.items() if v}
-            )
+            f = self._eu_functions[j] = self._function(self.column(j))
         return f
 
 
@@ -472,7 +456,7 @@ def eta(census: StratifiedCensus, at: str, alpha: StratumConstructibleFunction) 
     closure columns; linear in alpha by construction.
     """
     census.poset.stratum(at)
-    return census.solved.weight(alpha).eta(at)
+    return census.solved.eta(alpha, at)
 
 
 def restrict_to_closure(census: StratifiedCensus, stratum_id: str) -> StratifiedCensus:

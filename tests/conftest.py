@@ -69,8 +69,9 @@ ENVIRONMENTS = {f"PYTHONHASHSEED={seed}": {"PYTHONHASHSEED": str(seed)} for seed
 ENVIRONMENTS["C locale"] = C_LOCALE
 
 # runs each argv of the JSON list on stdin through cli.main, with stdout and
-# stderr written in the encoding and error handler of the process's own, and
-# prints the exit code, stdout and stderr of each as JSON
+# stderr opened in the encoding and error handler of the process's own, and
+# prints the exit code, stdout and stderr of each as JSON; main writes
+# stdout as UTF-8, so its bytes are read back as UTF-8
 RUN_EACH = """
 import contextlib, io, json, sys
 from strat_euler.cli import main
@@ -82,8 +83,8 @@ for argv in json.load(sys.stdin):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    texts = (w.detach().getvalue().decode(s.encoding, s.errors) for w, s in zip((out, err), streams))
-    runs.append((code, *texts))
+    stdout, stderr = (w.detach().getvalue() for w in (out, err))
+    runs.append((code, stdout.decode("utf-8"), stderr.decode(sys.stderr.encoding, sys.stderr.errors)))
 print(json.dumps(runs))
 """
 

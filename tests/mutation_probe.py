@@ -2,19 +2,19 @@
 that the tier-1 tests notice.
 
 Every ``BinOp`` and ``AugAssign`` that adds or subtracts in ``fibered``,
-``fibration``, ``polar``, ``strata``, ``table`` and ``obstruction`` is one
-mutant: its operator character is swapped in the source text, so every
-other line keeps its place (the README's compile table counts lines and
-AST nodes).  Each mutant runs the tier-1 tests with ``-x`` in a temporary
-copy of the checkout; the checkout itself is never written.  A mutant the
-tests pass survives.
+``fibration``, ``polar``, ``strata``, ``table``, ``obstruction`` and
+``euler_calculus`` is one mutant: its operator character is swapped in
+the source text, so every other line keeps its place (the README's
+compile table counts lines and AST nodes).  Each mutant runs the tier-1
+tests with ``-x`` in a temporary copy of the checkout; the checkout itself
+is never written.  A mutant the tests pass survives.
 
 ``tests/data/mutation_survivors.json`` lists the survivors known to be
 equivalent, each with its reason.  The probe exits 1 on a survivor the
 file does not list, and on a listed one that the tests now kill or that no
 longer exists; it exits 0 when the survivors are exactly the listed ones.
 
-    python tests/mutation_probe.py      # about 5 to 8 minutes
+    python tests/mutation_probe.py      # about 8 minutes for 65 mutants
 
 pytest does not collect this file.
 """
@@ -34,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "strat_euler")
-MODULES = ("fibered", "fibration", "polar", "strata", "table", "obstruction")
+MODULES = ("fibered", "fibration", "polar", "strata", "table", "obstruction", "euler_calculus")
 SURVIVORS = ROOT / "tests" / "data" / "mutation_survivors.json"
 TIER1 = [
     sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -22,7 +22,7 @@ from strat_euler.fibered import IDENTITIES, check_identity
 from strat_euler.fibration import eu_weight
 
 from conftest import apply_edit, document_text, edited, faulted_doc
-from conftest import run_under_each_environment, the_same_under_each_environment
+from conftest import C_LOCALE, the_same_under_each_environment
 from test_imports import sweep_calls
 
 DATA = Path(__file__).parent / "data"
@@ -687,19 +687,25 @@ def test_every_call_prints_the_same_under_every_hash_seed_and_the_c_locale(tmp_p
     )
 
 
-def test_a_non_ascii_stratum_id_is_refused_as_output_under_the_c_locale(tmp_path):
-    """Pinned as it is: cusp-linear with a stratum named ``é1`` checks as
-    cusp-linear does, but under an ASCII locale its rows cannot be written,
-    so nothing reaches stdout and the encoding error is the one line."""
+def test_a_non_ascii_stratum_id_prints_as_utf8_under_every_locale(tmp_path):
+    """cusp-linear with a stratum named ``é1`` checks as cusp-linear does,
+    and its rows are written as UTF-8 under every environment, the ASCII C
+    locale included, both through ``cli.main`` and as ``python -m
+    strat_euler``: the same exit code and the same stdout bytes."""
     path = tmp_path / "accented.json"
     text = json.dumps(edited({"base": "cusp-linear", "edits": []}), ensure_ascii=False)
     path.write_text(text.replace("V1", "é1"), encoding="utf-8")
-    runs = run_under_each_environment([["check", fixture_path("cusp-linear")], ["check", str(path)]])
-    plain, (code, out, err) = runs.pop("C locale")
-    assert (code, out, err.count("\n")) == (2, "", 1)
-    assert err.startswith("error: 'ascii' codec can't encode character '\\xe9' in position ")
-    for got in runs.values():
-        assert got == (plain, (0, plain[1].replace("V1", "é1"), ""))
+    plain, accented = the_same_under_each_environment(
+        [["check", fixture_path("cusp-linear")], ["check", str(path)]]
+    )
+    assert plain[0] == 0
+    assert accented == (0, plain[1].replace("V1", "é1"), "")
+    run = subprocess.run(
+        [sys.executable, "-m", "strat_euler", "check", str(path)],
+        capture_output=True,
+        env={**os.environ, **C_LOCALE},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, accented[1].encode("utf-8"), b"")
 
 
 # --- identity argument errors are input errors ---------------------------

@@ -318,8 +318,8 @@ FOR_TRACED = {
     "polar._alternating_gamma": "the polar routes",
     "polar._local_terms": "the polar routes",
     "polar.eu_of_function_local": "the polar routes",
-    "strata.SolvedCensus.weight": "eta",
-    "strata.SolvedWeight.eta": "eta",
+    "strata.SolvedCensus._weight": "eta",
+    "strata.SolvedCensus.eta": "eta",
     "strata.SolvedCensus.resolved": "the point formula",
 }
 

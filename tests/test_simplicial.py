@@ -85,5 +85,8 @@ def test_json_rejects_unsorted_vertices():
 
 
 def test_json_enforces_dimension_cap():
-    with pytest.raises(SchemaError):
-        complex_from_json({"simplices": [list(range(DIMENSION_CAP + 2))]})
+    top = complex_from_json({"simplices": [list(range(DIMENSION_CAP + 1))]})
+    assert [s.dim for s in top.simplices] == [DIMENSION_CAP]
+    with pytest.raises(SchemaError) as exc:
+        complex_from_json({"simplices": [[0], list(range(DIMENSION_CAP + 2))]})
+    assert str(exc.value) == "$.simplices[1]: dimension 9 exceeds cap 8"

@@ -481,9 +481,9 @@ def test_a_chi_edit_shares_a_view_equal_to_a_fresh_solve(pair, chi):
         assert shared.column(j) == fresh.column(j)
         assert shared.eu_function(closure) == fresh.eu_function(closure)
     for weight in (alpha, shared.one):
-        assert shared.weight(weight)._coeffs == fresh.weight(weight)._coeffs
+        assert shared._weight(weight)[1] == fresh._weight(weight)[1]
         for at in fresh.order:
-            assert shared.weight(weight).eta(at) == fresh.weight(weight).eta(at)
+            assert shared.eta(weight, at) == fresh.eta(weight, at)
             assert eta(edited, at, weight) == scratch_eta(edited, at, weight)
     assert chi_global(edited, shared.one) == chi_global(census, shared.one) + chi - census.chi[sid]
 
@@ -708,7 +708,7 @@ def test_the_constant_weight_is_one_object_per_census():
     relinked = replace(base, links={("V1", "V2"): 3})
     assert indicator_of_space(relinked) is not one
     assert indicator_of_space(relinked) == one
-    assert base.solved.weight(one) is base.solved.weight(one)
+    assert base.solved._weight(one) is base.solved._weight(one)
 
     wide = load_document(json.loads((DATA / "wide-n21.json").read_text())).census.base
     one = indicator_of_space(wide)
@@ -720,7 +720,30 @@ def test_the_constant_weight_is_one_object_per_census():
     stray = StratumConstructibleFunction({"V1": 1, "nope": 0})
     for _ in range(2):  # a refused function is not remembered
         with pytest.raises(UnknownStratum):
-            base.solved.weight(stray)
+            base.solved._weight(stray)
+        assert id(stray) not in base.solved._weights
+
+
+def test_the_solved_census_keeps_what_each_weight_computed():
+    """Each closure's obstruction, used as a weight, has eta as its
+    definition gives it and one resolved function; an eta that raises
+    stores nothing and raises the same pair when asked again."""
+    census = layered_5x4()
+    solved = census.solved
+    for closure in solved.order:
+        column = solved.eu_function(closure)
+        for at in solved.order:
+            assert eta(census, at, column) == scratch_eta(census, at, column)
+        assert solved.resolved(column) is solved.resolved(column) == column
+
+    at = solved.order[0]
+    cut = replace(census, links={p: v for p, v in census.links.items() if p != (at, "T")})
+    one = cut.solved.one
+    for _ in range(2):
+        with pytest.raises(MissingLinkEntry) as exc:
+            eta(cut, at, one)
+        assert exc.value.pair == (at, "T")
+        assert solved.index[at] not in cut.solved._weight(one)[2]
 
 
 # --- check output with absent links, recorded before the solved view -----
