@@ -45,7 +45,7 @@ from .fibered import (
     row_detail,
     total_brasselet_infinity,
 )
-from .fibration import GENERIC, brasselet, brasselet_infinity, eu_weight, lambda_infinity
+from .fibration import GENERIC, brasselet, brasselet_infinity, eu_weight
 from .obstruction import check_bdk_point_formula, global_euler_obstruction
 from .polar import brasselet_from_polar, hyperplane_step, infinity_from_polar, stv_global_eu
 from .strata import chi_global, indicator_of_space
@@ -96,7 +96,7 @@ def evaluate_expected_key(bundle: CensusBundle, key: str):
         ("B_at_", lambda arg: brasselet(census, arg, eu_weight(census))),
         ("B_polar_at_", lambda arg: brasselet_from_polar(census, _polar(bundle), arg)),
         ("eu_f_at_", lambda arg: eu_of_f_at(census, arg)),
-        ("lambda_at_", lambda arg: lambda_infinity(census, arg)),
+        ("lambda_at_", lambda arg: brasselet_infinity(census, arg)),
         ("binf_at_", lambda arg: brasselet_infinity(census, arg, eu_weight(census))),
         ("defect_at_", lambda arg: local_fiber_defect(census, arg)),
     ):

@@ -123,7 +123,8 @@ def handler(command: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    from_os = argv is None
+    argv = sys.argv[1:] if from_os else argv
     if sys.stdout is None:
         # started with file descriptor 1 closed: no call, help included,
         # can print, and a file the call opened could take descriptor 1
@@ -131,15 +132,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         # output is UTF-8 whatever the locale, as documents read input; a
-        # stream without an encoding (io.StringIO) takes text as it is
+        # stream without an encoding (io.StringIO) takes text as it is, and
+        # the stream's error handler echoes a path in the bytes the OS gave
         encoding = getattr(sys.stdout, "encoding", None)
         if encoding and codecs.lookup(encoding).name != "utf-8":
-            sys.stdout.reconfigure(encoding="utf-8")
+            sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
         args = read_plain(argv)
         if args is None:
             from .arguments import parse
 
             args = parse(argv, _COMMANDS)
+        for dest in ("identity", "unknown", "at") if from_os else ():
+            # ids and labels are UTF-8 whatever the locale, as in documents;
+            # paths stay in the bytes the OS gave
+            value = getattr(args, dest, None)
+            if value:
+                setattr(args, dest, os.fsencode(value).decode("utf-8", "surrogateescape"))
         code = handler(args.command)(args)
         sys.stdout.flush()
     except (CensusError, ValueError) as exc:

@@ -17,7 +17,6 @@ from .fibration import (
     brasselet,
     brasselet_infinity,
     eu_weight,
-    lambda_infinity,
     resolve_value_label,
 )
 from .obstruction import global_euler_obstruction, solve_bdk
@@ -67,7 +66,7 @@ def cmd_compute(args) -> int:
             if what == "brasselet":
                 name, value = f"B({at})", brasselet(census, at, eu_weight(census))
             elif what == "lambda":
-                name, value = f"lambda({at})", lambda_infinity(census, at)
+                name, value = f"lambda({at})", brasselet_infinity(census, at)
             else:
                 name, value = f"Binf({at})", brasselet_infinity(census, at, eu_weight(census))
         with formatting():

@@ -31,7 +31,6 @@ from .fibration import (
     brasselet,
     brasselet_infinity,
     eu_weight,
-    lambda_infinity,
 )
 from .obstruction import global_euler_obstruction
 from .records import record, replace
@@ -245,7 +244,7 @@ def _value_consistency(census, a, w, counts, fiber) -> tuple[int, int]:
     rhs = (
         brasselet(census, a, w)
         - sum(local_fiber_defect(census, q.id) for q in census.points_at(a))
-        + lambda_infinity(census, a)
+        + brasselet_infinity(census, a)
     )
     return lhs, rhs
 

@@ -59,6 +59,15 @@ class CriticalPoint:
         if self.milnor_numbers is not None:
             object.__setattr__(self, "milnor_numbers", dict(self.milnor_numbers))
 
+    def require_in_closure(self, base: StratifiedCensus, sid: str) -> None:
+        """Refuse a count on a stratum the base lacks or whose closure does
+        not contain the point."""
+        if not base.poset.leq(self.stratum, sid):
+            raise PointNotInClosure(
+                f"critical point {self.id!r} carries a count on {sid!r} "
+                "whose closure does not contain it"
+            )
+
 
 @record
 class FiberedCensus:
@@ -124,11 +133,8 @@ class FiberedCensus:
             for counts in (q.morse_counts, q.milnor_numbers or {}):
                 for sid, n in counts.items():
                     poset.stratum(sid)
-                    if n and not poset.leq(q.stratum, sid):
-                        raise PointNotInClosure(
-                            f"critical point {q.id!r} carries a count on {sid!r} "
-                            "whose closure does not contain it"
-                        )
+                    if n:
+                        q.require_in_closure(self.base, sid)
 
     # --- accessors ------------------------------------------------------
 
@@ -188,24 +194,13 @@ def eu_weight(census: FiberedCensus) -> StratumConstructibleFunction:
 def brasselet_infinity(
     census: FiberedCensus, at: str, alpha: StratumConstructibleFunction | None = None
 ) -> int:
-    """Weighted correction at infinity for one value; zero off the special
-    set and zero whenever no entry was declared."""
+    """Weighted correction at infinity for one value, unweighted (constant
+    weight 1) by default; zero off the special set and zero wherever no
+    entry was declared, so no entry is ever missing."""
     census.require_label(at)
     if alpha is None:
         alpha = indicator_of_space(census.base)
     if at == GENERIC:
         return 0
-    # absent entries are zero (the one documented default), so none is
-    # missing, and a coefficient on an unknown stratum meets no entry
     infinity = census.infinity_chi
-    return weighted_sum(
-        census.base,
-        alpha,
-        lambda sid: infinity.get(sid, {}).get(at, 0),
-        lambda sid: f"infinity_chi.{sid}.{at}",
-    )
-
-
-def lambda_infinity(census: FiberedCensus, at: str) -> int:
-    """Unweighted (constant weight 1) correction at infinity at one value."""
-    return brasselet_infinity(census, at, None)
+    return sum(a * infinity.get(sid, {}).get(at, 0) for sid, a in alpha.coeffs.items())

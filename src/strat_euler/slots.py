@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .census_io import apply_field_to_raw, load_file
-from .errors import CensusError, NotSolvable, PointNotInClosure, SchemaError, UnknownValueLabel, formatting
+from .errors import CensusError, NotSolvable, SchemaError, UnknownValueLabel, formatting
 from .fibered import solve_unknown
 from .fibration import FiberedCensus, eu_weight
 from .records import record, replace
@@ -67,13 +67,7 @@ class FieldPath:
         the point, which no census may hold."""
         if self.kind == "morse_counts":
             point = census.point(self.key)
-            poset = census.base.poset
-            poset.stratum(self.sub)
-            if not poset.leq(point.stratum, self.sub):
-                raise PointNotInClosure(
-                    f"critical point {self.key!r} carries a count on {self.sub!r} "
-                    "whose closure does not contain it"
-                )
+            point.require_in_closure(census.base, self.sub)
             return point.morse_counts.get(self.sub)
         census.base.poset.stratum(self.key)
         if self.kind == "chi":

@@ -1,20 +1,22 @@
-"""Swap ``+`` and ``-`` in the math modules one site at a time, and check
-that the tier-1 tests notice.
+"""Swap ``+`` and ``-``, and flip comparisons, in the math modules one
+site at a time, and check that the tier-1 tests notice.
 
 Every ``BinOp`` and ``AugAssign`` that adds or subtracts in ``fibered``,
 ``fibration``, ``polar``, ``strata``, ``table``, ``obstruction`` and
-``euler_calculus`` is one mutant: its operator character is swapped in
-the source text, so every other line keeps its place (the README's
-compile table counts lines and AST nodes).  Each mutant runs the tier-1
-tests with ``-x`` in a temporary copy of the checkout; the checkout itself
-is never written.  A mutant the tests pass survives.
+``euler_calculus`` is one mutant, and so is every ``==``, ``!=``, ``<``,
+``>``, ``<=`` and ``>=`` of a ``Compare`` there: the operator's first
+character is swapped in the source text (``+``/``-``, ``==``/``!=``,
+``<``/``>``, ``<=``/``>=``), so every other line keeps its place (the
+README's compile table counts lines and AST nodes).  Each mutant runs the
+tier-1 tests with ``-x`` in a temporary copy of the checkout; the checkout
+itself is never written.  A mutant the tests pass survives.
 
 ``tests/data/mutation_survivors.json`` lists the survivors known to be
 equivalent, each with its reason.  The probe exits 1 on a survivor the
 file does not list, and on a listed one that the tests now kill or that no
 longer exists; it exits 0 when the survivors are exactly the listed ones.
 
-    python tests/mutation_probe.py      # about 8 minutes for 65 mutants
+    python tests/mutation_probe.py      # about 6 minutes for 106 mutants on 2 vCPUs
 
 pytest does not collect this file.
 """
@@ -40,12 +42,14 @@ TIER1 = [
     sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
     "--hypothesis-seed=0", "--continue-on-collection-errors",
 ]
-SWAP = {ord("+"): ord("-"), ord("-"): ord("+")}
+SWAP = {ord(a): ord(b) for a, b in ("+-", "-+", "=!", "!=", "<>", "><")}
+COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.Gt, ast.LtE, ast.GtE)
 
 
 def operator_offset(source: bytes, starts: list[int], after: ast.AST, before: ast.AST) -> int:
-    """Byte offset of the first ``+`` or ``-`` between the end of one node
-    and the start of the next, past brackets, line breaks and comments."""
+    """Byte offset of the first operator character ``SWAP`` swaps between
+    the end of one node and the start of the next, past brackets, line
+    breaks and comments."""
     i = starts[after.end_lineno - 1] + after.end_col_offset
     end = starts[before.lineno - 1] + before.col_offset
     while i < end:
@@ -58,11 +62,11 @@ def operator_offset(source: bytes, starts: list[int], after: ast.AST, before: as
 
 
 def mutants(module: str):
-    """(site, code, offset) of each add/sub site of one module: the site is
-    ``file:line:col`` of the operator (col in bytes, from 0, as ast counts
-    it; nested sums can share their first line and column), the code is
-    the source of the node on one line, the offset is the operator's
-    byte."""
+    """(site, code, offset) of each add/sub and comparison site of one
+    module: the site is ``file:line:col`` of the operator (col in bytes,
+    from 0, as ast counts it), the code is the source of the node on one
+    line (nested sums and chained comparisons share it), the offset is the
+    byte of the operator's first character."""
     source = (ROOT / PACKAGE / f"{module}.py").read_bytes()
     starts = [0]
     for line in source.splitlines(keepends=True):
@@ -70,14 +74,23 @@ def mutants(module: str):
     text = source.decode("utf-8")
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            offset = operator_offset(source, starts, node.left, node.right)
+            pairs = [(node.left, node.right)]
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
-            offset = operator_offset(source, starts, node.target, node.value)
+            pairs = [(node.target, node.value)]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            pairs = [
+                (operands[i], operands[i + 1])
+                for i, op in enumerate(node.ops)
+                if isinstance(op, COMPARISONS)
+            ]
         else:
             continue
-        line = bisect.bisect_right(starts, offset)
-        site = f"{module}.py:{line}:{offset - starts[line - 1]}"
-        yield site, " ".join(ast.get_source_segment(text, node).split()), offset
+        code = " ".join(ast.get_source_segment(text, node).split())
+        for after, before in pairs:
+            offset = operator_offset(source, starts, after, before)
+            line = bisect.bisect_right(starts, offset)
+            yield f"{module}.py:{line}:{offset - starts[line - 1]}", code, offset
 
 
 def run_tier1(copy: Path) -> subprocess.CompletedProcess:
@@ -120,7 +133,9 @@ def main() -> int:
                 path.write_bytes(original)
                 if passed:
                     survived.add(site)
-                swap = f"{chr(original[offset])} -> {chr(mutated[offset])}"
+                width = 2 if original[offset + 1] == ord("=") else 1
+                was, now = original[offset:offset + width], mutated[offset:offset + width]
+                swap = f"{was.decode()} -> {now.decode()}"
                 print(f"{site} {swap} in `{code}`: {'SURVIVED' if passed else 'killed'}", flush=True)
     print(f"{len(sites)} mutants, {len(survived)} survived, {time.monotonic() - started:.0f} s")
     problems = [
@@ -129,7 +144,7 @@ def main() -> int:
     ]
     for site, entry in listed.items():
         if sites.get(site) != entry["code"]:
-            now = f"`{sites[site]}`" if site in sites else "no add/sub site"
+            now = f"`{sites[site]}`" if site in sites else "no mutation site"
             problems.append(
                 f"{site}: listed in {SURVIVORS.name} as `{entry['code']}`, but it is now {now}"
             )

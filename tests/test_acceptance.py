@@ -17,7 +17,7 @@ from strat_euler.entries import list_entries
 from strat_euler.errors import NotSolvable
 from strat_euler.euler_calculus import check_fubini
 from strat_euler.fibered import IDENTITIES, check_identity, solve_unknown, total_brasselet_infinity
-from strat_euler.fibration import GENERIC, brasselet, eu_weight, lambda_infinity
+from strat_euler.fibration import GENERIC, brasselet, brasselet_infinity, eu_weight
 from strat_euler.obstruction import global_euler_obstruction, invert_unitriangular, solve_bdk
 from strat_euler.polar import brasselet_from_polar, stv_global_eu
 from strat_euler.strata import (
@@ -128,7 +128,7 @@ def test_criterion_05_generic_fiber_balance():
 def test_criterion_06_corrections_at_infinity():
     census = load_entry("broughton").census
     ok = total_brasselet_infinity(census) == -1
-    ok = ok and lambda_infinity(census, "0") == -1
+    ok = ok and brasselet_infinity(census, "0") == -1
     ok = ok and detect_irregular_values(census) == ["0"]
     w = eu_weight(census)
     for alpha in (None, w):

@@ -691,21 +691,41 @@ def test_a_non_ascii_stratum_id_prints_as_utf8_under_every_locale(tmp_path):
     """cusp-linear with a stratum named ``é1`` checks as cusp-linear does,
     and its rows are written as UTF-8 under every environment, the ASCII C
     locale included, both through ``cli.main`` and as ``python -m
-    strat_euler``: the same exit code and the same stdout bytes."""
-    path = tmp_path / "accented.json"
-    text = json.dumps(edited({"base": "cusp-linear", "edits": []}), ensure_ascii=False)
-    path.write_text(text.replace("V1", "é1"), encoding="utf-8")
-    plain, accented = the_same_under_each_environment(
-        [["check", fixture_path("cusp-linear")], ["check", str(path)]]
+    strat_euler``: the same exit code and the same stdout bytes.  The id
+    typed on the command line is read as UTF-8 under every locale too: with
+    its chi removed, ``solve --unknown chi.é1`` finds the stratum.  File
+    names given to the process keep their bytes under the C locale: the
+    subprocesses read censuses named ``é-…`` and write one to ``ö.json``."""
+    path, unknown = tmp_path / "accented.json", tmp_path / "unknown.json"
+    for target, edits in ((path, []), (unknown, [[["strata", 0, "chi"]]])):
+        text = json.dumps(edited({"base": "cusp-linear", "edits": edits}), ensure_ascii=False)
+        target.write_text(text.replace("V1", "é1"), encoding="utf-8")
+    solve = ["solve", str(unknown), "--identity", "cor_equi", "--unknown", "chi.é1"]
+    plain, accented, solved = the_same_under_each_environment(
+        [["check", fixture_path("cusp-linear")], ["check", str(path)], solve]
     )
     assert plain[0] == 0
     assert accented == (0, plain[1].replace("V1", "é1"), "")
-    run = subprocess.run(
-        [sys.executable, "-m", "strat_euler", "check", str(path)],
-        capture_output=True,
-        env={**os.environ, **C_LOCALE},
-    )
-    assert (run.returncode, run.stdout, run.stderr) == (0, accented[1].encode("utf-8"), b"")
+    assert solved == (0, "chi.é1 = 1\n", "")
+    named = {source: source.with_name(f"é-{source.name}") for source in (path, unknown)}
+    for source, target in named.items():
+        target.write_bytes(source.read_bytes())
+    completed = tmp_path / "ö.json"
+    solve[1] = str(named[unknown])
+    emit = [*solve, "--emit-completed", str(completed)]
+    wrote = (0, f"{solved[1]}wrote completed census to {completed}\n", "")
+    for argv, (code, out, err) in (
+        (["check", str(named[path])], accented),
+        (solve, solved),
+        (emit, wrote),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "strat_euler", *argv],
+            capture_output=True,
+            env={**os.environ, **C_LOCALE},
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, out.encode("utf-8"), b""), argv
+    assert json.loads(completed.read_text(encoding="utf-8"))["strata"][0] == {"id": "é1", "dim": 0, "chi": 1}
 
 
 # --- identity argument errors are input errors ---------------------------

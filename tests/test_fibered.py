@@ -30,7 +30,6 @@ from strat_euler.fibration import (
     brasselet,
     brasselet_infinity,
     eu_weight,
-    lambda_infinity,
     resolve_value_label,
 )
 from strat_euler.polar import eu_of_function_local
@@ -97,7 +96,7 @@ def test_eu_of_f_at_golden_values():
 
 def test_infinity_corrections_on_the_plane_family():
     census = fibered("broughton")
-    assert lambda_infinity(census, "0") == -1
+    assert brasselet_infinity(census, "0") == -1
     assert total_brasselet_infinity(census) == -1
     assert total_brasselet_infinity(census, eu_weight(census)) == -1
 

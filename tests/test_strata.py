@@ -326,6 +326,28 @@ def test_eta_is_linear(pair):
         assert eta(census, at, double) == 2 * eta(census, at, alpha)
 
 
+@given(censuses_with_functions())
+def test_zero_coefficients_change_neither_equality_nor_hash(pair):
+    """A function with its zero coefficients dropped, or with zero ones
+    added on an id the census lacks, is the same function: equal, hashed
+    alike, one member of a set."""
+    census, alpha = pair
+    bare = StratumConstructibleFunction({sid: a for sid, a in alpha.coeffs.items() if a})
+    padded = StratumConstructibleFunction({**alpha.coeffs, "not a stratum": 0})
+    assert bare == alpha == padded and hash(bare) == hash(alpha) == hash(padded)
+    assert len({alpha, bare, padded}) == 1
+
+
+def test_unequal_functions_stay_distinct_in_a_set():
+    """Functions that differ in a nonzero coefficient, in its sign or in
+    the stratum carrying it are distinct members of a set, and a function
+    whose coefficients are all zero is the empty one."""
+    coeffs = ({}, {"a": 0}, {"a": 1}, {"a": -1}, {"b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": -1})
+    functions = {StratumConstructibleFunction(c) for c in coeffs}
+    assert len(functions) == len(coeffs) - 1
+    assert StratumConstructibleFunction({"a": 0, "b": 0}) in functions
+
+
 def test_restrict_to_closure_keeps_the_down_set():
     census = load_entry("cusp-linear").census.base
     small = restrict_to_closure(census, "V1")
