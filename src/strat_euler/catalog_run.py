@@ -18,6 +18,7 @@ from .census_io import CensusBundle
 from .entries import list_entries
 from .errors import InsufficientData, UnknownStratum
 from .fibered import CheckLine
+from .obstruction import eu_function_of_space
 from .records import record
 from .strata import StratifiedCensus
 
@@ -26,12 +27,10 @@ from .strata import StratifiedCensus
 
 
 def _eu_of_space_at(census: StratifiedCensus, stratum_id: str) -> int:
-    # the column of the last closure in (dim, id) order, zero off its
-    # down-set; an absent link anywhere raises ahead of an unknown id
-    solved = census.solved
-    solved.require_links()
-    column = solved.eu_function(solved.order[-1])
-    if stratum_id not in solved.index:
+    # the column ``eu_global`` reads; an absent link anywhere, then an
+    # undeclared equidimensionality, raises ahead of an unknown id
+    column = eu_function_of_space(census)
+    if stratum_id not in census.solved.index:
         raise UnknownStratum(f"no stratum {stratum_id!r} in the table")
     return column.value(stratum_id)
 

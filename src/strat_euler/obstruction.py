@@ -13,11 +13,11 @@ the system is a principal block, so one closure's column is solved alone
 over its down-set: the obstruction of the space, and with it the global
 obstruction, costs the relations of the census, not the whole table.  The
 point formula reads one vector solve, the constant weight read back
-through the solver.  Only :func:`solve_bdk` reads the whole table: it
-imports the ``table`` module, which solves it row by row, each row one
-packed integer, and lays it out as a dense :class:`table.LabeledMatrix`,
-built afresh on each call and not cached.  It serves only the printed
-``eu-table`` and the tests.
+through the solver.  Only :func:`solve_bdk` reads the whole table: the
+``table`` module solves it in the same back-substitution, each unit
+right-hand side packed into one integer, and lays it out as a dense
+:class:`table.LabeledMatrix`, built afresh on each call and not cached.
+It serves only the printed ``eu-table`` and the tests.
 
 The same mechanism proves the point formula used as a cross-check: writing
 the constant function 1 in the obstruction basis and pairing with eta gives
@@ -57,8 +57,8 @@ def invert_unitriangular(rows: list[list[int]]) -> list[list[int]]:
 def solve_bdk(census: StratifiedCensus) -> LabeledMatrix:
     """The value rows of ``census.solved`` laid out as one dense matrix.
 
-    Column j holds the obstruction of closure j on open strata, as
-    :func:`table.solve_rows` solves it, in packed rows.  Any absent link of
+    Column j holds the obstruction of closure j on open strata, solved by
+    :func:`table.solve_rows` in one packed ``_solve``.  Any absent link of
     the matrix raises MissingLinkEntry, the first one in row-major order.
     The matrix is not cached: only the printed ``eu-table`` asks for it.
     """

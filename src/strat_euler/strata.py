@@ -32,11 +32,11 @@ the links from rows built once (:attr:`SolvedCensus.rows`) and keeps, for
 each weight, its closure-basis coefficients, its eta values
 (:meth:`SolvedCensus.eta`) and the weight read back through the solver
 (:meth:`SolvedCensus.resolved`), which is what the structural rows of
-``check`` compare against.  One back-substitution serves every vector
-solve: the obstruction column of one closure, over that closure's
-down-set, and a resolved weight, over the whole census.  Only the printed
-``eu-table`` reads the whole table, which the ``table`` module solves and
-lays out.  :func:`restrict_to_closure` builds the sub-census of a closure
+``check`` compare against.  One back-substitution serves every solve: the
+obstruction column of one closure, over that closure's down-set, a
+resolved weight, over the whole census, and the whole table, which only
+the printed ``eu-table`` reads and the ``table`` module packs and lays
+out.  :func:`restrict_to_closure` builds the sub-census of a closure
 explicitly and stays as the independent route the tests compare against.
 
 Code that only some calls run lives with them: the diagnosis of a refused
@@ -298,16 +298,15 @@ class SolvedCensus:
     per census.  The entry keeps alpha, so its id is not reused; an equal
     but distinct function gets its own, equal, entry.
 
-    :meth:`_solve` is the one back-substitution for one right-hand side:
-    :meth:`column` solves a unit vector over one down-set, and
-    :meth:`resolved` eta of a weight over the whole census.
-    ``table.solve_rows`` solves all of C row by row for the printed table,
-    each row packed into one integer.  Everything is computed on first
-    use, after :meth:`require_links` has checked the links it reads: a
-    column checks its block and raises the MissingLinkEntry that solving
-    the restricted census would raise, and the readers of the whole space
-    ask for every link.  It holds the census's links and not the census,
-    which holds it.
+    :meth:`_solve` is the one back-substitution: :meth:`column` solves a
+    unit vector over one down-set, :meth:`resolved` eta of a weight over
+    the whole census, and ``table.solve_rows`` all of C for the printed
+    table, each unit vector packed into one integer.  Everything is
+    computed on first use, after :meth:`require_links` has checked the
+    links it reads: a column checks its block and raises the
+    MissingLinkEntry that solving the restricted census would raise, and
+    the readers of the whole space ask for every link.  It holds the
+    census's links and not the census, which holds it.
     """
 
     def __init__(self, census: StratifiedCensus):
@@ -403,7 +402,8 @@ class SolvedCensus:
         """Solve M x = b over ``over``, an ascending down-set of indices,
         from the top down: x_i is b_i plus a times x_k for each step (k, a)
         of row i.  Returns x summed over each stratum of ``over`` and its
-        up-set, by index.  The caller has checked the block's links."""
+        up-set, by index.  The caller has checked the block's links.  Ints
+        are exact, so b may hold packed rows (``table.solve_rows``)."""
         rows, above = self.rows, self.above
         x: dict[int, int] = {}
         for i in reversed(over):

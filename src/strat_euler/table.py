@@ -3,9 +3,10 @@
 Every other reader of a census solves one closure column or one weight of
 ``census.solved`` (see :class:`strata.SolvedCensus`).
 :func:`obstruction.solve_bdk` imports this module when it is asked for the
-whole table: :func:`solve_rows` solves it from the top of the (dim, id)
-order over the link rows ``census.solved.rows``, each row packed into one
-integer, and :class:`LabeledMatrix` lays it out.
+whole table: :func:`solve_rows` packs each unit right-hand side into one
+integer and solves them all at once through the census's one
+back-substitution, :meth:`strata.SolvedCensus._solve`, and
+:class:`LabeledMatrix` lays it out.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ def solve_rows(solved: SolvedCensus) -> tuple[tuple[int, ...], ...]:
     is the obstruction of the closure of j at points of m.  Needs every
     link.
 
-    Coefficient entry [i][j], the closure-basis coefficient of closure i in
-    the obstruction of the closure of j, is delta_ij plus a_ik times entry
-    [k][j] for each step (k, a_ik = link(i, k) - 1) of ``solved.rows[i]``;
-    value row m is the sum of the coefficient rows of m and of every stratum
-    above m, and is zero off m and its up-set.  Each row is one int, entry j
-    in a field of w bits at bit w*j, so each step is one big-int multiply-add.
-    Python ints are exact, so the packed sums lose nothing, and the fields
-    only have to hold the final entries: B_i = 1 + sum |a_ik| B_k bounds
-    row i, and a value row the bounds of the rows it sums.
+    The right-hand side of row i is the unit vector e_i packed into one
+    int, entry j in a field of w bits at bit w*j, so one call of
+    :meth:`SolvedCensus._solve` solves every row, each step one big-int
+    multiply-add, and sums each row over its up-set: value row m, zero off
+    m and its up-set.  Python ints are exact, so the packed sums lose
+    nothing, and the fields only have to hold the final entries:
+    B_i = 1 + sum |a_ik| B_k bounds coefficient row i (a_ik = link(i, k) - 1
+    over the steps of ``solved.rows[i]``), and a value row the bounds of
+    the rows it sums.
     """
     solved.require_links()
     link_rows, above = solved.rows, solved.above
@@ -40,21 +41,13 @@ def solve_rows(solved: SolvedCensus) -> tuple[tuple[int, ...], ...]:
     # whole bytes, two bits to spare: every entry lies strictly within half a field
     size = (top.bit_length() + 9) // 8
     width = 8 * size
-    rows = [0] * n
-    for i in reversed(range(n)):
-        row = 1 << (width * i)
-        for k, a in link_rows[i][0]:
-            row += a * rows[k]
-        rows[i] = row
+    packed = solved._solve({i: 1 << (width * i) for i in range(n)}, range(n))
     # half a field added to each makes every field nonnegative
     half = 1 << (width - 1)
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
     values = []
     for m in range(n):
-        packed = rows[m] + offset
-        for i in above[m]:
-            packed += rows[i]
-        view = memoryview(packed.to_bytes(size * n, "little"))
+        view = memoryview((packed[m] + offset).to_bytes(size * n, "little"))
         row = [0] * n
         for j in (m, *above[m]):
             row[j] = int.from_bytes(view[size * j : size * (j + 1)], "little") - half

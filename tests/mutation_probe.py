@@ -16,7 +16,7 @@ equivalent, each with its reason.  The probe exits 1 on a survivor the
 file does not list, and on a listed one that the tests now kill or that no
 longer exists; it exits 0 when the survivors are exactly the listed ones.
 
-    python tests/mutation_probe.py      # about 6 minutes for 106 mutants on 2 vCPUs
+    python tests/mutation_probe.py      # about 6-14 minutes for 104 mutants on 2 vCPUs
 
 pytest does not collect this file.
 """

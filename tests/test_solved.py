@@ -30,6 +30,7 @@ from strat_euler.errors import (
     AmbientObstructionMismatch,
     InsufficientData,
     MissingLinkEntry,
+    NotEquidimensional,
     UnknownStratum,
 )
 from strat_euler.fibered import (
@@ -982,6 +983,32 @@ def test_one_column_readers_never_solve_the_whole_table(argv, solves, tmp_path, 
     assert code in (0, 1)
     assert capsys.readouterr().out
     assert len(solved) == solves
+
+
+def test_the_table_is_solved_by_the_one_back_substitution(monkeypatch):
+    census = layered_5x4()
+    calls = []
+    solve = SolvedCensus._solve
+
+    def counting(self, b, over):
+        calls.append(list(over))
+        return solve(self, b, over)
+
+    monkeypatch.setattr(SolvedCensus, "_solve", counting)
+    rows = solve_rows(census.solved)
+    assert calls == [list(range(len(census.poset.ids())))]
+    assert rows == tuple(tuple(r) for r in dense_values(census)[1])
+
+
+def test_the_eu_x_at_key_refuses_what_eu_global_refuses():
+    raw = dict(load_entry("cusp-linear").raw, equidimensional=False)
+    bundle = load_document(raw)
+    raised = []
+    for key in ("eu_global", "eu_x_at_V1"):
+        with pytest.raises(NotEquidimensional) as exc:
+            evaluate_expected_key(bundle, key)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
 
 
 def test_the_eu_x_at_key_reads_one_column(monkeypatch):
