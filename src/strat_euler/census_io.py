@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .documents import read_json
 from .errors import CensusError, NotSolvable, SchemaError
-from .fibration import CriticalPoint, FiberedCensus
+from .fibration import GENERIC, CriticalPoint, FiberedCensus
 from .records import field, record
 from .strata import StratifiedCensus, Stratum, StratumPoset
 
@@ -228,6 +228,10 @@ def load_document(obj: object, path: str = "$") -> CensusBundle:
         fibers[key] = _census_from_json(
             sub, f"{path}.fiber_censuses.{label}", default_name=f"fiber at {label}"
         )
+    if polar is not None:
+        for label in polar.gamma:
+            if label != GENERIC and label not in census.special_values:
+                raise _refuse("not a declared special value", path, "polar", "gamma", label)
 
     expected = _expect(obj.get("expected", {}), dict, "an object", path, "expected")
     for k, v in expected.items():

@@ -29,8 +29,8 @@ Each census is solved once, into one object: ``census.solved`` is a
 eta-against-closures matrix is upper unitriangular, and its restriction to
 the closure of a stratum is a principal block.  The solved census reads
 the links from rows built once (:attr:`SolvedCensus.rows`) and keeps, for
-each weight, its closure-basis coefficients, its eta values
-(:meth:`SolvedCensus.eta`) and the weight read back through the solver
+each weight, its closure-basis coefficients, which :meth:`SolvedCensus.eta`
+sums against a row, and the weight read back through the solver
 (:meth:`SolvedCensus.resolved`), which is what the structural rows of
 ``check`` compare against.  One back-substitution serves every solve: the
 obstruction column of one closure, over that closure's down-set, a
@@ -292,11 +292,10 @@ class SolvedCensus:
     re-solving the census of that closure would give.
 
     Each weight alpha gets one entry, keyed by ``id(alpha)``: its
-    closure-basis coefficients, the values of :meth:`eta` computed so far,
-    and :meth:`resolved`.  The weights the package passes around
-    (:attr:`one`, the columns of :meth:`eu_function`) are one object each
-    per census.  The entry keeps alpha, so its id is not reused; an equal
-    but distinct function gets its own, equal, entry.
+    closure-basis coefficients and :meth:`resolved`.  The weights the
+    package passes around (:attr:`one`, the columns of :meth:`eu_function`)
+    are one object each per census.  The entry keeps alpha, so its id is
+    not reused; an equal but distinct function gets its own, equal, entry.
 
     :meth:`_solve` is the one back-substitution: :meth:`column` solves a
     unit vector over one down-set, :meth:`resolved` eta of a weight over
@@ -317,7 +316,7 @@ class SolvedCensus:
         self.index: dict[str, int] = poset._index
         self.below: tuple[tuple[int, ...], ...] = poset._below
         self.above: tuple[tuple[int, ...], ...] = poset._above
-        # id(alpha) -> [alpha, coefficients, eta by index, resolved or None]
+        # id(alpha) -> [alpha, coefficients, resolved or None]
         self._weights: dict[int, list] = {}
         self._eu_functions: dict[int, StratumConstructibleFunction] = {}
 
@@ -375,24 +374,20 @@ class SolvedCensus:
             coeffs = [0] * len(order)
             for j in reversed(range(len(order))):
                 coeffs[j] = alpha.value(order[j]) - sum(coeffs[k] for k in above[j])
-            entry = self._weights[id(alpha)] = [alpha, coeffs, {}, None]
+            entry = self._weights[id(alpha)] = [alpha, coeffs, None]
         return entry
 
     def eta(self, alpha: StratumConstructibleFunction, at: str) -> int:
-        """eta of alpha at a stratum, from the link row of ``at``.  It
-        raises MissingLinkEntry for the highest absent link from ``at`` to
-        a closure with a nonzero coefficient, the same one whenever it is
-        needed; only values are remembered."""
-        _, coeffs, values, _ = self._weight(alpha)
+        """eta of alpha at a stratum, one sum over the link row of ``at``.
+        It raises MissingLinkEntry for the highest absent link from ``at``
+        to a closure with a nonzero coefficient."""
+        coeffs = self._weight(alpha)[1]
         i = self.index[at]
-        value = values.get(i)
-        if value is None:
-            steps, absent = self.rows[i]
-            for k in reversed(absent):
-                if coeffs[k]:
-                    raise MissingLinkEntry(at, self.order[k])
-            value = values[i] = coeffs[i] - sum(a * coeffs[k] for k, a in steps)
-        return value
+        steps, absent = self.rows[i]
+        for k in reversed(absent):
+            if coeffs[k]:
+                raise MissingLinkEntry(at, self.order[k])
+        return coeffs[i] - sum(a * coeffs[k] for k, a in steps)
 
     def _function(self, values: Mapping[int, int]) -> StratumConstructibleFunction:
         """The function with the given values by index, zero elsewhere."""
@@ -405,22 +400,17 @@ class SolvedCensus:
         up-set, by index.  The caller has checked the block's links.  Ints
         are exact, so b may hold packed rows (``table.solve_rows``)."""
         rows, above = self.rows, self.above
-        x: dict[int, int] = {}
+        x = [0] * len(rows)
         for i in reversed(over):
-            c = b.get(i, 0)
-            for k, a in rows[i][0]:
-                xk = x.get(k)
-                if xk:
-                    c += a * xk
-            if c:
-                x[i] = c
-        return {m: x.get(m, 0) + sum(x.get(k, 0) for k in above[m]) for m in over}
+            x[i] = b.get(i, 0) + sum(a * x[k] for k, a in rows[i][0])
+        return {m: x[m] + sum(x[k] for k in above[m]) for m in over}
 
     def column(self, j: int) -> dict[int, int]:
         """Values on open strata of the obstruction of the closure of
         ``order[j]``, keyed by index over its down-set in ascending order;
         zero off it.  It is solved alone over that down-set, so it costs
-        the relations of the block, not the whole table."""
+        the relations of the block, not the whole table, and one list of
+        n zeros."""
         down = self.below[j] + (j,)
         self.require_links(set(down))
         return self._solve({j: 1}, down)
@@ -431,12 +421,12 @@ class SolvedCensus:
         and eta are dual bases, so this is alpha again, computed through
         the links and so a check of the solver."""
         entry = self._weight(alpha)
-        if entry[3] is None:
+        if entry[2] is None:
             self.require_links()
             order = self.order
             b = {i: self.eta(alpha, at) for i, at in enumerate(order)}
-            entry[3] = self._function(self._solve(b, range(len(order))))
-        return entry[3]
+            entry[2] = self._function(self._solve(b, range(len(order))))
+        return entry[2]
 
     def eu_function(self, closure_of: str) -> StratumConstructibleFunction:
         """The obstruction of the closure of one stratum, as a function,

@@ -89,6 +89,20 @@ def test_fiber_census_labels_must_be_declared():
     assert "not a declared special value" in str(exc.value)
 
 
+def test_polar_labels_must_be_declared(tmp_path, capsys):
+    """A polar list at a typo of a special value is refused, not left
+    unread while the rows that need the value SKIP."""
+    doc = copy.deepcopy(load_entry("node-linear").raw)
+    gamma = doc["polar"]["gamma"]
+    gamma["O"] = gamma.pop("0")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.polar.gamma.O: not a declared special value\n"
+
+
 def test_expected_values_are_ints_or_string_lists():
     with pytest.raises(SchemaError):
         load_document(minimal_doc(expected={"eu_global": 1.5}))

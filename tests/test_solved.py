@@ -744,7 +744,6 @@ def test_the_solved_census_keeps_what_each_weight_computed():
         with pytest.raises(MissingLinkEntry) as exc:
             eta(cut, at, one)
         assert exc.value.pair == (at, "T")
-        assert solved.index[at] not in cut.solved._weight(one)[2]
 
 
 # --- check output with absent links, recorded before the solved view -----
